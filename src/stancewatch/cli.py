@@ -63,6 +63,7 @@ from .synth import (
     generate_labeled,
 )
 from .timeline import (
+    ClassifiedTweet,
     aggregate_daily,
     classify_corpus,
     detect_peaks,
@@ -164,17 +165,24 @@ def _load_model_and_vocab(config: PipelineConfig, out: Path, manifest: RunManife
     )
     manifest.add_input("vocab", vocab_path)
     manifest.add_input("checkpoint", ckpt_path)
-    vocab = Vocabulary.load(vocab_path)
-    params = load_checkpoint(ckpt_path)
-    if params.vocab_hash is not None and params.vocab_hash != vocab.content_hash():
-        raise DataValidationError(
-            "checkpoint was trained with a different vocabulary than the one supplied"
-        )
-    if params.config.vocab_size != len(vocab):
-        raise DataValidationError(
-            f"checkpoint vocab_size {params.config.vocab_size} != vocabulary size {len(vocab)}"
-        )
-    return params, vocab
+    return load_checkpoint(ckpt_path), Vocabulary.load(vocab_path)
+
+
+def _classify_to_file(
+    config: PipelineConfig, corpus: Path, out: Path, manifest: RunManifest, quiet: bool
+) -> tuple[list[ClassifiedTweet], Path]:
+    """Load model and vocabulary, classify the corpus, write classified.jsonl."""
+    manifest.add_input("corpus", corpus)
+    params, vocab = _load_model_and_vocab(config, out, manifest)
+    with manifest.stage("ingest"):
+        tweets = _ingest(corpus, out, "corpus", manifest, quiet).tweets
+    with manifest.stage("classify"):
+        classified = classify_corpus(params, vocab, tweets, config.classify_batch_size)
+    path = _default_path(config.classified_path, out, "classified.jsonl")
+    with manifest.stage("write_classified"):
+        write_classified(classified, path)
+    manifest.add_output(path)
+    return classified, path
 
 
 @click.group()
@@ -324,18 +332,9 @@ def cmd_classify(config_path, set_kv, out_dir, quiet, **flags):
     out = Path(config.out_dir)
     with output_lock(out):
         manifest = RunManifest("classify", config_snapshot(config))
-        manifest.add_input("corpus", corpus)
-        params, vocab = _load_model_and_vocab(config, out, manifest)
-        with manifest.stage("ingest"):
-            tweets = _ingest(corpus, out, "corpus", manifest, quiet).tweets
-        with manifest.stage("classify"):
-            classified = classify_corpus(params, vocab, tweets, config.classify_batch_size)
-        classified_path = _default_path(config.classified_path, out, "classified.jsonl")
-        with manifest.stage("write"):
-            n = write_classified(classified, classified_path)
-        manifest.add_output(classified_path)
+        classified, classified_path = _classify_to_file(config, corpus, out, manifest, quiet)
         manifest.write(out / "manifest_classify.json")
-    _say(quiet, f"classified {n} tweets -> {classified_path}")
+    _say(quiet, f"classified {len(classified)} tweets -> {classified_path}")
 
 
 @main.command("timeline")
@@ -357,24 +356,15 @@ def cmd_timeline(config_path, set_kv, out_dir, quiet, **flags):
     out = Path(config.out_dir)
     with output_lock(out):
         manifest = RunManifest("timeline", config_snapshot(config))
-        reuse = config.classified_path and Path(config.classified_path).is_file()
-        if reuse:
-            manifest.add_input("classified", config.classified_path)
+        if config.classified_path:
+            reused = _require(config.classified_path, "classified file", "--classified")
+            manifest.add_input("classified", reused)
             with manifest.stage("read_classified"):
-                classified = read_classified(config.classified_path)
-            _say(quiet, f"reusing {len(classified)} classified tweets from {config.classified_path}")
+                classified = read_classified(reused)
+            _say(quiet, f"reusing {len(classified)} classified tweets from {reused}")
         else:
             corpus = _require(config.corpus_path, "corpus file", "--corpus")
-            manifest.add_input("corpus", corpus)
-            params, vocab = _load_model_and_vocab(config, out, manifest)
-            with manifest.stage("ingest"):
-                tweets = _ingest(corpus, out, "corpus", manifest, quiet).tweets
-            with manifest.stage("classify"):
-                classified = classify_corpus(params, vocab, tweets, config.classify_batch_size)
-            classified_path = out / "classified.jsonl"
-            with manifest.stage("write_classified"):
-                write_classified(classified, classified_path)
-            manifest.add_output(classified_path)
+            classified, _ = _classify_to_file(config, corpus, out, manifest, quiet)
         with manifest.stage("aggregate"):
             series = aggregate_daily(classified, config.utc_offset_minutes)
             anti_shares = share(series, Category.ANTI_VACCINE)

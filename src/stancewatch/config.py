@@ -10,7 +10,7 @@ or OS entropy.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -19,93 +19,54 @@ from .errors import DataValidationError, InputPathError
 from .trainer import TrainConfig
 
 
+def _key(section: str, default: Any) -> Any:
+    """A config field whose INI section rides in the field metadata."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
-    # paths
-    labeled_path: str = ""
-    corpus_path: str = ""
-    vocab_path: str = ""
-    checkpoint_path: str = ""
-    classified_path: str = ""
-    out_dir: str = "out"
-    # tokenizer
-    vocab_max_size: int = 4000
-    min_pair_freq: int = 2
-    # model
-    d_model: int = 128
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 0
-    max_len: int = 64
-    dropout_rate: float = 0.1
-    # train
-    learning_rate: float = 5e-6
-    epochs: int = 25
-    batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    head_only: bool = False
-    class_weights: str = ""
-    # split
-    train_fraction: float = 0.8
-    # inference
-    eval_batch_size: int = 64
-    classify_batch_size: int = 64
-    # timeline
-    utc_offset_minutes: int = 180
-    min_prominence: float = 2.0
-    top_k: int = 5
-    smoothing_window: int = 0
-    # seeds
-    seed_split: int = 13
-    seed_init: int = 17
-    seed_shuffle: int = 23
-    seed_dropout: int = 29
+    labeled_path: str = _key("paths", "")
+    corpus_path: str = _key("paths", "")
+    vocab_path: str = _key("paths", "")
+    checkpoint_path: str = _key("paths", "")
+    classified_path: str = _key("paths", "")
+    out_dir: str = _key("paths", "out")
+    vocab_max_size: int = _key("tokenizer", 4000)
+    min_pair_freq: int = _key("tokenizer", 2)
+    d_model: int = _key("model", 128)
+    n_layers: int = _key("model", 2)
+    n_heads: int = _key("model", 4)
+    d_ff: int = _key("model", 0)
+    max_len: int = _key("model", 64)
+    dropout_rate: float = _key("model", 0.1)
+    learning_rate: float = _key("train", 5e-6)
+    epochs: int = _key("train", 25)
+    batch_size: int = _key("train", 16)
+    beta1: float = _key("train", 0.9)
+    beta2: float = _key("train", 0.999)
+    adam_eps: float = _key("train", 1e-8)
+    head_only: bool = _key("train", False)
+    class_weights: str = _key("train", "")
+    train_fraction: float = _key("split", 0.8)
+    eval_batch_size: int = _key("inference", 64)
+    classify_batch_size: int = _key("inference", 64)
+    utc_offset_minutes: int = _key("timeline", 180)
+    min_prominence: float = _key("timeline", 2.0)
+    top_k: int = _key("timeline", 5)
+    smoothing_window: int = _key("timeline", 0)
+    seed_split: int = _key("seeds", 13)
+    seed_init: int = _key("seeds", 17)
+    seed_shuffle: int = _key("seeds", 23)
+    seed_dropout: int = _key("seeds", 29)
 
 
-# key -> INI section; types come from the dataclass field annotations.
-_SECTIONS = {
-    "labeled_path": "paths",
-    "corpus_path": "paths",
-    "vocab_path": "paths",
-    "checkpoint_path": "paths",
-    "classified_path": "paths",
-    "out_dir": "paths",
-    "vocab_max_size": "tokenizer",
-    "min_pair_freq": "tokenizer",
-    "d_model": "model",
-    "n_layers": "model",
-    "n_heads": "model",
-    "d_ff": "model",
-    "max_len": "model",
-    "dropout_rate": "model",
-    "learning_rate": "train",
-    "epochs": "train",
-    "batch_size": "train",
-    "beta1": "train",
-    "beta2": "train",
-    "adam_eps": "train",
-    "head_only": "train",
-    "class_weights": "train",
-    "train_fraction": "split",
-    "eval_batch_size": "inference",
-    "classify_batch_size": "inference",
-    "utc_offset_minutes": "timeline",
-    "min_prominence": "timeline",
-    "top_k": "timeline",
-    "smoothing_window": "timeline",
-    "seed_split": "seeds",
-    "seed_init": "seeds",
-    "seed_shuffle": "seeds",
-    "seed_dropout": "seeds",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# key -> field; its type annotation picks the parser, its metadata the INI section.
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
 def _parse_value(key: str, raw: str) -> Any:
-    kind = _FIELD_TYPES[key]
+    kind = _FIELDS[key].type
     try:
         if kind == "bool":
             lowered = raw.strip().lower()
@@ -125,7 +86,7 @@ def _parse_value(key: str, raw: str) -> Any:
 
 def parse_kv(key: str, raw: str) -> Any:
     """Parse one KEY=VALUE override with the key's declared type."""
-    if key not in _FIELD_TYPES:
+    if key not in _FIELDS:
         raise DataValidationError(f"unknown config key: {key}")
     return _parse_value(key, raw)
 
@@ -145,7 +106,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise DataValidationError(f"cannot parse config file {p}: {exc}")
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if _SECTIONS.get(key) != section:
+            if key not in _FIELDS or _FIELDS[key].metadata["section"] != section:
                 raise DataValidationError(
                     f"unknown config key [{section}] {key} in {p}"
                 )
@@ -158,7 +119,7 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, Any]) -> Pipeli
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in _FIELDS:
             raise DataValidationError(f"unknown config key: {key}")
         setattr(config, key, value)
     return config
@@ -167,8 +128,8 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, Any]) -> Pipeli
 def config_snapshot(config: PipelineConfig) -> dict:
     """Stable dict for the run manifest, grouped by section."""
     snap: dict[str, dict] = {}
-    for key, section in _SECTIONS.items():
-        snap.setdefault(section, {})[key] = getattr(config, key)
+    for key, f in _FIELDS.items():
+        snap.setdefault(f.metadata["section"], {})[key] = getattr(config, key)
     return snap
 
 

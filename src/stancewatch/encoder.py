@@ -16,22 +16,24 @@ in train mode, with seeded masks, so inference and gradient checks are
 deterministic. The additive mask constant is -1e9 rather than -inf so no
 NaN can propagate through the softmax.
 
-All arithmetic is float64 in memory; checkpoints store little-endian
-float32 tensors after a plain-text metadata header.
+All arithmetic is float64 in memory. The parameters live in one buffer
+whose named views follow ``tensor_shapes``; a checkpoint is a metadata
+header followed by that buffer as little-endian float32.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
-from .errors import DataValidationError, InputPathError
+from .errors import DataValidationError, InputPathError, NumericalError
 from .tokenizer import Encoding
 
 MASK_ADDEND = -1e9
@@ -57,6 +59,11 @@ class EncoderConfig:
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int,) if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DataValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
@@ -70,67 +77,75 @@ class EncoderConfig:
             raise DataValidationError(f"n_classes is fixed at 4, got {self.n_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DataValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not self.layer_norm_eps > 0.0:
+            raise DataValidationError(f"layer_norm_eps must be positive, got {self.layer_norm_eps}")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "n_classes": self.n_classes,
-            "dropout_rate": self.dropout_rate,
-            "layer_norm_eps": self.layer_norm_eps,
-        }
 
+class TensorBuffer(Mapping[str, np.ndarray]):
+    """Named, reshaped views onto one contiguous float64 buffer.
 
-@dataclass
-class LayerParams:
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
+    ``spec`` is an ordered list of (name, shape); each tensor sits in
+    ``flat`` right after the one before it. Parameters, gradients and the
+    Adam moments share this layout, so whole-model arithmetic is arithmetic
+    on ``flat`` and a tail of the spec is a tail slice of the buffer.
+    """
+
+    def __init__(self, spec: Sequence[tuple[str, tuple[int, ...]]], flat: np.ndarray | None = None):
+        self.spec = list(spec)
+        sizes = [math.prod(shape) for _, shape in self.spec]
+        total = sum(sizes)
+        self.flat = np.zeros(total, dtype=np.float64) if flat is None else flat
+        if self.flat.shape != (total,):
+            raise DataValidationError(f"buffer of shape {self.flat.shape} does not hold {total} values")
+        self._views: dict[str, np.ndarray] = {}
+        start = 0
+        for (name, shape), size in zip(self.spec, sizes):
+            self._views[name] = self.flat[start : start + size].reshape(shape)
+            start += size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def zeros_like(self) -> "TensorBuffer":
+        return TensorBuffer(self.spec)
+
+    def tail(self, name: str) -> "TensorBuffer":
+        """Tensor ``name`` and every one after it, as views of the same memory."""
+        rest = self.spec[list(self._views).index(name) :]
+        return TensorBuffer(rest, self.flat[self.flat.size - sum(math.prod(s) for _, s in rest) :])
+
+    def first_nonfinite(self) -> str | None:
+        """Name of the first tensor holding a NaN or an infinity, if any."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(name for name, arr in self.items() if not np.isfinite(arr).all())
 
 
 @dataclass
 class ModelParams:
-    """All learnable tensors plus the metadata the checkpoint header carries."""
+    """All learnable tensors, laid out by ``tensor_shapes(config)`` in one
+    buffer, plus the metadata the checkpoint header carries."""
 
     config: EncoderConfig
-    tok_emb: np.ndarray
-    pos_emb: np.ndarray
-    seg_emb: np.ndarray
-    emb_ln_gain: np.ndarray
-    emb_ln_bias: np.ndarray
-    layers: list[LayerParams]
-    pooler_w: np.ndarray
-    pooler_b: np.ndarray
-    classifier_w: np.ndarray
-    classifier_b: np.ndarray
+    tensors: TensorBuffer
     vocab_hash: str | None = None
     init_seed: int | None = None
 
 
 def tensor_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """The documented fixed tensor order used by checkpoints and Adam state."""
-    d, dff, h = config.d_model, config.d_ff, config.n_heads
+    """The documented fixed tensor order of the parameter buffer, which
+    checkpoints, gradients and Adam state share."""
+    d, dff = config.d_model, config.d_ff
     shapes: list[tuple[str, tuple[int, ...]]] = [
         ("tok_emb", (config.vocab_size, d)),
         ("pos_emb", (config.max_len, d)),
@@ -167,24 +182,10 @@ def tensor_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def param_tensors(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield (name, tensor) in the documented fixed order."""
-    yield "tok_emb", params.tok_emb
-    yield "pos_emb", params.pos_emb
-    yield "seg_emb", params.seg_emb
-    yield "emb_ln_gain", params.emb_ln_gain
-    yield "emb_ln_bias", params.emb_ln_bias
-    for i, layer in enumerate(params.layers):
-        prefix = f"layer{i}."
-        for fname in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2", "ln2_gain", "ln2_bias",
-        ):
-            yield prefix + fname, getattr(layer, fname)
-    yield "pooler_w", params.pooler_w
-    yield "pooler_b", params.pooler_b
-    yield "classifier_w", params.classifier_w
-    yield "classifier_b", params.classifier_b
+def _layer(tensors: Mapping[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
+    """Layer i's tensors keyed by their name inside the layer ("wq", "b1", ...)."""
+    prefix = f"layer{i}."
+    return {name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)}
 
 
 def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -199,49 +200,17 @@ def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
 def init_params(
     config: EncoderConfig, seed: int, vocab_hash: str | None = None
 ) -> ModelParams:
-    """Fresh parameters: weights truncated normal(0, 0.02^2) within 2 sigma,
-    biases zero, layer-norm gains one. Deterministic per seed."""
+    """Fresh parameters: weights (every matrix) truncated normal(0, 0.02^2)
+    within 2 sigma, drawn in tensor order; biases zero, layer-norm gains one.
+    Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    d, dff = config.d_model, config.d_ff
-
-    def zeros(*shape: int) -> np.ndarray:
-        return np.zeros(shape, dtype=np.float64)
-
-    def ones(*shape: int) -> np.ndarray:
-        return np.ones(shape, dtype=np.float64)
-
-    layers = []
-    tok = _truncated_normal(rng, (config.vocab_size, d))
-    pos = _truncated_normal(rng, (config.max_len, d))
-    seg = _truncated_normal(rng, (2, d))
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerParams(
-                wq=_truncated_normal(rng, (d, d)), bq=zeros(d),
-                wk=_truncated_normal(rng, (d, d)), bk=zeros(d),
-                wv=_truncated_normal(rng, (d, d)), bv=zeros(d),
-                wo=_truncated_normal(rng, (d, d)), bo=zeros(d),
-                ln1_gain=ones(d), ln1_bias=zeros(d),
-                w1=_truncated_normal(rng, (d, dff)), b1=zeros(dff),
-                w2=_truncated_normal(rng, (dff, d)), b2=zeros(d),
-                ln2_gain=ones(d), ln2_bias=zeros(d),
-            )
-        )
-    return ModelParams(
-        config=config,
-        tok_emb=tok,
-        pos_emb=pos,
-        seg_emb=seg,
-        emb_ln_gain=ones(d),
-        emb_ln_bias=zeros(d),
-        layers=layers,
-        pooler_w=_truncated_normal(rng, (d, d)),
-        pooler_b=zeros(d),
-        classifier_w=_truncated_normal(rng, (config.n_classes, d)),
-        classifier_b=zeros(config.n_classes),
-        vocab_hash=vocab_hash,
-        init_seed=seed,
-    )
+    tensors = TensorBuffer(tensor_shapes(config))
+    for name, arr in tensors.items():
+        if arr.ndim == 2:
+            arr[...] = _truncated_normal(rng, arr.shape)
+        elif name.endswith("_gain"):
+            arr[...] = 1.0
+    return ModelParams(config, tensors, vocab_hash=vocab_hash, init_seed=seed)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -337,9 +306,10 @@ def forward_with_cache(
 
     addmask = ((1.0 - mask) * MASK_ADDEND)[:, None, None, :]  # (B,1,1,T)
 
-    x = params.tok_emb[ids] + params.pos_emb[None, :T, :] + params.seg_emb[0]
+    p = params.tensors
+    x = p["tok_emb"][ids] + p["pos_emb"][None, :T, :] + p["seg_emb"][0]
     h, emb_xhat, emb_inv = _layernorm_forward(
-        x, params.emb_ln_gain, params.emb_ln_bias, cfg.layer_norm_eps
+        x, p["emb_ln_gain"], p["emb_ln_bias"], cfg.layer_norm_eps
     )
     emb_drop = None
     if dropping:
@@ -357,31 +327,32 @@ def forward_with_cache(
         }
 
     scale = 1.0 / np.sqrt(cfg.d_head)
-    for layer in params.layers:
+    for i in range(cfg.n_layers):
+        layer = _layer(p, i)
         h_in = h
-        q = (h @ layer.wq + layer.bq).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        k = (h @ layer.wk + layer.bk).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        v = (h @ layer.wv + layer.bv).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        q = (h @ layer["wq"] + layer["bq"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        k = (h @ layer["wk"] + layer["bk"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        v = (h @ layer["wv"] + layer["bv"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
         scores = q @ k.transpose(0, 1, 3, 2) * scale + addmask
         probs = _softmax_lastaxis(scores)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
-        attn = ctx @ layer.wo + layer.bo
+        attn = ctx @ layer["wo"] + layer["bo"]
         attn_drop = None
         if dropping:
             attn_drop = _dropout_mask(rng, attn.shape, cfg.dropout_rate)
             attn = attn * attn_drop
         h1, ln1_xhat, ln1_inv = _layernorm_forward(
-            h_in + attn, layer.ln1_gain, layer.ln1_bias, cfg.layer_norm_eps
+            h_in + attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
         )
-        u = h1 @ layer.w1 + layer.b1
+        u = h1 @ layer["w1"] + layer["b1"]
         gu = gelu(u)
-        f = gu @ layer.w2 + layer.b2
+        f = gu @ layer["w2"] + layer["b2"]
         ffn_drop = None
         if dropping:
             ffn_drop = _dropout_mask(rng, f.shape, cfg.dropout_rate)
             f = f * ffn_drop
         h, ln2_xhat, ln2_inv = _layernorm_forward(
-            h1 + f, layer.ln2_gain, layer.ln2_bias, cfg.layer_norm_eps
+            h1 + f, layer["ln2_gain"], layer["ln2_bias"], cfg.layer_norm_eps
         )
         if need_cache:
             cache["layers"].append(
@@ -400,9 +371,9 @@ def forward_with_cache(
             )
 
     h_cls = h[:, 0, :]
-    pooled_pre = h_cls @ params.pooler_w + params.pooler_b
+    pooled_pre = h_cls @ p["pooler_w"] + p["pooler_b"]
     pooled = np.tanh(pooled_pre)
-    logits = pooled @ params.classifier_w.T + params.classifier_b
+    logits = pooled @ p["classifier_w"].T + p["classifier_b"]
     if need_cache:
         cache["h_cls"] = h_cls
         cache["pooled"] = pooled
@@ -424,55 +395,56 @@ def forward(
 
 def backward_from_logits(
     params: ModelParams, cache: dict, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact gradients of every parameter tensor given d(loss)/d(logits)."""
+) -> TensorBuffer:
+    """Exact gradients of every parameter tensor given d(loss)/d(logits),
+    in the parameters' buffer layout."""
     cfg = params.config
     B, T, d = cache["h_last_shape"]
-    grads: dict[str, np.ndarray] = {}
+    p = params.tensors
+    grads = p.zeros_like()
 
     pooled = cache["pooled"]
-    grads["classifier_w"] = dlogits.T @ pooled
-    grads["classifier_b"] = dlogits.sum(axis=0)
-    dpooled = dlogits @ params.classifier_w
+    grads["classifier_w"][...] = dlogits.T @ pooled
+    grads["classifier_b"][...] = dlogits.sum(axis=0)
+    dpooled = dlogits @ p["classifier_w"]
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
-    grads["pooler_w"] = cache["h_cls"].T @ dpooled_pre
-    grads["pooler_b"] = dpooled_pre.sum(axis=0)
+    grads["pooler_w"][...] = cache["h_cls"].T @ dpooled_pre
+    grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
     dh = np.zeros((B, T, d), dtype=np.float64)
-    dh[:, 0, :] = dpooled_pre @ params.pooler_w.T
+    dh[:, 0, :] = dpooled_pre @ p["pooler_w"].T
 
     scale = 1.0 / np.sqrt(cfg.d_head)
     for i in range(cfg.n_layers - 1, -1, -1):
-        layer = params.layers[i]
+        layer, g = _layer(p, i), _layer(grads, i)
         lc = cache["layers"][i]
-        prefix = f"layer{i}."
 
-        dr2, dg2, db2 = _layernorm_backward(dh, lc["ln2_xhat"], lc["ln2_inv"], layer.ln2_gain)
-        grads[prefix + "ln2_gain"] = dg2
-        grads[prefix + "ln2_bias"] = db2
+        dr2, g["ln2_gain"][...], g["ln2_bias"][...] = _layernorm_backward(
+            dh, lc["ln2_xhat"], lc["ln2_inv"], layer["ln2_gain"]
+        )
         dh1 = dr2.copy()
         df = dr2
         if lc["ffn_drop"] is not None:
             df = df * lc["ffn_drop"]
         gu = lc["gu"]
-        grads[prefix + "w2"] = gu.reshape(-1, cfg.d_ff).T @ df.reshape(-1, d)
-        grads[prefix + "b2"] = df.sum(axis=(0, 1))
-        du = (df @ layer.w2.T) * gelu_grad(lc["u"])
+        g["w2"][...] = gu.reshape(-1, cfg.d_ff).T @ df.reshape(-1, d)
+        g["b2"][...] = df.sum(axis=(0, 1))
+        du = (df @ layer["w2"].T) * gelu_grad(lc["u"])
         h1 = lc["h1"]
-        grads[prefix + "w1"] = h1.reshape(-1, d).T @ du.reshape(-1, cfg.d_ff)
-        grads[prefix + "b1"] = du.sum(axis=(0, 1))
-        dh1 += du @ layer.w1.T
+        g["w1"][...] = h1.reshape(-1, d).T @ du.reshape(-1, cfg.d_ff)
+        g["b1"][...] = du.sum(axis=(0, 1))
+        dh1 += du @ layer["w1"].T
 
-        dr1, dg1, db1 = _layernorm_backward(dh1, lc["ln1_xhat"], lc["ln1_inv"], layer.ln1_gain)
-        grads[prefix + "ln1_gain"] = dg1
-        grads[prefix + "ln1_bias"] = db1
+        dr1, g["ln1_gain"][...], g["ln1_bias"][...] = _layernorm_backward(
+            dh1, lc["ln1_xhat"], lc["ln1_inv"], layer["ln1_gain"]
+        )
         dh_prev = dr1.copy()
         dattn = dr1
         if lc["attn_drop"] is not None:
             dattn = dattn * lc["attn_drop"]
         ctx = lc["ctx"]
-        grads[prefix + "wo"] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
-        grads[prefix + "bo"] = dattn.sum(axis=(0, 1))
-        dctx = (dattn @ layer.wo.T).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        g["wo"][...] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
+        g["bo"][...] = dattn.sum(axis=(0, 1))
+        dctx = (dattn @ layer["wo"].T).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
 
         probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
         dprobs = dctx @ v.transpose(0, 1, 3, 2)
@@ -483,26 +455,21 @@ def backward_from_logits(
 
         h_in = lc["h_in"]
         h_flat = h_in.reshape(-1, d)
-        for name, dproj, w in (("q", dq, layer.wq), ("k", dk, layer.wk), ("v", dv, layer.wv)):
+        for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
             dmat = dproj.transpose(0, 2, 1, 3).reshape(B * T, d)
-            grads[prefix + "w" + name] = h_flat.T @ dmat
-            grads[prefix + "b" + name] = dmat.sum(axis=0)
-            dh_prev += (dmat @ w.T).reshape(B, T, d)
+            g["w" + name][...] = h_flat.T @ dmat
+            g["b" + name][...] = dmat.sum(axis=0)
+            dh_prev += (dmat @ layer["w" + name].T).reshape(B, T, d)
         dh = dh_prev
 
     if cache["emb_drop"] is not None:
         dh = dh * cache["emb_drop"]
-    dx, dge, dbe = _layernorm_backward(dh, cache["emb_xhat"], cache["emb_inv"], params.emb_ln_gain)
-    grads["emb_ln_gain"] = dge
-    grads["emb_ln_bias"] = dbe
-
-    dtok = np.zeros_like(params.tok_emb)
-    np.add.at(dtok, cache["ids"].reshape(-1), dx.reshape(-1, d))
-    grads["tok_emb"] = dtok
-    grads["pos_emb"] = dx.sum(axis=0)
-    dseg = np.zeros_like(params.seg_emb)
-    dseg[0] = dx.sum(axis=(0, 1))
-    grads["seg_emb"] = dseg
+    dx, grads["emb_ln_gain"][...], grads["emb_ln_bias"][...] = _layernorm_backward(
+        dh, cache["emb_xhat"], cache["emb_inv"], p["emb_ln_gain"]
+    )
+    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), dx.reshape(-1, d))
+    grads["pos_emb"][:T] = dx.sum(axis=0)
+    grads["seg_emb"][0] = dx.sum(axis=(0, 1))
     return grads
 
 
@@ -511,28 +478,22 @@ def predict_proba(logits: np.ndarray) -> np.ndarray:
     return _softmax_lastaxis(np.asarray(logits, dtype=np.float64))
 
 
-def _header_dict(params: ModelParams) -> dict:
-    return {
-        "config": params.config.to_dict(),
-        "vocab_hash": params.vocab_hash,
-        "init_seed": params.init_seed,
-    }
-
-
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write magic, version, JSON metadata header, then float32 tensors."""
-    header = json.dumps(_header_dict(params), sort_keys=True).encode("utf-8")
+    """Write magic, version, JSON metadata header, then the parameter
+    buffer as little-endian float32."""
+    meta = {"config": asdict(params.config), "vocab_hash": params.vocab_hash,
+            "init_seed": params.init_seed}
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        for _, arr in param_tensors(params):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(params.tensors.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint, validating magic, version, and tensor shapes."""
+    """Read a checkpoint, validating magic, version, header, buffer size and
+    that every weight is finite."""
     p = Path(path)
     if not p.is_file():
         raise InputPathError(f"cannot read checkpoint file: {p}")
@@ -540,54 +501,38 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise DataValidationError(f"{p} is not a checkpoint (bad magic bytes)")
     off = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    if len(blob) < off + 8:
+        raise DataValidationError(f"checkpoint truncated: {p} ends inside its preamble")
+    version, hlen = struct.unpack_from("<II", blob, off)
+    off += 8
     if version != CHECKPOINT_VERSION:
         raise DataValidationError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
     try:
         header = json.loads(blob[off : off + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataValidationError(f"corrupt checkpoint header: {exc}")
     off += hlen
-    config = EncoderConfig(**header["config"])
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+        raise DataValidationError(f"checkpoint header of {p} has no config object")
+    try:
+        config = EncoderConfig(**header["config"])
+    except TypeError as exc:
+        raise DataValidationError(f"bad checkpoint config: {exc}")
+    vocab_hash, init_seed = header.get("vocab_hash"), header.get("init_seed")
+    if not isinstance(vocab_hash, (str, type(None))) or not isinstance(init_seed, (int, type(None))):
+        raise DataValidationError("checkpoint vocab_hash must be a string and init_seed an integer")
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(config):
-        count = int(np.prod(shape))
-        nbytes = 4 * count
-        if off + nbytes > len(blob):
-            raise DataValidationError(
-                f"checkpoint truncated: tensor {name} with shape {shape} is incomplete"
-            )
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        tensors[name] = flat.reshape(shape).astype(np.float64)
-        off += nbytes
-    if off != len(blob):
-        raise DataValidationError(f"checkpoint has {len(blob) - off} unexpected trailing bytes")
-
-    layers = []
-    for i in range(config.n_layers):
-        prefix = f"layer{i}."
-        layers.append(
-            LayerParams(**{f: tensors[prefix + f] for f in (
-                "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2", "ln2_gain", "ln2_bias",
-            )})
+    spec = tensor_shapes(config)
+    count = sum(math.prod(shape) for _, shape in spec)
+    if len(blob) - off < 4 * count:
+        raise DataValidationError(
+            f"checkpoint truncated: {4 * count} bytes of tensors expected, {len(blob) - off} present"
         )
-    return ModelParams(
-        config=config,
-        tok_emb=tensors["tok_emb"],
-        pos_emb=tensors["pos_emb"],
-        seg_emb=tensors["seg_emb"],
-        emb_ln_gain=tensors["emb_ln_gain"],
-        emb_ln_bias=tensors["emb_ln_bias"],
-        layers=layers,
-        pooler_w=tensors["pooler_w"],
-        pooler_b=tensors["pooler_b"],
-        classifier_w=tensors["classifier_w"],
-        classifier_b=tensors["classifier_b"],
-        vocab_hash=header.get("vocab_hash"),
-        init_seed=header.get("init_seed"),
-    )
+    if len(blob) - off > 4 * count:
+        raise DataValidationError(f"checkpoint has {len(blob) - off - 4 * count} unexpected trailing bytes")
+    flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off).astype(np.float64)
+    tensors = TensorBuffer(spec, flat)
+    bad = tensors.first_nonfinite()
+    if bad is not None:
+        raise NumericalError(f"checkpoint {p} holds a non-finite weight in tensor {bad}")
+    return ModelParams(config, tensors, vocab_hash=vocab_hash, init_seed=init_seed)

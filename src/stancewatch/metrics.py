@@ -171,9 +171,22 @@ def predict_batches(
     texts: Sequence[str],
     batch_size: int = 64,
 ) -> np.ndarray:
-    """Probability matrix (n, 4) from inference-mode batched forwards."""
+    """Probability matrix (n, 4) from inference-mode batched forwards.
+
+    Refuses to run when the checkpoint records a vocabulary hash different
+    from the one supplied, which would silently skew every token id.
+    """
     if batch_size < 1:
         raise DataValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if params.vocab_hash is not None and params.vocab_hash != vocab.content_hash():
+        raise DataValidationError(
+            "vocabulary hash mismatch: checkpoint was trained with a different vocabulary "
+            f"({params.vocab_hash[:12]}... vs {vocab.content_hash()[:12]}...)"
+        )
+    if params.config.vocab_size != len(vocab):
+        raise DataValidationError(
+            f"checkpoint vocab_size {params.config.vocab_size} != vocabulary size {len(vocab)}"
+        )
     rows = []
     max_len = params.config.max_len
     for start in range(0, len(texts), batch_size):

@@ -57,18 +57,7 @@ def classify_corpus(
     tweets: Sequence[Tweet],
     batch_size: int = 64,
 ) -> list[ClassifiedTweet]:
-    """Inference over the corpus, output order = input order.
-
-    Refuses to run when the checkpoint records a vocabulary hash different
-    from the one supplied, which would silently skew every token id.
-    """
-    if params.vocab_hash is not None and params.vocab_hash != vocab.content_hash():
-        raise DataValidationError(
-            "vocabulary hash mismatch: checkpoint was trained with a different vocabulary "
-            f"({params.vocab_hash[:12]}... vs {vocab.content_hash()[:12]}...)"
-        )
-    if not tweets:
-        return []
+    """Inference over the corpus, output order = input order."""
     probs = predict_batches(params, vocab, [t.text for t in tweets], batch_size)
     preds = probs.argmax(axis=1)
     return [

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,16 +23,18 @@ from .corpus import DatasetSplit, Tweet
 from .encoder import (
     EncoderConfig,
     ModelParams,
+    TensorBuffer,
     backward_from_logits,
     collate,
     forward_with_cache,
     init_params,
-    param_tensors,
 )
 from .errors import DataValidationError, NumericalError
 from .tokenizer import Encoding, Vocabulary, encode
 
-HEAD_TENSOR_NAMES = frozenset({"pooler_w", "pooler_b", "classifier_w", "classifier_b"})
+# First tensor of the classification head; the head is the tail of the
+# parameter buffer from here on.
+HEAD_START = "pooler_w"
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,30 @@ def _loss_and_dlogits(
     return loss, dlogits
 
 
+def _step(
+    params: ModelParams,
+    batch: Sequence[Encoding],
+    labels: Sequence[int],
+    weights: Sequence[float] | None,
+    train_mode: bool,
+    dropout_seed: int | np.random.SeedSequence | None,
+) -> tuple[float, np.ndarray, TensorBuffer]:
+    """collate -> forward with cache -> loss and dlogits -> backward, then
+    check that loss and gradients are finite. Returns (loss, logits, grads)."""
+    ids, mask = collate(batch, params.config)
+    logits, cache = forward_with_cache(
+        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=True
+    )
+    loss, dlogits = _loss_and_dlogits(logits, labels, weights)
+    grads = backward_from_logits(params, cache, dlogits)
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite loss")
+    bad = grads.first_nonfinite()
+    if bad is not None:
+        raise NumericalError(f"non-finite gradient in tensor {bad}")
+    return loss, logits, grads
+
+
 def gradients(
     params: ModelParams,
     batch: Sequence[Encoding],
@@ -129,67 +155,53 @@ def gradients(
     config: TrainConfig | None = None,
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
-) -> dict[str, np.ndarray]:
+) -> TensorBuffer:
     """Exact gradient of cross_entropy(forward(batch)) for every tensor.
 
     ``train_mode`` stays off for gradient checking; train() turns it on so
     the dropout masks participate in the backward pass.
     """
     weights = config.class_weights if config is not None else None
-    ids, mask = collate(batch, params.config)
-    logits, cache = forward_with_cache(
-        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=True
-    )
-    _, dlogits = _loss_and_dlogits(logits, labels, weights)
-    grads = backward_from_logits(params, cache, dlogits)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in tensor {name}")
-    return grads
+    return _step(params, batch, labels, weights, train_mode, dropout_seed)[2]
 
 
 @dataclass
 class AdamState:
     t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: TensorBuffer
+    v: TensorBuffer
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        m = {name: np.zeros_like(arr) for name, arr in param_tensors(params)}
-        v = {name: np.zeros_like(arr) for name, arr in param_tensors(params)}
-        return cls(t=0, m=m, v=v)
+        return cls(t=0, m=params.tensors.zeros_like(), v=params.tensors.zeros_like())
 
 
 def adam_step(
     params: ModelParams,
-    grads: Mapping[str, np.ndarray],
+    grads: TensorBuffer,
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place. Tensors without an entry in
-    ``grads`` are left untouched (that is how frozen tensors are skipped)."""
+    """One bias-corrected Adam update, in place. ``grads`` covers either the
+    whole parameter layout or a tail of it (``TensorBuffer.tail``); only
+    that tail of the buffer and of the moments moves, which is how the
+    encoder stays frozen in head-only training."""
+    k = len(params.tensors.spec) - len(grads.spec)
+    if k < 0 or grads.spec != params.tensors.spec[k:]:
+        raise DataValidationError("gradient names and shapes do not match the parameter layout")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, tensor in param_tensors(params):
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != tensor.shape:
-            raise DataValidationError(
-                f"gradient shape {g.shape} does not match tensor {name} {tensor.shape}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        mhat = m / bc1
-        vhat = v / bc2
-        tensor -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+    lo = params.tensors.flat.size - grads.flat.size
+    g, theta, m, v = grads.flat, params.tensors.flat[lo:], state.m.flat[lo:], state.v.flat[lo:]
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    mhat = m / bc1
+    vhat = v / bc2
+    theta -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
 
 
 def _epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
@@ -217,7 +229,6 @@ def train(
 
     params = init_params(model_config, train_config.init_seed, vocab.content_hash())
     state = AdamState.for_params(params)
-    head_only = train_config.head_only
 
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
@@ -229,26 +240,15 @@ def train(
             take = perm[start : start + train_config.batch_size]
             batch = [encodings[i] for i in take]
             batch_labels = labels[take]
-            ids, mask = collate(batch, model_config)
-            logits, cache = forward_with_cache(
-                params,
-                ids,
-                mask,
-                train_mode=True,
-                dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
-                need_cache=True,
-            )
-            loss, dlogits = _loss_and_dlogits(logits, batch_labels, train_config.class_weights)
-            if not np.isfinite(loss):
-                raise NumericalError(f"non-finite loss at epoch {epoch} batch {step}")
-            grads = backward_from_logits(params, cache, dlogits)
-            for name, g in grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise NumericalError(
-                        f"non-finite gradient in tensor {name} at epoch {epoch} batch {step}"
-                    )
-            if head_only:
-                grads = {k: v for k, v in grads.items() if k in HEAD_TENSOR_NAMES}
+            try:
+                loss, logits, grads = _step(
+                    params, batch, batch_labels, train_config.class_weights, train_mode=True,
+                    dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
+                )
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at epoch {epoch} batch {step}") from None
+            if train_config.head_only:
+                grads = grads.tail(HEAD_START)
             adam_step(params, grads, state, train_config)
             loss_sum += loss * len(take)
             hit += int((logits.argmax(axis=1) == batch_labels).sum())

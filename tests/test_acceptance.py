@@ -24,7 +24,7 @@ from scalar_reference import forward_scalar
 
 from stancewatch.cli import main
 from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
-from stancewatch.encoder import EncoderConfig, forward, init_params, param_tensors
+from stancewatch.encoder import EncoderConfig, forward, init_params
 from stancewatch.manifest import RunManifest
 from stancewatch.metrics import auc, confusion, evaluate, prf, roc_points
 from stancewatch.synth import generate_corpus, generate_labeled
@@ -43,7 +43,7 @@ def scalar_config(config: EncoderConfig) -> dict:
 
 
 def tensors_as_lists(params) -> dict:
-    return {name: arr.tolist() for name, arr in param_tensors(params)}
+    return {name: arr.tolist() for name, arr in params.tensors.items()}
 
 
 def test_gradient_oracle():
@@ -60,7 +60,7 @@ def test_gradient_oracle():
             return cross_entropy(forward(params, batch), labels)
 
         grads = gradients(params, batch, labels)
-        names = {name for name, _ in param_tensors(params)}
+        names = {name for name, _ in params.tensors.items()}
         assert names == set(grads), "a tensor is missing from the gradient dict"
 
         # Five-point central stencil: the plain (f(x+h)-f(x-h))/2h form has
@@ -68,7 +68,7 @@ def test_gradient_oracle():
         # on this loss at any h once float64 rounding is in the budget.
         h = 3e-4
         checked = 0
-        for name, tensor in param_tensors(params):
+        for name, tensor in params.tensors.items():
             flat = tensor.reshape(-1)
             for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):
                 orig = flat[idx]
@@ -168,11 +168,13 @@ def test_metrics_hand_cases():
         params = init_params(config, 5)
         train_config = TrainConfig(learning_rate=0.01, epochs=1, batch_size=1)
         rng = np.random.default_rng(8)
-        grads = {name: rng.normal(size=t.shape) for name, t in param_tensors(params)}
-        before = {name: t.copy() for name, t in param_tensors(params)}
+        grads = params.tensors.zeros_like()
+        for name, t in params.tensors.items():
+            grads[name][...] = rng.normal(size=t.shape)
+        before = {name: t.copy() for name, t in params.tensors.items()}
         adam_step(params, grads, AdamState.for_params(params), train_config)
         # at t=1 the bias corrections cancel: step = lr * g / (|g| + eps)
-        for name, tensor in param_tensors(params):
+        for name, tensor in params.tensors.items():
             g = grads[name]
             want = before[name] - 0.01 * g / (np.abs(g) + train_config.adam_eps)
             np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import json
+import struct
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 from stancewatch.cli import main
 from stancewatch.corpus import ingest_jsonl, labeled_subset, split_dataset, write_jsonl
-from stancewatch.encoder import init_params, load_checkpoint, param_tensors, save_checkpoint
+from stancewatch.encoder import init_params, load_checkpoint, save_checkpoint
 from stancewatch.manifest import LOCK_NAME
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.tokenizer import Vocabulary
@@ -187,8 +188,8 @@ class TestTrain:
         got = load_checkpoint(out / "model.ckpt")
         vocab = Vocabulary.load(out / "vocab.txt")
         fresh = init_params(got.config, 17, vocab.content_hash())  # default seed_init
-        fresh32 = {n: a.astype("float32") for n, a in param_tensors(fresh)}
-        for name, arr in param_tensors(got):
+        fresh32 = {n: a.astype("float32") for n, a in fresh.tensors.items()}
+        for name, arr in got.tensors.items():
             same = (arr.astype("float32") == fresh32[name]).all()
             if name in ("pooler_w", "pooler_b", "classifier_w", "classifier_b"):
                 assert not same, name
@@ -268,6 +269,55 @@ class TestClassifyAndTimeline:
         assert "smoothed, window 3" in fig
         peaks = json.loads((out / "peaks.json").read_text(encoding="utf-8"))
         assert peaks["parameters"]["smoothing_window"] == 3
+
+
+class TestBadModelInputs:
+    def classify(self, runner, workspace):
+        return runner.invoke(main, ["classify", "--corpus", str(workspace["corpus"]),
+                                    "--out", str(workspace["out"]), "--quiet", *FAST_TRAIN])
+
+    def test_nonfinite_weight_is_4(self, runner, workspace):
+        ckpt = workspace["out"] / "model.ckpt"
+        # the last float32 of the file is the last classifier bias
+        ckpt.write_bytes(ckpt.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        result = self.classify(runner, workspace)
+        assert result.exit_code == 4, result.output
+        assert "classifier_b" in result.output
+        assert not (workspace["out"] / "classified.jsonl").exists()
+
+    def test_short_checkpoint_is_3(self, runner, workspace):
+        (workspace["out"] / "model.ckpt").write_bytes(b"SWCKPT\x01\x00")
+        result = self.classify(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert "truncated" in result.output
+
+    def test_header_without_config_is_3(self, runner, workspace):
+        header = json.dumps({"vocab_hash": None, "init_seed": 0}).encode("utf-8")
+        blob = b"SWCKPT" + struct.pack("<II", 1, len(header)) + header
+        (workspace["out"] / "model.ckpt").write_bytes(blob)
+        result = self.classify(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert "config" in result.output
+
+    def test_evaluate_with_other_vocabulary_is_3(self, runner, workspace, tmp_path):
+        vocab = Vocabulary.load(workspace["out"] / "vocab.txt")
+        other = tmp_path / "other_vocab.txt"
+        Vocabulary(vocab.tokens[:-1] + ("zzzzz",)).save(other)
+        result = runner.invoke(main, ["evaluate", "--labeled", str(workspace["labeled"]),
+                                      "--vocab", str(other), "--out", str(workspace["out"]),
+                                      "--quiet", *FAST_TRAIN])
+        assert result.exit_code == 3, result.output
+        assert "hash mismatch" in result.output
+
+    def test_timeline_missing_classified_is_2(self, runner, workspace, tmp_path):
+        out = workspace["out"]
+        result = runner.invoke(main, ["timeline", "--classified", str(tmp_path / "none.jsonl"),
+                                      "--corpus", str(workspace["corpus"]), "--out", str(out),
+                                      "--quiet", *FAST_TRAIN])
+        assert result.exit_code == 2, result.output
+        assert "classified file not found" in result.output
+        assert not (out / "classified.jsonl").exists()
+        assert not (out / "timeline.csv").exists()
 
 
 class TestGenSynthetic:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from conftest import random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
+    CHECKPOINT_MAGIC,
     EncoderConfig,
+    backward_from_logits,
     collate,
     forward,
     forward_with_cache,
@@ -14,17 +18,16 @@ from stancewatch.encoder import (
     gelu_grad,
     init_params,
     load_checkpoint,
-    param_tensors,
     predict_proba,
     save_checkpoint,
     tensor_shapes,
 )
-from stancewatch.errors import DataValidationError, InputPathError
+from stancewatch.errors import DataValidationError, InputPathError, NumericalError
 from stancewatch.tokenizer import Encoding
 
 
 def tensors_as_lists(params):
-    return {name: arr.tolist() for name, arr in param_tensors(params)}
+    return {name: arr.tolist() for name, arr in params.tensors.items()}
 
 
 def scalar_config(config: EncoderConfig) -> dict:
@@ -57,11 +60,11 @@ class TestConfig:
 class TestInit:
     def test_shapes_match_declaration(self, tiny_config, tiny_params):
         declared = dict(tensor_shapes(tiny_config))
-        got = {name: arr.shape for name, arr in param_tensors(tiny_params)}
+        got = {name: arr.shape for name, arr in tiny_params.tensors.items()}
         assert got == declared
 
     def test_tensor_order_is_documented_order(self, tiny_config, tiny_params):
-        names = [name for name, _ in param_tensors(tiny_params)]
+        names = [name for name, _ in tiny_params.tensors.items()]
         assert names == [name for name, _ in tensor_shapes(tiny_config)]
         assert names[:5] == ["tok_emb", "pos_emb", "seg_emb", "emb_ln_gain", "emb_ln_bias"]
         assert names[-4:] == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
@@ -70,11 +73,11 @@ class TestInit:
         a = init_params(tiny_config, seed=3)
         b = init_params(tiny_config, seed=3)
         c = init_params(tiny_config, seed=4)
-        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(param_tensors(a), param_tensors(b)))
-        assert not np.array_equal(a.tok_emb, c.tok_emb)
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a.tensors.items(), b.tensors.items()))
+        assert not np.array_equal(a.tensors["tok_emb"], c.tensors["tok_emb"])
 
     def test_biases_zero_gains_one(self, tiny_params):
-        for name, arr in param_tensors(tiny_params):
+        for name, arr in tiny_params.tensors.items():
             if name.endswith(("_bias", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")) or name in (
                 "pooler_b",
                 "classifier_b",
@@ -86,7 +89,7 @@ class TestInit:
     def test_truncation_bound(self, tiny_config):
         params = init_params(tiny_config, seed=0)
         bound = 2.0 * 0.02 + 1e-12
-        for name, arr in param_tensors(params):
+        for name, arr in params.tensors.items():
             if name.endswith("_gain"):
                 continue  # layer-norm gains start at 1 by design
             assert np.abs(arr).max() <= bound, name
@@ -94,13 +97,39 @@ class TestInit:
     def test_weight_stddev_plausible(self):
         cfg = EncoderConfig(vocab_size=500, d_model=64, n_layers=1, n_heads=2, max_len=16)
         params = init_params(cfg, seed=1)
-        sd = params.tok_emb.std()
+        sd = params.tensors["tok_emb"].std()
         # truncation at 2 sigma shrinks the sd a little below 0.02
         assert 0.015 < sd < 0.02
 
     def test_float64(self, tiny_params):
-        for name, arr in param_tensors(tiny_params):
+        for name, arr in tiny_params.tensors.items():
             assert arr.dtype == np.float64, name
+
+    def test_tensors_are_views_of_one_buffer(self, tiny_config, tiny_params):
+        flat = tiny_params.tensors.flat
+        assert flat.flags.c_contiguous and flat.ndim == 1
+        start = 0
+        for name, arr in tiny_params.tensors.items():
+            assert arr.base is flat, name
+            np.testing.assert_array_equal(arr.reshape(-1), flat[start : start + arr.size])
+            start += arr.size
+        assert start == flat.size
+        # gradients use the same layout
+        rng = np.random.default_rng(0)
+        ids, mask = collate(random_encodings(rng, 2, tiny_config), tiny_config)
+        _, cache = forward_with_cache(tiny_params, ids, mask, need_cache=True)
+        grads = backward_from_logits(tiny_params, cache, np.ones((2, 4)))
+        assert grads.spec == tiny_params.tensors.spec
+        assert all(np.shares_memory(g, grads.flat) for g in grads.values())
+
+    def test_tail_is_a_slice_of_the_buffer(self, tiny_params):
+        tail = tiny_params.tensors.tail("pooler_w")
+        assert list(tail) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
+        assert np.shares_memory(tail.flat, tiny_params.tensors.flat)
+        k = tiny_params.tensors.flat.size - tail.flat.size
+        assert tail.flat.ctypes.data == tiny_params.tensors.flat[k:].ctypes.data
+        for name, arr in tail.items():
+            assert arr.ctypes.data == tiny_params.tensors[name].ctypes.data, name
 
 
 class TestCollate:
@@ -225,7 +254,7 @@ class TestCheckpoint:
         assert back.config == tiny_config
         assert back.vocab_hash == "cafe"
         assert back.init_seed == 9
-        for (na, a), (nb, b) in zip(param_tensors(params), param_tensors(back)):
+        for (na, a), (nb, b) in zip(params.tensors.items(), back.tensors.items()):
             assert na == nb
             # storage is float32, so round-tripped values match at that precision
             np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), b)
@@ -282,5 +311,46 @@ class TestCheckpoint:
         blob = bytearray(p.read_bytes())
         blob[14] = 0xFF  # inside the JSON header
         p.write_bytes(bytes(blob))
+        with pytest.raises(DataValidationError):
+            load_checkpoint(p)
+
+    def test_round_trip_shares_one_buffer(self, tiny_config, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(tiny_config, seed=9), p)
+        back = load_checkpoint(p)
+        assert all(np.shares_memory(arr, back.tensors.flat) for arr in back.tensors.values())
+
+    def test_nonfinite_weight_rejected(self, tiny_config, tmp_path):
+        params = init_params(tiny_config, seed=9)
+        params.tensors["pooler_w"][1, 2] = np.inf
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(params, p)
+        with pytest.raises(NumericalError, match="pooler_w"):
+            load_checkpoint(p)
+
+    def test_short_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + b"\x01\x00")
+        with pytest.raises(DataValidationError, match="truncated"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [],
+            {"vocab_hash": None},
+            {"config": "d_model=8"},
+            {"config": {"vocab_size": 16, "d_modl": 8}},
+            {"config": {"d_model": 8}},
+            {"config": {"vocab_size": "16"}},
+            {"config": {"vocab_size": 16.5}},
+            {"config": {"vocab_size": 16, "layer_norm_eps": "tiny"}},
+            {"config": {"vocab_size": 16}, "vocab_hash": 7},
+        ],
+    )
+    def test_bad_header_rejected(self, tmp_path, header):
+        raw = json.dumps(header).encode("utf-8")
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(raw)) + raw)
         with pytest.raises(DataValidationError):
             load_checkpoint(p)

@@ -1,20 +1,17 @@
 import datetime as dt
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import TINY, random_encodings
 from stancewatch.corpus import Category, DatasetSplit, LabeledDataset, Tweet
-from stancewatch.encoder import (
-    EncoderConfig,
-    init_params,
-    param_tensors,
-)
+from stancewatch.encoder import EncoderConfig, init_params
 from stancewatch.errors import DataValidationError, NumericalError
 from stancewatch.tokenizer import build_vocab
 from stancewatch.trainer import (
-    HEAD_TENSOR_NAMES,
+    HEAD_START,
     AdamState,
     TrainConfig,
     adam_step,
@@ -89,26 +86,32 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+def head_grads(params, value):
+    """A gradient set covering only classifier_b, filled with ``value``."""
+    grads = params.tensors.tail("classifier_b").zeros_like()
+    grads["classifier_b"][...] = value
+    return grads
+
+
 class TestAdam:
     def test_hand_worked_first_step(self, tiny_params):
         # with m=v=0 and g constant, the first update is exactly
         # -lr * g / (|g| + eps); for g=0.5, lr=5e-6: -5e-6 * 0.5/(0.5 + 1e-8)
         cfg = TrainConfig(learning_rate=5e-6)
         state = AdamState.for_params(tiny_params)
-        g = {"classifier_b": np.full(4, 0.5)}
-        before = tiny_params.classifier_b.copy()
-        adam_step(tiny_params, g, state, cfg)
+        before = tiny_params.tensors["classifier_b"].copy()
+        adam_step(tiny_params, head_grads(tiny_params, 0.5), state, cfg)
         want = before - 5e-6 * 0.5 / (0.5 + 1e-8)
-        np.testing.assert_allclose(tiny_params.classifier_b, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tiny_params.tensors["classifier_b"], want, rtol=0, atol=1e-12)
 
     def test_eps_outside_sqrt(self, tiny_params):
         # tiny gradient separates the two eps placements by orders of magnitude
         cfg = TrainConfig(learning_rate=1.0, adam_eps=1e-8)
         state = AdamState.for_params(tiny_params)
         g = 1e-12
-        before = tiny_params.classifier_b.copy()
-        adam_step(tiny_params, {"classifier_b": np.full(4, g)}, state, cfg)
-        step = before[0] - tiny_params.classifier_b[0]
+        before = tiny_params.tensors["classifier_b"].copy()
+        adam_step(tiny_params, head_grads(tiny_params, g), state, cfg)
+        step = before[0] - tiny_params.tensors["classifier_b"][0]
         outside = 1.0 * g / (g + 1e-8)  # sqrt(g^2) = g
         inside = 1.0 * g / math.sqrt(g * g + 1e-8)
         assert abs(step - outside) < 1e-15
@@ -117,29 +120,34 @@ class TestAdam:
     def test_bias_correction_sequence(self, tiny_params):
         cfg = TrainConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, adam_eps=1e-8)
         state = AdamState.for_params(tiny_params)
-        theta = float(tiny_params.classifier_b[0])
+        theta = float(tiny_params.tensors["classifier_b"][0])
         m = v = 0.0
         for t, g in enumerate([0.3, -0.2, 0.7], start=1):
-            adam_step(tiny_params, {"classifier_b": np.full(4, g)}, state, cfg)
+            adam_step(tiny_params, head_grads(tiny_params, g), state, cfg)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.9**t)
             vhat = v / (1 - 0.999**t)
             theta -= 0.1 * mhat / (math.sqrt(vhat) + 1e-8)
-        assert abs(float(tiny_params.classifier_b[0]) - theta) < 1e-12
+        assert abs(float(tiny_params.tensors["classifier_b"][0]) - theta) < 1e-12
 
     def test_absent_grads_leave_tensor_alone(self, tiny_params):
         cfg = TrainConfig(learning_rate=0.5)
         state = AdamState.for_params(tiny_params)
-        tok_before = tiny_params.tok_emb.copy()
-        adam_step(tiny_params, {"classifier_b": np.ones(4)}, state, cfg)
-        np.testing.assert_array_equal(tiny_params.tok_emb, tok_before)
-        assert tiny_params.classifier_b.any()
+        before = tiny_params.tensors.flat.copy()
+        adam_step(tiny_params, head_grads(tiny_params, 1.0), state, cfg)
+        k = before.size - 4
+        np.testing.assert_array_equal(tiny_params.tensors.flat[:k], before[:k])
+        np.testing.assert_array_equal(state.m.flat[:k], 0.0)
+        assert tiny_params.tensors["classifier_b"].any()
 
     def test_shape_mismatch_rejected(self, tiny_params):
         state = AdamState.for_params(tiny_params)
+        wider = init_params(replace(tiny_params.config, d_model=10), seed=0)
         with pytest.raises(DataValidationError, match="shape"):
-            adam_step(tiny_params, {"classifier_b": np.ones(5)}, state, TrainConfig())
+            adam_step(tiny_params, wider.tensors.tail("classifier_w"), state, TrainConfig())
+        with pytest.raises(DataValidationError, match="shape"):
+            adam_step(tiny_params, wider.tensors, state, TrainConfig())
 
 
 class TestGradients:
@@ -147,14 +155,14 @@ class TestGradients:
         rng = np.random.default_rng(0)
         batch = random_encodings(rng, 3, tiny_config)
         grads = gradients(tiny_params, batch, [0, 1, 2])
-        assert set(grads) == {name for name, _ in param_tensors(tiny_params)}
+        assert set(grads) == {name for name, _ in tiny_params.tensors.items()}
         for name, g in grads.items():
-            assert g.shape == dict((n, a.shape) for n, a in param_tensors(tiny_params))[name]
+            assert g.shape == dict((n, a.shape) for n, a in tiny_params.tensors.items())[name]
 
     def test_nonfinite_raises(self, tiny_config, tiny_params):
         rng = np.random.default_rng(0)
         batch = random_encodings(rng, 2, tiny_config)
-        tiny_params.pooler_w[0, 0] = np.nan
+        tiny_params.tensors["pooler_w"][0, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
             gradients(tiny_params, batch, [0, 1])
 
@@ -210,7 +218,7 @@ class TestTrain:
         a = train(self.split, self.vocab, self.model_cfg, tc)
         b = train(self.split, self.vocab, self.model_cfg, tc)
         assert a.epoch_losses == b.epoch_losses
-        for (na, ta), (nb, tb) in zip(param_tensors(a.params), param_tensors(b.params)):
+        for (na, ta), (nb, tb) in zip(a.params.tensors.items(), b.params.tensors.items()):
             np.testing.assert_array_equal(ta, tb)
 
     def test_shuffle_seed_changes_course(self):
@@ -222,7 +230,7 @@ class TestTrain:
         tc = TrainConfig(learning_rate=0.0, epochs=1, batch_size=4, init_seed=5)
         trace = train(self.split, self.vocab, self.model_cfg, tc)
         fresh = init_params(self.model_cfg, 5, self.vocab.content_hash())
-        for (_, ta), (_, tb) in zip(param_tensors(trace.params), param_tensors(fresh)):
+        for (_, ta), (_, tb) in zip(trace.params.tensors.items(), fresh.tensors.items()):
             np.testing.assert_array_equal(ta, tb)
 
     def test_loss_decreases_on_separable_data(self):
@@ -236,12 +244,13 @@ class TestTrain:
         tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
         trace = train(self.split, self.vocab, self.model_cfg, tc)
         fresh = init_params(self.model_cfg, 3, self.vocab.content_hash())
-        fresh_t = dict(param_tensors(fresh))
-        for name, arr in param_tensors(trace.params):
-            if name in HEAD_TENSOR_NAMES:
-                assert not np.array_equal(arr, fresh_t[name]), name
-            else:
-                np.testing.assert_array_equal(arr, fresh_t[name])
+        # everything before the head's tail slice of the buffer is untouched
+        k = fresh.tensors.flat.size - fresh.tensors.tail(HEAD_START).flat.size
+        np.testing.assert_array_equal(trace.params.tensors.flat[:k], fresh.tensors.flat[:k])
+        head = trace.params.tensors.tail(HEAD_START)
+        assert list(head) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
+        for name, arr in head.items():
+            assert not np.array_equal(arr, fresh.tensors[name]), name
 
     def test_params_carry_vocab_hash_and_seed(self):
         tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, init_seed=9)
