@@ -16,6 +16,18 @@ in train mode, with seeded masks, so inference and gradient checks are
 deterministic. The additive mask constant is -1e9 rather than -inf so no
 NaN can propagate through the softmax.
 
+Encodings are ``max_len`` long, but ``collate`` trims a batch to
+``bucket_len`` of its longest member: the smallest multiple of ``BUCKET``
+that holds it, capped at ``max_len``. Trimming drops only padding, and
+padding cannot move the result: exp(-1e9) is exactly 0.0 in float64, so a
+padded key gets exactly zero attention weight, and a padded query feeds
+nothing but its own row, which the [CLS] output never reads. A different
+width changes only the order of float summation. Dropout masks are drawn
+at ``max_len`` and sliced, so a trimmed train-mode batch sees the same
+masks at its real positions as the full-width one. The head computes each
+row as its own one-row product, so a row's logits do not depend on how
+many rows share its batch.
+
 All arithmetic is float64 in memory. The parameters live in one buffer
 whose named views follow ``tensor_shapes``; a checkpoint is a metadata
 header followed by that buffer as little-endian float32.
@@ -23,9 +35,11 @@ header followed by that buffer as little-endian float32.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import struct
+import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -37,11 +51,38 @@ from .errors import DataValidationError, InputPathError, NumericalError
 from .tokenizer import Encoding
 
 MASK_ADDEND = -1e9
+BUCKET = 8
 INIT_STD = 0.02
 INIT_CLIP_SIGMAS = 2.0
 
 CHECKPOINT_MAGIC = b"SWCKPT"
 CHECKPOINT_VERSION = 1
+
+
+def _keep_batch_arrays_in_heap() -> None:
+    """Keep the arrays a batch frees mapped for the next batch.
+
+    A training step or an inference batch allocates and frees a few MB of
+    activations. glibc's default thresholds move with the largest block the
+    process has freed so far; until that block is about half the size of a
+    step's arrays together, glibc returns the freed top of the heap to the
+    kernel after every step and the next step faults the same pages in
+    again (about 2k page faults a step when training the default model at
+    batch 16), at a cost that rises and varies with the load on the
+    machine. Fixed thresholds serve blocks below 32 MB from the heap and
+    keep up to 64 MB of it free, from the first step on. Without glibc
+    this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's parameter numbers
+        mallopt(m_mmap_threshold, 32 << 20)
+        mallopt(m_trim_threshold, 64 << 20)
+
+
+_keep_batch_arrays_in_heap()
 
 
 @dataclass(frozen=True)
@@ -256,8 +297,16 @@ def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def bucket_len(n_real: int, max_len: int) -> int:
+    """Width a sequence of ``n_real`` real tokens is computed at: the
+    smallest multiple of BUCKET that holds it, at most ``max_len``."""
+    return min(max_len, -(-n_real // BUCKET) * BUCKET)
+
+
 def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack encodings into (ids, mask) arrays, validating dimensions."""
+    """Stack encodings into (ids, mask) arrays, validating dimensions, and
+    trim them to the bucket of the longest member (the last real position
+    of any row, read from the masks)."""
     if not batch:
         raise DataValidationError("empty batch")
     for i, enc in enumerate(batch):
@@ -272,13 +321,17 @@ def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarra
             f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}"
         )
     mask = np.array([enc.mask for enc in batch], dtype=np.float64)
-    return ids, mask
+    last_real = np.flatnonzero(mask.any(axis=0)).max(initial=0)
+    width = bucket_len(int(last_real) + 1, config.max_len)
+    return ids[:, :width], mask[:, :width]
 
 
-def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    # Inverted dropout: surviving activations are scaled by 1 / keep.
-    keep = 1.0 - rate
-    return (rng.random(shape) >= rate).astype(np.float64) / keep
+def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, width: int) -> np.ndarray:
+    # Inverted dropout: surviving activations are scaled by 1 / keep. The
+    # draw covers max_len positions whatever the width, so a trimmed batch
+    # gets the full-width masks at its positions.
+    draw = rng.random((batch, cfg.max_len, cfg.d_model))[:, :width]
+    return (draw >= cfg.dropout_rate).astype(np.float64) / (1.0 - cfg.dropout_rate)
 
 
 def forward_with_cache(
@@ -313,7 +366,7 @@ def forward_with_cache(
     )
     emb_drop = None
     if dropping:
-        emb_drop = _dropout_mask(rng, h.shape, cfg.dropout_rate)
+        emb_drop = _dropout_mask(rng, cfg, B, T)
         h = h * emb_drop
 
     cache: dict | None = None
@@ -339,7 +392,7 @@ def forward_with_cache(
         attn = ctx @ layer["wo"] + layer["bo"]
         attn_drop = None
         if dropping:
-            attn_drop = _dropout_mask(rng, attn.shape, cfg.dropout_rate)
+            attn_drop = _dropout_mask(rng, cfg, B, T)
             attn = attn * attn_drop
         h1, ln1_xhat, ln1_inv = _layernorm_forward(
             h_in + attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
@@ -349,7 +402,7 @@ def forward_with_cache(
         f = gu @ layer["w2"] + layer["b2"]
         ffn_drop = None
         if dropping:
-            ffn_drop = _dropout_mask(rng, f.shape, cfg.dropout_rate)
+            ffn_drop = _dropout_mask(rng, cfg, B, T)
             f = f * ffn_drop
         h, ln2_xhat, ln2_inv = _layernorm_forward(
             h1 + f, layer["ln2_gain"], layer["ln2_bias"], cfg.layer_norm_eps
@@ -370,12 +423,12 @@ def forward_with_cache(
                 }
             )
 
-    h_cls = h[:, 0, :]
-    pooled_pre = h_cls @ p["pooler_w"] + p["pooler_b"]
-    pooled = np.tanh(pooled_pre)
-    logits = pooled @ p["classifier_w"].T + p["classifier_b"]
+    # One-row products per batch entry: a 2-D product would switch BLAS
+    # kernels with the row count and so round a lone row differently.
+    pooled = np.tanh((h[:, :1, :] @ p["pooler_w"])[:, 0] + p["pooler_b"])
+    logits = (pooled[:, None, :] @ p["classifier_w"].T)[:, 0] + p["classifier_b"]
     if need_cache:
-        cache["h_cls"] = h_cls
+        cache["h_cls"] = h[:, 0, :]
         cache["pooled"] = pooled
         cache["h_last_shape"] = h.shape
     return logits, cache

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CATEGORY_SLUGS, LabeledDataset
-from .encoder import ModelParams, collate, forward_with_cache, predict_proba
+from .encoder import ModelParams, bucket_len, collate, forward_with_cache, predict_proba
 from .errors import DataValidationError
 from .tokenizer import Vocabulary, encode
 
@@ -171,7 +171,12 @@ def predict_batches(
     texts: Sequence[str],
     batch_size: int = 64,
 ) -> np.ndarray:
-    """Probability matrix (n, 4) from inference-mode batched forwards.
+    """Probability matrix (n, 4) from inference-mode batched forwards, in
+    input order.
+
+    Each chunk of ``batch_size`` texts runs as one forward per length
+    bucket, so every text is computed at its own bucket's width and its row
+    depends only on the text, not on the batch size or its neighbours.
 
     Refuses to run when the checkpoint records a vocabulary hash different
     from the one supplied, which would silently skew every token id.
@@ -187,17 +192,18 @@ def predict_batches(
         raise DataValidationError(
             f"checkpoint vocab_size {params.config.vocab_size} != vocabulary size {len(vocab)}"
         )
-    rows = []
+    probs = np.empty((len(texts), N_CLASSES), dtype=np.float64)
     max_len = params.config.max_len
     for start in range(0, len(texts), batch_size):
-        chunk = texts[start : start + batch_size]
-        encs = [encode(vocab, text, max_len) for text in chunk]
-        ids, mask = collate(encs, params.config)
-        logits, _ = forward_with_cache(params, ids, mask)
-        rows.append(predict_proba(logits))
-    if not rows:
-        return np.zeros((0, N_CLASSES), dtype=np.float64)
-    return np.concatenate(rows, axis=0)
+        encs = [encode(vocab, text, max_len) for text in texts[start : start + batch_size]]
+        buckets: dict[int, list[int]] = {}
+        for i, enc in enumerate(encs):
+            buckets.setdefault(bucket_len(enc.n_real, max_len), []).append(i)
+        for rows in buckets.values():
+            ids, mask = collate([encs[i] for i in rows], params.config)
+            logits, _ = forward_with_cache(params, ids, mask)
+            probs[start + np.array(rows)] = predict_proba(logits)
+    return probs
 
 
 def evaluate(

@@ -41,6 +41,11 @@ class ClassifiedTweet:
     proba: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
+        # A NaN sum passes the tolerance test below, so check finiteness first.
+        if len(self.proba) != 4 or not np.isfinite(self.proba).all():
+            raise DataValidationError(
+                f"tweet {self.tweet_id}: probabilities must be 4 finite numbers, got {self.proba!r}"
+            )
         if abs(sum(self.proba) - 1.0) > PROBA_SUM_TOL:
             raise DataValidationError(
                 f"tweet {self.tweet_id}: probabilities sum to {sum(self.proba)!r}"

@@ -320,6 +320,21 @@ class TestBadModelInputs:
         assert not (out / "timeline.csv").exists()
 
 
+class TestBadClassified:
+    def test_nonfinite_proba_is_3(self, runner, tmp_path):
+        good = {"id": "a", "created_at": "2021-08-01T10:00:00Z", "predicted": 0,
+                "proba": [0.7, 0.1, 0.1, 0.1]}
+        bad = dict(good, id="b", proba=[float("nan")] * 4)
+        classified = tmp_path / "classified.jsonl"
+        classified.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["timeline", "--classified", str(classified),
+                                      "--out", str(out), "--quiet"])
+        assert result.exit_code == 3, result.output
+        assert "finite" in result.output
+        assert not (out / "timeline.csv").exists()
+
+
 class TestGenSynthetic:
     def test_outputs(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
     EncoderConfig,
     backward_from_logits,
+    bucket_len,
     collate,
     forward,
     forward_with_cache,
@@ -132,7 +134,29 @@ class TestInit:
             assert arr.ctypes.data == tiny_params.tensors[name].ctypes.data, name
 
 
+class TestBucketLen:
+    def test_multiples_of_eight(self):
+        assert [bucket_len(n, 64) for n in (1, 2, 8, 9, 16, 17, 63, 64)] == [8, 8, 8, 16, 16, 24, 64, 64]
+
+    def test_capped_at_max_len(self):
+        # 12 is not a multiple of 8: the last bucket is max_len itself
+        assert [bucket_len(n, 12) for n in (1, 8, 9, 12)] == [8, 8, 12, 12]
+
+
 class TestCollate:
+    def test_trims_to_bucket_of_longest(self):
+        cfg = EncoderConfig(vocab_size=16, d_model=8, n_layers=1, n_heads=2, max_len=40)
+        rng = np.random.default_rng(3)
+        encs = random_encodings(rng, 60, cfg)
+        for size in (1, 2, 5):
+            for start in range(0, len(encs), size):
+                batch = encs[start : start + size]
+                ids, mask = collate(batch, cfg)
+                width = bucket_len(max(e.n_real for e in batch), cfg.max_len)
+                assert ids.shape == mask.shape == (len(batch), width)
+                np.testing.assert_array_equal(ids, [e.ids[:width] for e in batch])
+                np.testing.assert_array_equal(mask, [e.mask[:width] for e in batch])
+
     def test_shapes_and_dtypes(self, tiny_config):
         rng = np.random.default_rng(0)
         batch = random_encodings(rng, 3, tiny_config)
@@ -197,7 +221,21 @@ class TestForward:
         batch = random_encodings(rng, 6, tiny_config)
         together = forward(tiny_params, batch)
         alone = np.vstack([forward(tiny_params, [enc]) for enc in batch])
-        np.testing.assert_allclose(together, alone, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(together, alone)
+
+    def test_trimmed_train_forward_matches_full_width(self):
+        cfg = EncoderConfig(vocab_size=16, d_model=8, n_layers=2, n_heads=2, max_len=32)
+        params = init_params(cfg, seed=7)
+        batch = random_encodings(np.random.default_rng(6), 40, cfg)
+        batch = [enc for enc in batch if enc.n_real <= 12][:5]
+        ids, mask = collate(batch, cfg)
+        assert ids.shape[1] == 16
+        full_ids = np.array([enc.ids for enc in batch])
+        full_mask = np.array([enc.mask for enc in batch], dtype=np.float64)
+        for seed in (1, 2, 3):
+            trimmed, _ = forward_with_cache(params, ids, mask, train_mode=True, dropout_seed=seed)
+            full, _ = forward_with_cache(params, full_ids, full_mask, train_mode=True, dropout_seed=seed)
+            np.testing.assert_allclose(trimmed, full, rtol=0, atol=1e-12)
 
     def test_train_mode_needs_seed(self, tiny_config, tiny_params):
         rng = np.random.default_rng(1)
@@ -243,6 +281,24 @@ class TestPredictProba:
         p = predict_proba(np.array([[1000.0, 0.0, -1000.0, 500.0]]))
         assert np.isfinite(p).all()
         assert p[0, 0] == pytest.approx(1.0)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_freed_batch_arrays_stay_mapped():
+    """Arrays a batch frees are reused by the next batch, not handed back to
+    the kernel and faulted in again (glibc's default thresholds trim them:
+    about 16k page faults over these ten batches)."""
+    import resource
+
+    def batch():
+        arrays = [np.ones(3 << 17) for _ in range(3)]  # three 3 MB arrays
+        del arrays
+
+    batch()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        batch()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 class TestCheckpoint:

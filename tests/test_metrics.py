@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stancewatch.corpus import Category, LabeledDataset, Tweet
-from stancewatch.encoder import EncoderConfig, init_params
+from stancewatch.encoder import EncoderConfig, bucket_len, init_params
 from stancewatch.errors import DataValidationError
 from stancewatch.metrics import (
     ConfusionMatrix,
@@ -21,7 +21,7 @@ from stancewatch.metrics import (
     write_report,
     write_roc_csvs,
 )
-from stancewatch.tokenizer import build_vocab
+from stancewatch.tokenizer import build_vocab, encode
 
 UTC = dt.timezone.utc
 
@@ -231,6 +231,18 @@ class TestEvaluate:
         assert p3.shape == (8, 4)
         np.testing.assert_allclose(p3, pall, atol=1e-12)
         np.testing.assert_allclose(p3.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_predict_batches_keeps_input_order_across_buckets(self, eval_setup):
+        params, vocab, testset = eval_setup
+        words = " ".join(t.text for t in testset.examples).split()
+        # one word fits a width of 8, two need 12 (max_len): every chunk mixes both
+        texts = [" ".join(words[i : i + 1 + i % 2]) for i in range(20)]
+        widths = [bucket_len(encode(vocab, t, 12).n_real, 12) for t in texts]
+        assert widths[:2] == [8, 12] and set(widths) == {8, 12}
+        alone = np.vstack([predict_batches(params, vocab, [t], batch_size=1) for t in texts])
+        for size in (3, 7, 64):
+            np.testing.assert_array_equal(predict_batches(params, vocab, texts, size), alone)
+        np.testing.assert_array_equal(predict_batches(params, vocab, texts[::-1], 64), alone[::-1])
 
     def test_predict_batches_empty(self, eval_setup):
         params, vocab, _ = eval_setup
