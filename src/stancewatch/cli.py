@@ -63,7 +63,7 @@ from .synth import (
     generate_labeled,
 )
 from .timeline import (
-    ClassifiedTweet,
+    Classified,
     aggregate_daily,
     classify_corpus,
     detect_peaks,
@@ -170,7 +170,7 @@ def _load_model_and_vocab(config: PipelineConfig, out: Path, manifest: RunManife
 
 def _classify_to_file(
     config: PipelineConfig, corpus: Path, out: Path, manifest: RunManifest, quiet: bool
-) -> tuple[list[ClassifiedTweet], Path]:
+) -> tuple[Classified, Path]:
     """Load model and vocabulary, classify the corpus, write classified.jsonl."""
     manifest.add_input("corpus", corpus)
     params, vocab = _load_model_and_vocab(config, out, manifest)

@@ -99,9 +99,13 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise InputPathError(f"config file not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputPathError(f"cannot read config file: {p}: {exc}")
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(p.read_text(encoding="utf-8"), source=str(p))
+        parser.read_string(text, source=str(p))
     except configparser.Error as exc:
         raise DataValidationError(f"cannot parse config file {p}: {exc}")
     for section in parser.sections():

@@ -16,44 +16,87 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import CATEGORY_SLUGS, Category, Tweet, format_timestamp, parse_timestamp
 from .encoder import ModelParams
-from .errors import DataValidationError
+from .errors import DataValidationError, InputPathError
 from .metrics import predict_batches
 from .tokenizer import Vocabulary
 
 DEFAULT_MIN_PROMINENCE = 2.0
 DEFAULT_TOP_K = 5
 PROBA_SUM_TOL = 1e-9
+EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+ONE_US = dt.timedelta(microseconds=1)  # (t - EPOCH) // ONE_US is t in microseconds
+US_PER_MINUTE = 60_000_000
+US_PER_DAY = 24 * 60 * US_PER_MINUTE
 
 
-@dataclass(frozen=True)
-class ClassifiedTweet:
+class ClassifiedTweet(NamedTuple):
     tweet_id: str
     created_at: dt.datetime
     predicted: int
     proba: tuple[float, float, float, float]
 
+
+class BadRow(DataValidationError):
+    """A Classified check failed; ``row`` is the first row that fails it."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
+class Classified(Sequence):
+    """Classification results as columns in corpus order: tweet ids, UTC microseconds
+    since the epoch (int64), predicted class (int8), (n, 4) probabilities. Validated
+    once, on construction; ``block[i]`` makes row i, a ClassifiedTweet never stored."""
+
+    ids: tuple[str, ...]
+    created_us: np.ndarray
+    predicted: np.ndarray
+    proba: np.ndarray
+
     def __post_init__(self) -> None:
-        # A NaN sum passes the tolerance test below, so check finiteness first.
-        if len(self.proba) != 4 or not np.isfinite(self.proba).all():
+        n = len(self.ids)
+        created_us = np.asarray(self.created_us, dtype=np.int64)
+        predicted = np.asarray(self.predicted)
+        proba = np.asarray(self.proba, dtype=np.float64)
+        if created_us.shape != (n,) or predicted.shape != (n,) or proba.shape != (n, 4):
             raise DataValidationError(
-                f"tweet {self.tweet_id}: probabilities must be 4 finite numbers, got {self.proba!r}"
+                f"{n} tweet ids need {n} timestamps, predictions and rows of 4 finite "
+                f"probabilities, got shapes {created_us.shape}, {predicted.shape}, {proba.shape}"
             )
-        if abs(sum(self.proba) - 1.0) > PROBA_SUM_TOL:
-            raise DataValidationError(
-                f"tweet {self.tweet_id}: probabilities sum to {sum(self.proba)!r}"
-            )
-        if self.predicted != max(range(4), key=lambda c: (self.proba[c], -c)):
-            raise DataValidationError(
-                f"tweet {self.tweet_id}: predicted class is not the argmax of proba"
-            )
+        finite = np.isfinite(proba)
+        sums = proba.sum(axis=1, where=finite)
+        # Sums skip non-finite entries, whose rows the first check rejects;
+        # argmax takes the first maximum, so a tie goes to the lowest class id.
+        for bad, problem, values in (
+            (~finite.all(axis=1), "probabilities must be 4 finite numbers, got", proba),
+            (np.abs(sums - 1.0) > PROBA_SUM_TOL, "probabilities sum to", sums),
+            (predicted != proba.argmax(axis=1), "predicted class is not the argmax of", proba),
+        ):
+            if bad.any():
+                row = int(bad.argmax())
+                raise BadRow(row, f"tweet {self.ids[row]}: {problem} {values[row].tolist()!r}")
+        object.__setattr__(self, "created_us", created_us)
+        object.__setattr__(self, "predicted", predicted.astype(np.int8))
+        object.__setattr__(self, "proba", proba)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> ClassifiedTweet:
+        created_at = EPOCH + int(self.created_us[i]) * ONE_US
+        proba = tuple(self.proba[i].tolist())
+        return ClassifiedTweet(self.ids[i], created_at, int(self.predicted[i]), proba)
 
 
 def classify_corpus(
@@ -61,19 +104,11 @@ def classify_corpus(
     vocab: Vocabulary,
     tweets: Sequence[Tweet],
     batch_size: int = 64,
-) -> list[ClassifiedTweet]:
+) -> Classified:
     """Inference over the corpus, output order = input order."""
     probs = predict_batches(params, vocab, [t.text for t in tweets], batch_size)
-    preds = probs.argmax(axis=1)
-    return [
-        ClassifiedTweet(
-            tweet_id=t.id,
-            created_at=t.created_at,
-            predicted=int(p),
-            proba=tuple(float(x) for x in row),
-        )
-        for t, p, row in zip(tweets, preds, probs)
-    ]
+    created_us = [(t.created_at - EPOCH) // ONE_US for t in tweets]
+    return Classified(tuple(t.id for t in tweets), created_us, probs.argmax(axis=1), probs)
 
 
 @dataclass(frozen=True)
@@ -106,27 +141,17 @@ def local_day(created_at: dt.datetime, utc_offset_minutes: int) -> dt.date:
     return shifted.date()
 
 
-def aggregate_daily(
-    classified: Iterable[ClassifiedTweet], utc_offset_minutes: int
-) -> TimelineSeries:
+def aggregate_daily(classified: Classified, utc_offset_minutes: int) -> TimelineSeries:
     """Bin by local calendar day and zero-fill between first and last day."""
-    day_counts: dict[dt.date, list[int]] = {}
-    n = 0
-    for ct in classified:
-        day = local_day(ct.created_at, utc_offset_minutes)
-        day_counts.setdefault(day, [0, 0, 0, 0])[ct.predicted] += 1
-        n += 1
-    if n == 0:
+    if len(classified) == 0:
         raise DataValidationError("cannot aggregate an empty classification result")
-    first = min(day_counts)
-    last = max(day_counts)
-    bins = []
-    day = first
-    while day <= last:
-        counts = day_counts.get(day, [0, 0, 0, 0])
-        bins.append(DailyBin(date=day, counts=tuple(counts)))
-        day += dt.timedelta(days=1)
-    return TimelineSeries(bins=tuple(bins), utc_offset_minutes=utc_offset_minutes)
+    days = (classified.created_us + utc_offset_minutes * US_PER_MINUTE) // US_PER_DAY
+    first, last = int(days.min()), int(days.max())
+    slot = (days - first) * 4 + classified.predicted
+    counts = np.bincount(slot, minlength=4 * (last - first + 1)).reshape(-1, 4)
+    start = EPOCH.date() + dt.timedelta(days=first)
+    bins = tuple(DailyBin(start + dt.timedelta(k), tuple(c)) for k, c in enumerate(counts.tolist()))
+    return TimelineSeries(bins=bins, utc_offset_minutes=utc_offset_minutes)
 
 
 @dataclass(frozen=True)
@@ -302,45 +327,62 @@ def detect_peaks(
     )
 
 
-def classified_to_record(ct: ClassifiedTweet) -> dict:
-    return {
-        "id": ct.tweet_id,
-        "created_at": format_timestamp(ct.created_at),
-        "predicted": ct.predicted,
-        "proba": list(ct.proba),
-    }
-
-
-def write_classified(classified: Iterable[ClassifiedTweet], path: str | Path) -> int:
+def write_classified(classified: Classified, path: str | Path) -> int:
     """Newline-delimited classification records; returns the record count."""
-    n = 0
+    columns = (classified.ids, classified.created_us.tolist(), classified.predicted.tolist(),
+               classified.proba.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for ct in classified:
-            fh.write(json.dumps(classified_to_record(ct), sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-            n += 1
-    return n
+        for tid, us, predicted, proba in zip(*columns):
+            rec = {"id": tid, "created_at": format_timestamp(EPOCH + us * ONE_US),
+                   "predicted": predicted, "proba": proba}
+            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+    return len(classified)
 
 
-def read_classified(path: str | Path) -> list[ClassifiedTweet]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    ClassifiedTweet(
-                        tweet_id=str(rec["id"]),
-                        created_at=parse_timestamp(rec["created_at"]),
-                        predicted=int(rec["predicted"]),
-                        proba=tuple(float(x) for x in rec["proba"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataValidationError(f"{path}:{line_no}: bad classified record: {exc}")
-    return out
+def _parse_classified_line(line: str) -> tuple[str, int, int, list[float]]:
+    """(id, created_us, predicted, proba) of one record; ValueError if malformed."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("record is not an object")
+    tid, raw_ts, predicted, proba = (rec.get(k) for k in ("id", "created_at", "predicted", "proba"))
+    if not isinstance(tid, str) or not tid:
+        raise ValueError(f"id must be a non-empty string, got {tid!r}")
+    if not isinstance(raw_ts, str):
+        raise ValueError(f"created_at must be an ISO-8601 string, got {raw_ts!r}")
+    # JSON gives exact types, so this also turns away true/false
+    if type(predicted) is not int:
+        raise ValueError(f"predicted must be an integer, got {predicted!r}")
+    if not isinstance(proba, list) or len(proba) != 4 or {type(x) for x in proba} - {int, float}:
+        raise ValueError(f"proba must be a list of 4 numbers, got {proba!r}")
+    return tid, (parse_timestamp(raw_ts) - EPOCH) // ONE_US, predicted, [float(x) for x in proba]
+
+
+def read_classified(path: str | Path) -> Classified:
+    """Read classified.jsonl back; every rejection names ``path:line``."""
+    lines: dict[str, int] = {}  # tweet id -> line number, in file order
+    created_us, predicted, proba = [], [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    tid, us, pred, row = _parse_classified_line(line)
+                    if tid in lines:
+                        raise ValueError(f"duplicate id {tid!r}, first at line {lines[tid]}")
+                except (ValueError, OverflowError) as exc:
+                    raise DataValidationError(f"{path}:{line_no}: bad classified record: {exc}")
+                lines[tid] = line_no
+                created_us.append(us)
+                predicted.append(pred)
+                proba.append(row)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputPathError(f"cannot read classified file: {path}: {exc}")
+    ids = tuple(lines)
+    try:
+        return Classified(ids, created_us, predicted, np.reshape(proba, (-1, 4)))
+    except BadRow as exc:
+        raise DataValidationError(f"{path}:{lines[ids[exc.row]]}: {exc}")
 
 
 def write_timeline_csv(series: TimelineSeries, path: str | Path) -> None:

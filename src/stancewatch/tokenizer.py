@@ -81,7 +81,10 @@ class Vocabulary:
         p = Path(path)
         if not p.is_file():
             raise InputPathError(f"cannot read vocabulary file: {p}")
-        text = p.read_text(encoding="utf-8")
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputPathError(f"cannot read vocabulary file: {p}: {exc}")
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()

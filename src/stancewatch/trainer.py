@@ -105,9 +105,7 @@ def cross_entropy(
         raise DataValidationError(
             f"need one label per logit row, got logits {logits.shape} and {y.shape[0]} labels"
         )
-    w = _weight_vector(weights)
-    logp = _log_softmax(logits)
-    return float(-(w[y] * logp[np.arange(len(y)), y]).mean())
+    return _loss_and_dlogits(logits, y, weights)[0]
 
 
 def _loss_and_dlogits(

@@ -335,6 +335,38 @@ class TestBadClassified:
         assert not (out / "timeline.csv").exists()
 
 
+    def test_duplicate_ids_are_3(self, runner, tmp_path):
+        rec = {"id": "a", "created_at": "2021-08-01T10:00:00Z", "predicted": 2,
+               "proba": [0.1, 0.1, 0.7, 0.1]}
+        other = dict(rec, id="b", predicted=0, proba=[0.7, 0.1, 0.1, 0.1])
+        classified = tmp_path / "classified.jsonl"
+        classified.write_text("".join(json.dumps(r) + "\n" for r in (rec, other, rec)), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["timeline", "--classified", str(classified),
+                                      "--out", str(out), "--quiet"])
+        assert result.exit_code == 3, result.output
+        assert f"{classified}:3: bad classified record: duplicate id 'a'" in result.output
+        assert not (out / "timeline.csv").exists()
+
+
+class TestUndecodableInputs:
+    @pytest.mark.parametrize("kind", ["classified", "vocabulary", "config"])
+    def test_non_utf8_file_is_2(self, runner, tmp_path, kind):
+        bad = tmp_path / f"bad_{kind}"
+        bad.write_bytes(b"[PAD]\n\xff\xfe\n")
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=2, seed=1), labeled)
+        out = ["--out", str(tmp_path / "out"), "--quiet"]
+        args = {
+            "classified": ["timeline", "--classified", str(bad), *out],
+            "vocabulary": ["train", "--labeled", str(labeled), "--vocab", str(bad), *out],
+            "config": ["build-vocab", "--config", str(bad), "--labeled", str(labeled), *out],
+        }[kind]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {kind} file: {bad}" in result.output
+
+
 class TestGenSynthetic:
     def test_outputs(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -9,7 +9,9 @@ from stancewatch.encoder import EncoderConfig, init_params
 from stancewatch.metrics import evaluate
 from stancewatch.svg import confusion_svg, prf_bars_svg, roc_svg, timeline_svg
 from stancewatch.timeline import (
-    ClassifiedTweet,
+    EPOCH,
+    ONE_US,
+    Classified,
     aggregate_daily,
     detect_peaks,
     share,
@@ -42,25 +44,18 @@ def report():
 
 @pytest.fixture(scope="module")
 def timeline_inputs():
-    rows = []
-    i = 0
+    created_us, predicted = [], []
     rng = np.random.default_rng(4)
     for day in range(10):
         n_anti = 20 if day == 6 else 3
         for cat, count in ((0, 10), (1, 8), (2, n_anti), (3, 6)):
             for _ in range(count):
-                proba = [0.0] * 4
-                proba[cat] = 1.0
-                rows.append(
-                    ClassifiedTweet(
-                        tweet_id=f"v{i}",
-                        created_at=dt.datetime(2021, 8, 1, int(rng.integers(0, 21)), tzinfo=UTC)
-                        + dt.timedelta(days=day),
-                        predicted=cat,
-                        proba=tuple(proba),
-                    )
-                )
-                i += 1
+                created_at = (dt.datetime(2021, 8, 1, int(rng.integers(0, 21)), tzinfo=UTC)
+                              + dt.timedelta(days=day))
+                created_us.append((created_at - EPOCH) // ONE_US)
+                predicted.append(cat)
+    rows = Classified(tuple(f"v{i}" for i in range(len(predicted))), created_us, predicted,
+                      np.eye(4)[predicted])
     series = aggregate_daily(rows, utc_offset_minutes=0)
     anti = share(series, Category.ANTI_VACCINE)
     peaks = detect_peaks(anti, Category.ANTI_VACCINE)

@@ -1,13 +1,21 @@
 import datetime as dt
+import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_encodings
 from stancewatch.corpus import Category, Tweet
 from stancewatch.encoder import EncoderConfig, init_params
-from stancewatch.errors import DataValidationError
+from stancewatch.errors import DataValidationError, InputPathError
 from stancewatch.timeline import (
+    EPOCH,
+    ONE_US,
+    US_PER_DAY,
+    Classified,
     ClassifiedTweet,
     DailyBin,
     DayShare,
@@ -39,6 +47,22 @@ def ct(i, day, predicted=2, hour=12):
     )
 
 
+def block(rows):
+    """A Classified block holding the given ClassifiedTweet rows."""
+    return Classified(
+        ids=tuple(r.tweet_id for r in rows),
+        created_us=[(r.created_at - EPOCH) // ONE_US for r in rows],
+        predicted=[r.predicted for r in rows],
+        proba=np.reshape([r.proba for r in rows], (-1, 4)),
+    )
+
+
+def one(predicted, proba, tweet_id="x"):
+    """A one-row block from columns, timestamped 2021-08-01 00:00 UTC."""
+    us = (dt.datetime(2021, 8, 1, tzinfo=UTC) - EPOCH) // ONE_US
+    return Classified((tweet_id,), [us], [predicted], [proba])
+
+
 def shares_from(values, start=D(2021, 8, 1), empty_at=()):
     return [
         DayShare(date=start + dt.timedelta(days=i), share=float(v), empty=i in empty_at)
@@ -49,22 +73,68 @@ def shares_from(values, start=D(2021, 8, 1), empty_at=()):
 class TestClassifiedTweet:
     def test_proba_must_sum_to_one(self):
         with pytest.raises(DataValidationError, match="sum"):
-            ClassifiedTweet("x", dt.datetime(2021, 8, 1, tzinfo=UTC), 0, (0.5, 0.2, 0.2, 0.2))
+            one(0, (0.5, 0.2, 0.2, 0.2))
 
     @pytest.mark.parametrize("proba", [(float("nan"),) * 4, (float("inf"),) * 4, (0.5, 0.5)])
     def test_proba_must_be_four_finite_numbers(self, proba):
         with pytest.raises(DataValidationError, match="4 finite"):
-            ClassifiedTweet("x", dt.datetime(2021, 8, 1, tzinfo=UTC), 0, proba)
+            one(0, proba)
 
     def test_predicted_must_be_argmax(self):
         with pytest.raises(DataValidationError, match="argmax"):
-            ClassifiedTweet("x", dt.datetime(2021, 8, 1, tzinfo=UTC), 0, (0.1, 0.7, 0.1, 0.1))
+            one(0, (0.1, 0.7, 0.1, 0.1))
 
     def test_argmax_tie_goes_to_lowest_id(self):
         # classes 1 and 2 tied: predicted must be 1
-        ClassifiedTweet("x", dt.datetime(2021, 8, 1, tzinfo=UTC), 1, (0.1, 0.4, 0.4, 0.1))
+        one(1, (0.1, 0.4, 0.4, 0.1))
         with pytest.raises(DataValidationError, match="argmax"):
-            ClassifiedTweet("x", dt.datetime(2021, 8, 1, tzinfo=UTC), 2, (0.1, 0.4, 0.4, 0.1))
+            one(2, (0.1, 0.4, 0.4, 0.1))
+
+
+class TestClassified:
+    def rows(self, probas):
+        probas = np.asarray(probas, dtype=np.float64)
+        ids = tuple(f"r{i}" for i in range(len(probas)))
+        return ids, list(range(len(probas))), probas.argmax(axis=1), probas
+
+    def test_columns_are_typed_once(self):
+        ids, us, predicted, proba = self.rows([(0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)])
+        result = Classified(ids, us, predicted, proba)
+        assert result.created_us.dtype == np.int64
+        assert result.predicted.dtype == np.int8
+        assert result.proba.dtype == np.float64 and result.proba.shape == (2, 4)
+
+    def test_first_bad_row_is_named(self):
+        ids, us, predicted, proba = self.rows(
+            [(0.7, 0.1, 0.1, 0.1), (0.7, 0.2, 0.2, 0.1), (0.7, 0.3, 0.3, 0.1)]
+        )
+        with pytest.raises(DataValidationError, match="tweet r1: probabilities sum") as err:
+            Classified(ids, us, predicted, proba)
+        assert err.value.row == 1
+
+    def test_predicted_checked_before_int8(self):
+        # 258 wraps to 2 in int8, which is the argmax
+        with pytest.raises(DataValidationError, match="argmax"):
+            one(258, (0.1, 0.2, 0.6, 0.1))
+
+    def test_column_lengths_must_agree(self):
+        ids, us, predicted, proba = self.rows([(0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)])
+        with pytest.raises(DataValidationError, match="timestamps"):
+            Classified(ids, us[:1], predicted, proba)
+        with pytest.raises(DataValidationError, match="timestamps"):
+            Classified(ids[:1], us, predicted, proba)
+
+    def test_rows_made_on_access(self):
+        created = dt.datetime(1969, 12, 31, 23, 59, 59, 500, tzinfo=UTC)
+        result = Classified(("a", "b"), [0, (created - EPOCH) // ONE_US], [3, 0],
+                            [(0.1, 0.2, 0.3, 0.4), (1.0, 0.0, 0.0, 0.0)])
+        assert len(result) == 2
+        assert result[-1] == ClassifiedTweet("b", created, 0, (1.0, 0.0, 0.0, 0.0))
+        assert result[0] == ClassifiedTweet("a", EPOCH, 3, (0.1, 0.2, 0.3, 0.4))
+        assert type(result[0].predicted) is int and type(result[0].proba[0]) is float
+        assert [r.tweet_id for r in result] == ["a", "b"]
+        with pytest.raises(IndexError):
+            result[2]
 
 
 class TestClassifyCorpus:
@@ -113,7 +183,7 @@ class TestClassifyCorpus:
 
     def test_empty_corpus(self, tiny_config):
         params, vocab = self.make_model(tiny_config)
-        assert classify_corpus(params, vocab, []) == []
+        assert len(classify_corpus(params, vocab, [])) == 0
 
 
 class TestAggregateDaily:
@@ -121,7 +191,7 @@ class TestAggregateDaily:
         # 23:00 UTC on Aug 1 is 02:00 Aug 2 at +180 minutes
         late = ct(0, D(2021, 8, 1), predicted=2, hour=23)
         early = ct(1, D(2021, 8, 1), predicted=0, hour=10)
-        series = aggregate_daily([late, early], utc_offset_minutes=180)
+        series = aggregate_daily(block([late, early]), utc_offset_minutes=180)
         assert [b.date for b in series.bins] == [D(2021, 8, 1), D(2021, 8, 2)]
         assert series.bins[0].counts == (1, 0, 0, 0)
         assert series.bins[1].counts == (0, 0, 1, 0)
@@ -129,20 +199,39 @@ class TestAggregateDaily:
     def test_gap_days_zero_filled(self):
         a = ct(0, D(2021, 8, 1))
         b = ct(1, D(2021, 8, 4))
-        series = aggregate_daily([a, b], utc_offset_minutes=0)
+        series = aggregate_daily(block([a, b]), utc_offset_minutes=0)
         assert len(series.bins) == 4
         assert series.bins[1].total == 0
         assert series.bins[2].total == 0
 
     def test_empty_fatal(self):
         with pytest.raises(DataValidationError, match="empty"):
-            aggregate_daily([], utc_offset_minutes=0)
+            aggregate_daily(block([]), utc_offset_minutes=0)
 
     def test_local_day_helper(self):
         t = dt.datetime(2021, 8, 1, 22, 30, tzinfo=UTC)
         assert local_day(t, 0) == D(2021, 8, 1)
         assert local_day(t, 180) == D(2021, 8, 2)
         assert local_day(t, -24 * 60) == D(2021, 7, 31)
+
+    @given(
+        st.integers((dt.datetime(1900, 1, 1, tzinfo=UTC) - EPOCH) // ONE_US,
+                    (dt.datetime(2100, 12, 1, tzinfo=UTC) - EPOCH) // ONE_US),
+        st.lists(st.integers(0, 30 * US_PER_DAY), min_size=1, max_size=40),
+        st.integers(-24 * 60, 24 * 60),
+    )
+    def test_day_index_matches_local_day(self, base, deltas, offset):
+        # every row lands on local_day(created_at) with its own class
+        stamps = [base + d for d in deltas]
+        predicted = [i % 4 for i in range(len(stamps))]
+        rows = Classified(tuple(f"c{i}" for i in range(len(stamps))), stamps, predicted,
+                          np.eye(4)[predicted])
+        series = aggregate_daily(rows, utc_offset_minutes=offset)
+        want = {}
+        for us, p in zip(stamps, predicted):
+            want.setdefault(local_day(EPOCH + us * ONE_US, offset), [0, 0, 0, 0])[p] += 1
+        assert {b.date: list(b.counts) for b in series.bins if b.total} == want
+        assert (series.bins[0].date, series.bins[-1].date) == (min(want), max(want))
 
     def test_non_consecutive_bins_rejected(self):
         with pytest.raises(DataValidationError, match="one day"):
@@ -158,7 +247,8 @@ class TestAggregateDaily:
 class TestShare:
     def test_percent_of_day_total(self):
         series = aggregate_daily(
-            [ct(0, D(2021, 8, 1), 2), ct(1, D(2021, 8, 1), 2), ct(2, D(2021, 8, 1), 0), ct(3, D(2021, 8, 1), 1)],
+            block([ct(0, D(2021, 8, 1), 2), ct(1, D(2021, 8, 1), 2), ct(2, D(2021, 8, 1), 0),
+                   ct(3, D(2021, 8, 1), 1)]),
             utc_offset_minutes=0,
         )
         s = share(series, Category.ANTI_VACCINE)
@@ -166,13 +256,13 @@ class TestShare:
         assert not s[0].empty
 
     def test_empty_day_flagged_zero(self):
-        series = aggregate_daily([ct(0, D(2021, 8, 1)), ct(1, D(2021, 8, 3))], utc_offset_minutes=0)
+        series = aggregate_daily(block([ct(0, D(2021, 8, 1)), ct(1, D(2021, 8, 3))]), utc_offset_minutes=0)
         s = share(series, Category.ANTI_VACCINE)
         assert s[1].share == 0.0 and s[1].empty
         assert not s[0].empty
 
     def test_category_range(self):
-        series = aggregate_daily([ct(0, D(2021, 8, 1))], utc_offset_minutes=0)
+        series = aggregate_daily(block([ct(0, D(2021, 8, 1))]), utc_offset_minutes=0)
         with pytest.raises(DataValidationError):
             share(series, 4)
 
@@ -327,12 +417,12 @@ class TestDetectPeaks:
 
 class TestPersistence:
     def test_classified_round_trip(self, tmp_path):
-        rows = [ct(i, D(2021, 8, 1), predicted=i % 4) for i in range(6)]
+        rows = block([ct(i, D(2021, 8, 1), predicted=i % 4) for i in range(6)])
         p = tmp_path / "classified.jsonl"
         n = write_classified(rows, p)
         assert n == 6
         back = read_classified(p)
-        assert back == rows
+        assert list(back) == list(rows)
 
     def test_read_classified_rejects_bad_record(self, tmp_path):
         p = tmp_path / "classified.jsonl"
@@ -340,8 +430,69 @@ class TestPersistence:
         with pytest.raises(DataValidationError, match="bad classified record"):
             read_classified(p)
 
+    def test_write_read_write_byte_identical(self, tmp_path):
+        stamps = [
+            dt.datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=UTC),
+            dt.datetime(1900, 1, 1, tzinfo=UTC),
+            dt.datetime(2021, 8, 1, 12, 0, 0, 250000, tzinfo=UTC),
+            dt.datetime(2021, 8, 1, 12, tzinfo=UTC),
+        ]
+        proba = np.random.default_rng(0).dirichlet(np.ones(4), size=len(stamps))
+        rows = Classified(("a", "ş", "c", "d"), [(t - EPOCH) // ONE_US for t in stamps],
+                          proba.argmax(axis=1), proba)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_classified(rows, first)
+        back = read_classified(first)
+        write_classified(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert list(back) == list(rows)
+        text = first.read_text(encoding="utf-8")
+        assert '"1969-12-31T23:59:59.999999Z"' in text and '"2021-08-01T12:00:00.250000Z"' in text
+
+    def test_reader_names_line_of_bad_row(self, tmp_path):
+        good = {"id": "a", "created_at": "2021-08-01T00:00:00Z", "predicted": 0,
+                "proba": [0.7, 0.1, 0.1, 0.1]}
+        bad = dict(good, id="b", proba=[0.8, 0.1, 0.1, 0.1])
+        p = tmp_path / "classified.jsonl"
+        p.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}:3: tweet b: probabilities sum"):
+            read_classified(p)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("id", 5, "id must be a non-empty string"),
+        ("id", "", "id must be a non-empty string"),
+        ("created_at", 1627776000, "created_at must be an ISO-8601 string"),
+        ("predicted", 0.7, "predicted must be an integer"),
+        ("predicted", False, "predicted must be an integer"),
+        ("proba", "1000", "proba must be a list of 4 numbers"),
+        ("proba", [0.7, 0.1, 0.1, "0.1"], "proba must be a list of 4 numbers"),
+        ("proba", [0.7, 0.1, 0.1, 0.1, 0.0], "proba must be a list of 4 numbers"),
+    ])
+    def test_reader_rejects_loose_fields(self, tmp_path, field, value, reason):
+        good = {"id": "a", "created_at": "2021-08-01T00:00:00Z", "predicted": 0,
+                "proba": [1.0, 0.0, 0.0, 0.0]}
+        bad = dict(good, **{"id": "b", field: value})
+        p = tmp_path / "classified.jsonl"
+        p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}:2: bad classified record: {reason}"):
+            read_classified(p)
+
+    def test_reader_rejects_duplicate_ids(self, tmp_path):
+        rec = {"id": "a", "created_at": "2021-08-01T00:00:00Z", "predicted": 2,
+               "proba": [0.0, 0.0, 1.0, 0.0]}
+        p = tmp_path / "classified.jsonl"
+        p.write_text((json.dumps(rec) + "\n") * 2, encoding="utf-8")
+        with pytest.raises(DataValidationError, match=":2: bad classified record: duplicate id 'a', first at line 1"):
+            read_classified(p)
+
+    def test_undecodable_file_is_a_path_error(self, tmp_path):
+        p = tmp_path / "classified.jsonl"
+        p.write_bytes(b'{"id": "\xff"}\n')
+        with pytest.raises(InputPathError, match="cannot read classified file"):
+            read_classified(p)
+
     def test_timeline_csv_format(self, tmp_path):
-        rows = [ct(0, D(2021, 8, 1), 2), ct(1, D(2021, 8, 1), 0), ct(2, D(2021, 8, 3), 1)]
+        rows = block([ct(0, D(2021, 8, 1), 2), ct(1, D(2021, 8, 1), 0), ct(2, D(2021, 8, 3), 1)])
         series = aggregate_daily(rows, utc_offset_minutes=0)
         p = tmp_path / "timeline.csv"
         write_timeline_csv(series, p)
