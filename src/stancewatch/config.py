@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .encoder import EncoderConfig
 from .errors import DataValidationError, InputPathError
@@ -63,6 +63,7 @@ class PipelineConfig:
 
 # key -> field; its type annotation picks the parser, its metadata the INI section.
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
+CONFIG_KEYS = frozenset(_FIELDS)
 
 
 def _parse_value(key: str, raw: str) -> Any:
@@ -127,6 +128,22 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, Any]) -> Pipeli
             raise DataValidationError(f"unknown config key: {key}")
         setattr(config, key, value)
     return config
+
+
+def resolve_config(
+    path: str | Path | None, set_pairs: Sequence[str], flags: dict[str, Any]
+) -> PipelineConfig:
+    """Defaults, then the INI file, then --set KEY=VALUE pairs, then flags."""
+    config = load_config(path)
+    pairs = {}
+    for item in set_pairs:
+        if "=" not in item:
+            raise DataValidationError(f"--set expects KEY=VALUE, got {item!r}")
+        key, raw = item.split("=", 1)
+        key = key.strip().replace("-", "_")
+        pairs[key] = parse_kv(key, raw)
+    apply_overrides(config, pairs)
+    return apply_overrides(config, flags)
 
 
 def config_snapshot(config: PipelineConfig) -> dict:

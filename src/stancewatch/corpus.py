@@ -17,6 +17,7 @@ from __future__ import annotations
 import gzip
 import json
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
@@ -82,15 +83,33 @@ class IngestResult:
     rejects: tuple[RejectedRecord, ...]
 
 
+# The accepted timestamp forms: YYYY-MM-DD, optionally [T or space]
+# HH:MM[:SS[.f{1,6}]], optionally Z or +-HH:MM after a time. The pattern
+# decides, because datetime.fromisoformat accepts different sets on 3.10
+# and 3.11 (3.11 adds basic format, week dates, 7-digit fractions); it only
+# converts what matched, with the fraction padded to the 6 digits 3.10 needs.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ](?:[01][0-9]|2[0-3]):[0-9]{2}(?::[0-9]{2}(?:\.([0-9]{1,6}))?)?"
+    r"([Zz]|[+-][0-9]{2}:[0-9]{2})?)?"
+)
+
+
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 timestamp and normalize it to UTC.
+    """Parse a timestamp of the `_TIMESTAMP` forms and normalize it to UTC.
 
     A trailing ``Z`` is accepted; naive timestamps are taken as UTC.
-    Raises ValueError for unparseable input.
+    Raises ValueError for any other input.
     """
     s = raw.strip()
-    if s.endswith(("Z", "z")):
+    m = _TIMESTAMP.fullmatch(s)
+    if m is None:
+        raise ValueError(f"not a supported ISO-8601 timestamp: {raw!r}")
+    fraction, zone = m.group(1, 2)
+    if zone in ("Z", "z"):
         s = s[:-1] + "+00:00"
+    if fraction:
+        s = s[: m.start(1)] + fraction.ljust(6, "0") + s[m.end(1):]
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)

@@ -30,6 +30,12 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def partial_path(final: Path) -> Path:
+    """The temporary name a file is written under, beside its final name,
+    before `os.replace` moves it into place."""
+    return final.with_name(f".partial-{os.getpid()}-{final.name}")
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -62,27 +68,55 @@ class RunManifest:
             "package_version": self.package_version,
             "timings_s": self.timings_s,
         }
-        Path(path).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        path = Path(path)
+        tmp = partial_path(path)
+        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+
+
+def _create_lock(lock_path: Path) -> int | None:
+    try:
+        return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return None
+
+
+def _dead_holder(lock_path: Path) -> int | None:
+    """The PID written in the lock file if no such process exists, else None."""
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError, OverflowError):
+        pass
+    return None
 
 
 @contextmanager
 def output_lock(out_dir: str | Path):
-    """One running command per output directory; O_EXCL create, unlink on exit."""
+    """One running command per output directory; O_EXCL create, unlink on exit.
+
+    A lock whose PID names no live process is left by a killed run and is
+    taken over; the context yields that PID, or None for a fresh lock.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lock_path = out / LOCK_NAME
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise InputPathError(
-            f"output directory is locked by another run: {lock_path} "
-            "(delete the lock file if that run crashed)"
-        )
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputPathError(f"cannot use output directory {out}: {exc}")
+    lock_path = out / LOCK_NAME
+    fd = _create_lock(lock_path)
+    stale = None if fd is not None else _dead_holder(lock_path)
+    if stale is not None:
+        lock_path.unlink(missing_ok=True)
+        fd = _create_lock(lock_path)
+    if fd is None:
+        raise InputPathError(f"output directory is locked by another run: {lock_path}")
     try:
         os.write(fd, str(os.getpid()).encode("ascii"))
         os.close(fd)
-        yield
+        yield stale
     finally:
         lock_path.unlink(missing_ok=True)

@@ -274,17 +274,17 @@ def write_report(report: EvalReport, path: str | Path) -> None:
     )
 
 
+def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
+    """One class's ROC curve as fpr,tpr rows."""
+    lines = ["fpr,tpr"] + [f"{x:.10f},{y:.10f}" for x, y in zip(curve.fprs, curve.tprs)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_roc_csvs(report: EvalReport, out_dir: str | Path) -> list[Path]:
     """One fpr,tpr CSV per class, named roc_<category>.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for c, slug in enumerate(CATEGORY_SLUGS):
-        curve = report.roc_curves[c]
-        lines = ["fpr,tpr"]
-        for x, y in zip(curve.fprs, curve.tprs):
-            lines.append(f"{x:.10f},{y:.10f}")
-        p = out / f"roc_{slug}.csv"
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(p)
+    paths = [out / f"roc_{slug}.csv" for slug in CATEGORY_SLUGS]
+    for curve, p in zip(report.roc_curves, paths):
+        write_roc_csv(curve, p)
     return paths

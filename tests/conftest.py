@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,6 +41,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for name, status in ACCEPTANCE_RESULTS:
         terminalreporter.write_line(f"{status}  {name}")
+
+
+@pytest.fixture
+def dead_pid() -> int:
+    """The PID of a process that has exited and been reaped."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
 
 
 TINY = dict(vocab_size=16, d_model=8, n_layers=1, n_heads=2, max_len=8)

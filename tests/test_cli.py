@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from stancewatch import cli
 from stancewatch.cli import main
 from stancewatch.corpus import ingest_jsonl, labeled_subset, split_dataset, write_jsonl
 from stancewatch.encoder import init_params, load_checkpoint, save_checkpoint
@@ -90,12 +92,93 @@ class TestExitCodes:
 
     def test_lock_contention_is_2(self, runner, workspace):
         out = workspace["out"]
-        (out / LOCK_NAME).write_text("123", encoding="utf-8")
+        (out / LOCK_NAME).write_text(str(os.getpid()), encoding="utf-8")
         result = runner.invoke(main, ["build-vocab", "--labeled", str(workspace["labeled"]),
                                       "--out", str(out), *FAST_TRAIN])
         (out / LOCK_NAME).unlink()
         assert result.exit_code == 2
         assert "locked" in result.output
+
+    def test_stale_lock_is_taken_over(self, runner, workspace, dead_pid):
+        out = workspace["out"]
+        args = ["build-vocab", "--labeled", str(workspace["labeled"]), "--out", str(out), *FAST_TRAIN]
+        (out / LOCK_NAME).write_text("not a pid", encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "locked" in result.output
+        (out / LOCK_NAME).write_text(str(dead_pid), encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert f"stale lock of process {dead_pid}" in result.output
+        assert not (out / LOCK_NAME).exists()
+
+    def test_negative_smoothing_window_is_3(self, runner, workspace):
+        out = workspace["out"]
+        result = runner.invoke(main, ["timeline", "--corpus", str(workspace["corpus"]),
+                                      "--out", str(out), "--smoothing-window", "-3",
+                                      "--quiet", *FAST_TRAIN])
+        assert result.exit_code == 3, result.output
+        assert "smoothing window" in result.output
+        assert not (out / "timeline.csv").exists()
+
+
+class TestOutputPaths:
+    def test_out_naming_a_file_is_2(self, runner, tmp_path):
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=3), labeled)
+        result = runner.invoke(main, ["build-vocab", "--labeled", str(labeled),
+                                      "--out", str(labeled), *FAST_TRAIN])
+        assert result.exit_code == 2, result.output
+        assert "output directory" in result.output
+
+    @pytest.mark.parametrize("command, data, output_flag", [
+        ("build-vocab", "labeled", ["--set", "vocab_path={}"]),
+        ("train", "labeled", ["--checkpoint", "{}"]),
+        ("classify", "corpus", ["--set", "classified_path={}"]),
+    ])
+    def test_output_in_missing_directory_is_2(self, runner, workspace, tmp_path,
+                                              command, data, output_flag):
+        """The path is checked when it is named, before any stage runs."""
+        target = tmp_path / "no_such_dir" / "file.out"
+        result = runner.invoke(main, [command, f"--{data}", str(workspace[data]),
+                                      "--out", str(workspace["out"]),
+                                      *[a.format(target) for a in output_flag], *FAST_TRAIN])
+        assert result.exit_code == 2, result.output
+        assert f"output directory not found: {target.parent}" in result.output
+        assert "training on" not in result.output
+
+
+class TestAtomicOutputs:
+    def snapshot(self, out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_failed_run_leaves_earlier_outputs_unchanged(self, runner, workspace, tmp_path):
+        """timeline writes classified.jsonl before an even smoothing window
+        fails peak detection; the earlier classify output must survive."""
+        out = workspace["out"]
+        run_ok(runner, ["classify", "--corpus", str(workspace["corpus"]), "--out", str(out),
+                        "--quiet", *FAST_TRAIN])
+        before = self.snapshot(out)
+        other = tmp_path / "other_corpus.jsonl"
+        write_jsonl(generate_corpus(days=3, per_day=20, seed=99, spike_days=()), other)
+        result = runner.invoke(main, ["timeline", "--corpus", str(other), "--out", str(out),
+                                      "--smoothing-window", "2", "--quiet", *FAST_TRAIN])
+        assert result.exit_code == 3, result.output
+        assert self.snapshot(out) == before
+
+    def test_crash_while_saving_keeps_the_old_checkpoint(self, runner, workspace, monkeypatch):
+        out = workspace["out"]
+        before = self.snapshot(out)
+
+        def crash(trace, path):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli, "write_trace", crash)
+        result = runner.invoke(main, ["train", "--labeled", str(workspace["labeled"]),
+                                      "--out", str(out), "--seed-init", "5", "--quiet",
+                                      *FAST_TRAIN])
+        assert isinstance(result.exception, RuntimeError)
+        assert self.snapshot(out) == before
 
 
 class TestBuildVocab:
@@ -195,6 +278,24 @@ class TestTrain:
                 assert not same, name
             else:
                 assert same, name
+
+
+    def test_head_only_from_config_file(self, runner, tmp_path):
+        """INI head_only = true with no --head-only flag still freezes the
+        encoder: the flag's absence must not override the file."""
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=5), labeled)
+        ini = tmp_path / "pipeline.ini"
+        ini.write_text("[train]\nhead_only = true\n", encoding="utf-8")
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
+        run_ok(runner, ["train", "--config", str(ini), "--labeled", str(labeled),
+                        "--out", str(out), *FAST_TRAIN])
+        got = load_checkpoint(out / "model.ckpt")
+        fresh = init_params(got.config, 17, Vocabulary.load(out / "vocab.txt").content_hash())
+        assert (got.tensors["tok_emb"] == fresh.tensors["tok_emb"].astype("float32")).all()
+        assert not (got.tensors["classifier_w"]
+                    == fresh.tensors["classifier_w"].astype("float32")).all()
 
 
 class TestEvaluate:

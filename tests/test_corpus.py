@@ -55,6 +55,38 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp("not a date")
 
+    def test_accepted_forms_do_not_depend_on_the_interpreter(self):
+        """Exactly YYYY-MM-DD[(T| )HH:MM[:SS[.f{1,6}]][Z|z|+-HH:MM]].
+        datetime.fromisoformat accepts most of the rejected strings on 3.10
+        or on 3.11, so they show the parser does not lean on it."""
+        accepted = {
+            "2021-07-22": dt.datetime(2021, 7, 22, tzinfo=UTC),
+            "2021-07-22T10:00": dt.datetime(2021, 7, 22, 10, 0, tzinfo=UTC),
+            "2021-07-22 10:00:05": dt.datetime(2021, 7, 22, 10, 0, 5, tzinfo=UTC),
+            "2021-07-22T10:00z": dt.datetime(2021, 7, 22, 10, 0, tzinfo=UTC),
+            "2021-07-22T10:00:05.5Z": dt.datetime(2021, 7, 22, 10, 0, 5, 500000, tzinfo=UTC),
+            "2021-07-22T10:00:05.123+03:00": dt.datetime(2021, 7, 22, 7, 0, 5, 123000, tzinfo=UTC),
+            "2021-07-22T23:59:59.000001-05:30": dt.datetime(2021, 7, 23, 5, 29, 59, 1, tzinfo=UTC),
+        }
+        for raw, expected in accepted.items():
+            assert parse_timestamp(raw) == expected, raw
+        rejected = [
+            "20210722T100000Z",  # basic format
+            "2021-W29-4T10:00Z",  # week date
+            "2021-07-22T10:00+0300",  # offset without colon
+            "2021-07-22T10:00:00,5Z",  # comma fraction
+            "2021-07-22T10:00:00.1234567Z",  # 7-digit fraction
+            "2021-07-22T10",  # hour only
+            "2021-07-22Z",  # zone without a time
+            "2021-07-22T10:00:00+03:00:00",  # offset with seconds
+            "2021-07-22t10:00",  # lowercase separator
+            "2021-07-22T24:00",  # hour 24
+            "2021-02-30",  # no such day
+        ]
+        for raw in rejected:
+            with pytest.raises(ValueError):
+                parse_timestamp(raw)
+
 
 class TestIngest:
     def write(self, tmp_path, lines, name="corpus.jsonl"):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -92,6 +93,15 @@ class TestOutputLock:
         assert not (out / LOCK_NAME).exists()
         with output_lock(out):  # reacquirable
             pass
+
+    def test_stale_lock_taken_over(self, tmp_path, dead_pid):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / LOCK_NAME).write_text(str(dead_pid), encoding="ascii")
+        with output_lock(out) as stale:
+            assert stale == dead_pid
+            assert (out / LOCK_NAME).read_text(encoding="ascii") == str(os.getpid())
+        assert not (out / LOCK_NAME).exists()
 
     def test_creates_out_dir(self, tmp_path):
         out = tmp_path / "nested" / "out"
