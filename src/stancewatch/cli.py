@@ -2,18 +2,20 @@
 
 Commands and their outputs (all under --out, default ./out):
 
-    build-vocab    vocab.txt, manifest_build_vocab.json
+    build-vocab    vocab.txt, rejects_labeled.jsonl, manifest_build_vocab.json
     train          model.ckpt, train_trace.txt, split_manifest.json,
-                   manifest_train.json
+                   rejects_labeled.jsonl, manifest_train.json
     evaluate       eval_report.json, roc_<category>.csv (x4),
                    fig_confusion.svg, fig_roc.svg, fig_prf.svg,
-                   manifest_evaluate.json
-    classify       classified.jsonl, manifest_classify.json
+                   rejects_labeled.jsonl, manifest_evaluate.json
+    classify       classified.jsonl, rejects_corpus.jsonl, manifest_classify.json
     timeline       timeline.csv, peaks.json, fig_timeline.svg,
-                   classified.jsonl (unless one is reused),
-                   manifest_timeline.json
+                   classified.jsonl and rejects_corpus.jsonl (unless a
+                   classified file is reused), manifest_timeline.json
     gen-synthetic  synthetic_labeled.jsonl, synthetic_corpus.jsonl,
                    manifest_gen_synthetic.json
+
+A rejects file is written on every ingest, empty when no record was rejected.
 
 Every command runs one lifecycle (`pipeline_command`): resolve the config,
 lock the output directory, run the body, then move its outputs, each written
@@ -65,6 +67,7 @@ from .synth import (
 from .timeline import (
     Classified,
     aggregate_daily,
+    check_peak_parameters,
     classify_corpus,
     detect_peaks,
     read_classified,
@@ -142,9 +145,10 @@ class Run:
 
     def ingest(self, path: Path, tag: str) -> IngestResult:
         result = ingest_jsonl(path)
+        # Written even when empty, so no earlier run's rejects outlive this run's manifest
+        reject_path = self.output("", f"rejects_{tag}.jsonl")
+        write_rejects(result.rejects, reject_path)
         if result.rejects:
-            reject_path = self.output("", f"rejects_{tag}.jsonl")
-            write_rejects(result.rejects, reject_path)
             self.say(f"rejected {len(result.rejects)} records -> {self.final[reject_path]}")
         return result
 
@@ -329,6 +333,8 @@ def cmd_classify(run: Run) -> None:
 def cmd_timeline(run: Run) -> None:
     """Classify the corpus, bin per day, and report anti-vaccine surge dates."""
     config = run.config
+    window = config.smoothing_window or None  # 0 keeps raw shares
+    check_peak_parameters(config.min_prominence, config.top_k, window)
     if config.classified_path:
         reused = run.input("classified", config.classified_path, "classified file", "--classified")
         with run.manifest.stage("read_classified"):
@@ -339,7 +345,6 @@ def cmd_timeline(run: Run) -> None:
     with run.manifest.stage("aggregate"):
         series = aggregate_daily(classified, config.utc_offset_minutes)
         anti_shares = share(series, Category.ANTI_VACCINE)
-    window = config.smoothing_window or None  # 0 keeps raw shares; a bad window is rejected
     with run.manifest.stage("peaks"):
         peaks = detect_peaks(
             anti_shares, Category.ANTI_VACCINE, min_prominence=config.min_prominence,

@@ -4,12 +4,13 @@ with fixed number formatting so reruns are byte-identical."""
 
 from __future__ import annotations
 
+import datetime as dt
 from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .corpus import CATEGORY_NAMES
 from .metrics import ConfusionMatrix, EvalReport
-from .timeline import DayShare, PeakReport, TimelineSeries
+from .timeline import DayShares, PeakReport, TimelineSeries
 
 CATEGORY_COLORS = ("#1f77b4", "#7f7f7f", "#d62728", "#2ca02c")
 FONT = "font-family=\"Helvetica,Arial,sans-serif\""
@@ -157,17 +158,17 @@ def _x_positions(n: int, left: float, width: float) -> list[float]:
     return [left + i * width / (n - 1) for i in range(n)]
 
 
-def _date_ticks(body: list[str], series: TimelineSeries, xs: list[float], y: float) -> None:
+def _date_ticks(body: list[str], dates: list[dt.date], xs: list[float], y: float) -> None:
     n = len(xs)
     step = max(1, (n + 7) // 8)
     for i in range(0, n, step):
         body.append(_line(xs[i], y, xs[i], y + 4, "#333", 0.8))
-        body.append(_text(xs[i], y + 15, series.bins[i].date.isoformat(), 8, "middle"))
+        body.append(_text(xs[i], y + 15, dates[i].isoformat(), 8, "middle"))
 
 
 def timeline_svg(
     series: TimelineSeries,
-    anti_shares: Sequence[DayShare],
+    anti_shares: DayShares,
     peaks: PeakReport,
     share_label: str,
 ) -> str:
@@ -175,8 +176,8 @@ def timeline_svg(
     width, left = 780, 80
     panel_h, panel_gap, top0 = 150, 56, 46
     plot_w = width - left - 30
-    n = len(series.bins)
-    xs = _x_positions(n, left, plot_w)
+    dates, counts = series.dates, series.bins.tolist()
+    xs = _x_positions(len(dates), left, plot_w)
     body = [_text(width / 2, 24, "Tweet volume and stance timeline", 15, "middle")]
 
     def panel_frame(top: float, title: str, ymax: float, fmt: str) -> None:
@@ -191,29 +192,29 @@ def timeline_svg(
 
     # Panel (a): total daily volume.
     top = top0
-    totals = [b.total for b in series.bins]
+    totals = [sum(row) for row in counts]
     ymax_a = max(1, max(totals)) * 1.05
     panel_frame(top, "(a) daily tweet volume", ymax_a, ".0f")
     body.append(_polyline(
         [(x, top + panel_h - t / ymax_a * panel_h) for x, t in zip(xs, totals)], "#333", 1.5))
-    _date_ticks(body, series, xs, top + panel_h)
+    _date_ticks(body, dates, xs, top + panel_h)
 
     # Panel (b): per-category daily counts.
     top = top0 + panel_h + panel_gap
-    ymax_b = max(1, max(max(b.counts) for b in series.bins)) * 1.05
+    ymax_b = max(1, max(map(max, counts))) * 1.05
     panel_frame(top, "(b) per-category daily counts", ymax_b, ".0f")
     for c in range(4):
-        pts = [(x, top + panel_h - b.counts[c] / ymax_b * panel_h) for x, b in zip(xs, series.bins)]
+        pts = [(x, top + panel_h - row[c] / ymax_b * panel_h) for x, row in zip(xs, counts)]
         body.append(_polyline(pts, CATEGORY_COLORS[c], 1.3))
     for c in range(4):
         lx = left + plot_w - 420 + c * 105
         body.append(_line(lx, top + 12, lx + 16, top + 12, CATEGORY_COLORS[c], 2.5))
         body.append(_text(lx + 20, top + 15, CATEGORY_NAMES[c], 9))
-    _date_ticks(body, series, xs, top + panel_h)
+    _date_ticks(body, dates, xs, top + panel_h)
 
     # Panel (c): anti-vaccine share with detected peaks.
     top = top0 + 2 * (panel_h + panel_gap)
-    values = [s.share for s in anti_shares]
+    values = anti_shares.percent.tolist()
     ymax_c = max(10.0, max(values) * 1.2)
     panel_frame(top, f"(c) anti-vaccine share, % ({share_label})", ymax_c, ".1f")
 
@@ -221,7 +222,7 @@ def timeline_svg(
         return top + panel_h - v / ymax_c * panel_h
 
     body.append(_polyline([(x, share_y(v)) for x, v in zip(xs, values)], CATEGORY_COLORS[2], 1.6))
-    date_to_x = {b.date: x for b, x in zip(series.bins, xs)}
+    date_to_x = dict(zip(dates, xs))
     for p in peaks.local_maxima:
         x = date_to_x.get(p.date)
         if x is None:
@@ -230,6 +231,6 @@ def timeline_svg(
         body.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="3.5" fill="{CATEGORY_COLORS[2]}"/>')
         body.append(_line(x, y - 6, x, top + 16, "#888", 0.7, "2,3"))
         body.append(_text(x, top + 12, p.date.isoformat(), 9, "middle", "#a00"))
-    _date_ticks(body, series, xs, top + panel_h)
+    _date_ticks(body, dates, xs, top + panel_h)
 
     return _document(width, top + panel_h + 40, body)

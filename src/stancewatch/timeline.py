@@ -1,9 +1,12 @@
 """Corpus classification, daily binning, share series, and peak detection.
 
 Days are calendar dates of (created_at + utc_offset_minutes), so the series
-can be displayed in the timezone the corpus belongs to. A day with no
-tweets gets share 0 and an empty flag; empty days never become peak
-candidates but their zeros do participate in prominence walks.
+can be displayed in the timezone the corpus belongs to. A TimelineSeries is
+a start date and a (days, 4) int64 count array, one row per consecutive day.
+A category's shares are one DayShares block: the start date, a float64
+percent array and a bool empty array. A day with no tweets gets share 0 and
+an empty flag; empty days never become peak candidates but their zeros do
+participate in prominence walks.
 
 A local maximum is a plateau (run of equal values) strictly above both
 flanking values, one-sided at the series ends, reported at the plateau's
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,29 +115,25 @@ def classify_corpus(
     return Classified(tuple(t.id for t in tweets), created_us, probs.argmax(axis=1), probs)
 
 
-@dataclass(frozen=True)
-class DailyBin:
-    date: dt.date
-    counts: tuple[int, int, int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimelineSeries:
-    """Contiguous day-ordered bins, gaps zero-filled."""
+    """Per-day counts: row k of the (days, 4) int64 ``bins`` holds the
+    [news, irrelevant, anti, pro] counts of day ``start + k``, so days are
+    consecutive by construction and a day without tweets is a row of zeros."""
 
-    bins: tuple[DailyBin, ...]
+    start: dt.date
+    bins: np.ndarray
     utc_offset_minutes: int
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.bins, self.bins[1:]):
-            if (b.date - a.date).days != 1:
-                raise DataValidationError(
-                    f"timeline bins must advance one day at a time: {a.date} then {b.date}"
-                )
+        bins = np.asarray(self.bins, dtype=np.int64)
+        if bins.ndim != 2 or bins.shape[1] != 4:
+            raise DataValidationError(f"timeline bins must be (days, 4) counts, got {bins.shape}")
+        object.__setattr__(self, "bins", bins)
+
+    @property
+    def dates(self) -> list[dt.date]:
+        return [self.start + dt.timedelta(days=k) for k in range(len(self.bins))]
 
 
 def local_day(created_at: dt.datetime, utc_offset_minutes: int) -> dt.date:
@@ -149,44 +149,57 @@ def aggregate_daily(classified: Classified, utc_offset_minutes: int) -> Timeline
     first, last = int(days.min()), int(days.max())
     slot = (days - first) * 4 + classified.predicted
     counts = np.bincount(slot, minlength=4 * (last - first + 1)).reshape(-1, 4)
-    start = EPOCH.date() + dt.timedelta(days=first)
-    bins = tuple(DailyBin(start + dt.timedelta(k), tuple(c)) for k, c in enumerate(counts.tolist()))
-    return TimelineSeries(bins=bins, utc_offset_minutes=utc_offset_minutes)
+    return TimelineSeries(EPOCH.date() + dt.timedelta(days=first), counts, utc_offset_minutes)
 
 
-@dataclass(frozen=True)
-class DayShare:
-    date: dt.date
-    share: float
-    empty: bool
+@dataclass(frozen=True, eq=False)
+class DayShares:
+    """One category's share of each day in percent (float64), row k for day
+    ``start + k``; ``empty`` (bool) flags the days without tweets."""
+
+    start: dt.date
+    percent: np.ndarray
+    empty: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.percent)
 
 
-def share(series: TimelineSeries, category: int) -> list[DayShare]:
+def share(series: TimelineSeries, category: int) -> DayShares:
     """Per-day percentage of the category; empty days carry share 0 and a flag."""
     if not 0 <= category < 4:
         raise DataValidationError(f"category id out of range: {category}")
-    out = []
-    for b in series.bins:
-        if b.total == 0:
-            out.append(DayShare(date=b.date, share=0.0, empty=True))
-        else:
-            out.append(DayShare(date=b.date, share=100.0 * b.counts[category] / b.total, empty=False))
-    return out
+    totals = series.bins.sum(axis=1)
+    percent = 100.0 * series.bins[:, category] / np.maximum(totals, 1)
+    return DayShares(series.start, percent, totals == 0)
 
 
-def smooth_shares(shares: Sequence[DayShare], window: int) -> list[DayShare]:
+def check_peak_parameters(
+    min_prominence: float = DEFAULT_MIN_PROMINENCE,
+    top_k: int = DEFAULT_TOP_K,
+    smoothing_window: int | None = None,
+) -> None:
+    """Reject settings of detect_peaks that no series could use; None skips smoothing."""
+    if top_k < 1:
+        raise DataValidationError(f"top_k must be >= 1, got {top_k}")
+    if not 0 <= min_prominence < math.inf:
+        raise DataValidationError(f"min_prominence must be finite and >= 0, got {min_prominence}")
+    if smoothing_window is not None and (smoothing_window < 1 or smoothing_window % 2 == 0):
+        raise DataValidationError(f"smoothing window must be odd and >= 1, got {smoothing_window}")
+
+
+def smooth_shares(shares: DayShares, window: int) -> DayShares:
     """Centered moving average with an odd window, shrinking at the edges.
     Empty flags pass through untouched."""
-    if window < 1 or window % 2 == 0:
-        raise DataValidationError(f"smoothing window must be odd and >= 1, got {window}")
-    half = window // 2
-    values = [s.share for s in shares]
-    out = []
-    for i, s in enumerate(shares):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out.append(DayShare(date=s.date, share=sum(values[lo:hi]) / (hi - lo), empty=s.empty))
-    return out
+    check_peak_parameters(smoothing_window=window)
+    n, half = len(shares), window // 2
+    padded = np.pad(shares.percent, half)
+    # Summing the shifted copies in window order adds each day's window left to
+    # right, as a per-day sum() does, so the bits match; the zero padding adds nothing.
+    total = sum(padded[k:k + n] for k in range(window))
+    day = np.arange(n)
+    count = np.minimum(day + half + 1, n) - np.maximum(day - half, 0)
+    return DayShares(shares.start, total / count, shares.empty)
 
 
 @dataclass(frozen=True)
@@ -207,50 +220,32 @@ class PeakReport:
     degenerate: bool
 
 
-def _plateau_maxima(values: Sequence[float], empty: Sequence[bool]) -> list[int]:
+def _plateau_maxima(values: np.ndarray, empty: np.ndarray) -> np.ndarray:
     """Indices of plateau local maxima, each reported at the leftmost
     non-empty index of its run. Runs made entirely of empty days are skipped."""
-    n = len(values)
-    maxima = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        left_ok = i == 0 or values[i - 1] < values[i]
-        right_ok = j == n - 1 or values[j + 1] < values[i]
-        if left_ok and right_ok and not (i == 0 and j == n - 1):
-            for k in range(i, j + 1):
-                if not empty[k]:
-                    maxima.append(k)
-                    break
-        i = j + 1
-    return maxima
+    new_run = np.r_[True, values[1:] != values[:-1]]
+    height = values[new_run]
+    # Both neighbouring runs lower, one-sided at the ends; a run spanning the series is no peak.
+    peak = np.r_[True, height[:-1] < height[1:]] & np.r_[height[1:] < height[:-1], True]
+    peak &= len(height) > 1
+    filled = np.flatnonzero(~empty)
+    runs, first = np.unique(np.cumsum(new_run)[filled] - 1, return_index=True)
+    return filled[first[peak[runs]]]
 
 
-def _prominence(values: Sequence[float], idx: int) -> float:
+def _prominence(values: np.ndarray, idx: int) -> float:
     """Topographic prominence of a local maximum at idx."""
     v = values[idx]
-    side_cols = []
-    for step in (-1, 1):
-        low = v
-        k = idx + step
-        found_higher = False
-        while 0 <= k < len(values):
-            if values[k] > v:
-                found_higher = True
-                break
-            low = min(low, values[k])
-            k += step
-        if found_higher:
-            side_cols.append(low)
-    if not side_cols:
-        return v - min(values)
-    return v - max(side_cols)
+    cols = []
+    for side in (values[idx::-1], values[idx:]):  # walks outward, starting at the peak
+        higher = np.flatnonzero(side > v)
+        if len(higher):
+            cols.append(side[: higher[0]].min())
+    return float(v - (max(cols) if cols else values.min()))
 
 
 def detect_peaks(
-    shares: Sequence[DayShare],
+    shares: DayShares,
     category: int,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
     top_k: int = DEFAULT_TOP_K,
@@ -263,67 +258,37 @@ def detect_peaks(
     the series is nearly flat). Survivors are sorted by share descending
     (date ascending on ties) and truncated to top_k.
     """
-    if not shares:
+    if len(shares) == 0:
         raise DataValidationError("cannot detect peaks on an empty share sequence")
-    if top_k < 1:
-        raise DataValidationError(f"top_k must be >= 1, got {top_k}")
-    if min_prominence < 0:
-        raise DataValidationError(f"min_prominence must be >= 0, got {min_prominence}")
+    check_peak_parameters(min_prominence, top_k, smoothing_window)
     if smoothing_window is not None:
         shares = smooth_shares(shares, smoothing_window)
-
-    values = [s.share for s in shares]
-    empty = [s.empty for s in shares]
-
-    candidates = [i for i in range(len(shares)) if not empty[i]]
-    if not candidates:
-        # Nothing was ever observed; report the first day as a degenerate max.
-        first = shares[0]
-        return PeakReport(
-            category=category,
-            global_max_date=first.date,
-            local_maxima=(Peak(date=first.date, share=first.share, prominence=0.0),),
-            min_prominence=min_prominence,
-            top_k=top_k,
-            smoothing_window=smoothing_window,
-            degenerate=True,
-        )
-
-    gmax_idx = min(candidates, key=lambda i: (-values[i], i))
-    maxima_idx = _plateau_maxima(values, empty)
-
-    if not maxima_idx:
-        # Constant series (single all-spanning plateau): degenerate report.
-        return PeakReport(
-            category=category,
-            global_max_date=shares[gmax_idx].date,
-            local_maxima=(Peak(date=shares[gmax_idx].date, share=values[gmax_idx], prominence=0.0),),
-            min_prominence=min_prominence,
-            top_k=top_k,
-            smoothing_window=smoothing_window,
-            degenerate=True,
-        )
-
-    peaks = [
-        Peak(date=shares[i].date, share=values[i], prominence=_prominence(values, i))
-        for i in maxima_idx
-    ]
-    # The global maximum survives the prominence filter unconditionally so
-    # the report always names the overall highest date.
-    kept = [
-        p
-        for p in peaks
-        if p.prominence >= min_prominence or p.date == shares[gmax_idx].date
-    ]
-    kept.sort(key=lambda p: (-p.share, p.date))
+    values = shares.percent
+    filled = np.flatnonzero(~shares.empty)
+    # The highest non-empty day, the earliest on ties; the first day if none has tweets.
+    gmax = int(filled[values[filled].argmax()]) if len(filled) else 0
+    top = _plateau_maxima(values, shares.empty)
+    degenerate = len(top) == 0
+    if degenerate:
+        # Nothing observed, or a constant series: the headline day alone.
+        top, prominence = np.array([gmax]), np.zeros(1)
+    else:
+        prominence = np.array([_prominence(values, i) for i in top])
+        # The global maximum survives the prominence filter unconditionally so
+        # the report always names the overall highest date.
+        kept = (prominence >= min_prominence) | (top == gmax)
+        top, prominence = top[kept], prominence[kept]
+        order = np.lexsort((top, -values[top]))[:top_k]
+        top, prominence = top[order], prominence[order]
+    dates = [shares.start + dt.timedelta(days=k) for k in top.tolist()]
     return PeakReport(
         category=category,
-        global_max_date=shares[gmax_idx].date,
-        local_maxima=tuple(kept[:top_k]),
+        global_max_date=shares.start + dt.timedelta(days=gmax),
+        local_maxima=tuple(map(Peak, dates, values[top].tolist(), prominence.tolist())),
         min_prominence=min_prominence,
         top_k=top_k,
         smoothing_window=smoothing_window,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 
@@ -389,11 +354,9 @@ def write_timeline_csv(series: TimelineSeries, path: str | Path) -> None:
     """CSV with one row per day; anti-vaccine share in percent to 6 places."""
     anti = share(series, Category.ANTI_VACCINE)
     lines = ["date,count_news,count_irrelevant,count_anti,count_pro,total,share_anti_pct,empty_flag"]
-    for b, s in zip(series.bins, anti):
-        lines.append(
-            f"{b.date.isoformat()},{b.counts[0]},{b.counts[1]},{b.counts[2]},{b.counts[3]},"
-            f"{b.total},{s.share:.6f},{1 if s.empty else 0}"
-        )
+    rows = zip(series.dates, series.bins.tolist(), anti.percent.tolist(), anti.empty.tolist())
+    for day, counts, pct, empty in rows:  # str(date) is its ISO form
+        lines.append(f"{day},{','.join(map(str, counts))},{sum(counts)},{pct:.6f},{int(empty)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -121,6 +121,18 @@ class TestExitCodes:
         assert "smoothing window" in result.output
         assert not (out / "timeline.csv").exists()
 
+    def test_bad_timeline_parameter_is_3_before_any_stage(self, runner, tmp_path):
+        """An even window is rejected before the model, vocabulary or corpus is read."""
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(generate_corpus(days=2, per_day=5, seed=1, spike_days=()), corpus)
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["timeline", "--corpus", str(corpus), "--out", str(out),
+                                      "--smoothing-window", "2"])
+        assert result.exit_code == 3, result.output
+        assert "smoothing window must be odd and >= 1, got 2" in result.output
+        assert list(out.iterdir()) == []
+
 
 class TestOutputPaths:
     def test_out_naming_a_file_is_2(self, runner, tmp_path):
@@ -153,17 +165,19 @@ class TestAtomicOutputs:
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
     def test_failed_run_leaves_earlier_outputs_unchanged(self, runner, workspace, tmp_path):
-        """timeline writes classified.jsonl before an even smoothing window
-        fails peak detection; the earlier classify output must survive."""
+        """timeline writes classified.jsonl and the rejects of a corpus whose
+        every record is bad, then fails binning the empty result; the earlier
+        classify outputs must survive."""
         out = workspace["out"]
         run_ok(runner, ["classify", "--corpus", str(workspace["corpus"]), "--out", str(out),
                         "--quiet", *FAST_TRAIN])
         before = self.snapshot(out)
         other = tmp_path / "other_corpus.jsonl"
-        write_jsonl(generate_corpus(days=3, per_day=20, seed=99, spike_days=()), other)
+        other.write_text("{bad json\n[1, 2]\n", encoding="utf-8")
         result = runner.invoke(main, ["timeline", "--corpus", str(other), "--out", str(out),
-                                      "--smoothing-window", "2", "--quiet", *FAST_TRAIN])
+                                      "--quiet", *FAST_TRAIN])
         assert result.exit_code == 3, result.output
+        assert "empty classification result" in result.output
         assert self.snapshot(out) == before
 
     def test_crash_while_saving_keeps_the_old_checkpoint(self, runner, workspace, monkeypatch):
@@ -231,6 +245,23 @@ class TestBuildVocab:
         result = run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
         assert "rejected 1 records" in result.output
         assert (out / "rejects_labeled.jsonl").is_file()
+        doc = json.loads((out / "manifest_build_vocab.json").read_text(encoding="utf-8"))
+        assert "rejects_labeled.jsonl" in doc["outputs"]
+
+    def test_clean_rerun_empties_rejects(self, runner, tmp_path):
+        """A rerun on clean input leaves an empty rejects file that its manifest lists,
+        not the rejects of the earlier run."""
+        clean = tmp_path / "clean.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=3), clean)
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_text(clean.read_text(encoding="utf-8") + "{bad json\n", encoding="utf-8")
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(dirty), "--out", str(out), *FAST_TRAIN])
+        assert (out / "rejects_labeled.jsonl").stat().st_size > 0
+        result = run_ok(runner, ["build-vocab", "--labeled", str(clean), "--out", str(out),
+                                 *FAST_TRAIN])
+        assert "rejected" not in result.output
+        assert (out / "rejects_labeled.jsonl").read_bytes() == b""
         doc = json.loads((out / "manifest_build_vocab.json").read_text(encoding="utf-8"))
         assert "rejects_labeled.jsonl" in doc["outputs"]
 

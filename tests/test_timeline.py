@@ -1,12 +1,14 @@
 import datetime as dt
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import timeline_reference as reference
 from conftest import random_encodings
 from stancewatch.corpus import Category, Tweet
 from stancewatch.encoder import EncoderConfig, init_params
@@ -17,8 +19,7 @@ from stancewatch.timeline import (
     US_PER_DAY,
     Classified,
     ClassifiedTweet,
-    DailyBin,
-    DayShare,
+    DayShares,
     TimelineSeries,
     aggregate_daily,
     classify_corpus,
@@ -64,10 +65,9 @@ def one(predicted, proba, tweet_id="x"):
 
 
 def shares_from(values, start=D(2021, 8, 1), empty_at=()):
-    return [
-        DayShare(date=start + dt.timedelta(days=i), share=float(v), empty=i in empty_at)
-        for i, v in enumerate(values)
-    ]
+    empty = np.zeros(len(values), dtype=bool)
+    empty[list(empty_at)] = True
+    return DayShares(start, np.asarray(values, dtype=np.float64), empty)
 
 
 class TestClassifiedTweet:
@@ -192,17 +192,16 @@ class TestAggregateDaily:
         late = ct(0, D(2021, 8, 1), predicted=2, hour=23)
         early = ct(1, D(2021, 8, 1), predicted=0, hour=10)
         series = aggregate_daily(block([late, early]), utc_offset_minutes=180)
-        assert [b.date for b in series.bins] == [D(2021, 8, 1), D(2021, 8, 2)]
-        assert series.bins[0].counts == (1, 0, 0, 0)
-        assert series.bins[1].counts == (0, 0, 1, 0)
+        assert series.dates == [D(2021, 8, 1), D(2021, 8, 2)]
+        assert series.bins.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
 
     def test_gap_days_zero_filled(self):
         a = ct(0, D(2021, 8, 1))
         b = ct(1, D(2021, 8, 4))
         series = aggregate_daily(block([a, b]), utc_offset_minutes=0)
         assert len(series.bins) == 4
-        assert series.bins[1].total == 0
-        assert series.bins[2].total == 0
+        assert series.bins.dtype == np.int64
+        assert series.bins.sum(axis=1).tolist() == [1, 0, 0, 1]
 
     def test_empty_fatal(self):
         with pytest.raises(DataValidationError, match="empty"):
@@ -230,18 +229,13 @@ class TestAggregateDaily:
         want = {}
         for us, p in zip(stamps, predicted):
             want.setdefault(local_day(EPOCH + us * ONE_US, offset), [0, 0, 0, 0])[p] += 1
-        assert {b.date: list(b.counts) for b in series.bins if b.total} == want
-        assert (series.bins[0].date, series.bins[-1].date) == (min(want), max(want))
+        got = {d: row for d, row in zip(series.dates, series.bins.tolist()) if sum(row)}
+        assert got == want
+        assert (series.dates[0], series.dates[-1]) == (min(want), max(want))
 
-    def test_non_consecutive_bins_rejected(self):
-        with pytest.raises(DataValidationError, match="one day"):
-            TimelineSeries(
-                bins=(
-                    DailyBin(D(2021, 8, 1), (1, 0, 0, 0)),
-                    DailyBin(D(2021, 8, 3), (1, 0, 0, 0)),
-                ),
-                utc_offset_minutes=0,
-            )
+    def test_bins_must_be_four_wide(self):
+        with pytest.raises(DataValidationError, match="days, 4"):
+            TimelineSeries(D(2021, 8, 1), np.zeros((3, 5), dtype=np.int64), utc_offset_minutes=0)
 
 
 class TestShare:
@@ -252,14 +246,15 @@ class TestShare:
             utc_offset_minutes=0,
         )
         s = share(series, Category.ANTI_VACCINE)
-        assert s[0].share == pytest.approx(50.0)
-        assert not s[0].empty
+        assert s.percent.tolist() == [50.0]
+        assert s.empty.tolist() == [False]
 
     def test_empty_day_flagged_zero(self):
         series = aggregate_daily(block([ct(0, D(2021, 8, 1)), ct(1, D(2021, 8, 3))]), utc_offset_minutes=0)
         s = share(series, Category.ANTI_VACCINE)
-        assert s[1].share == 0.0 and s[1].empty
-        assert not s[0].empty
+        assert s.start == D(2021, 8, 1)
+        assert s.percent.tolist() == [100.0, 0.0, 100.0]
+        assert s.empty.tolist() == [False, True, False]
 
     def test_category_range(self):
         series = aggregate_daily(block([ct(0, D(2021, 8, 1))]), utc_offset_minutes=0)
@@ -270,18 +265,18 @@ class TestShare:
 class TestSmooth:
     def test_window_one_is_identity(self):
         s = shares_from([1, 5, 3])
-        assert smooth_shares(s, 1) == s
+        assert smooth_shares(s, 1).percent.tolist() == [1.0, 5.0, 3.0]
 
     def test_centered_average(self):
         s = shares_from([0, 6, 0])
         sm = smooth_shares(s, 3)
-        assert sm[1].share == pytest.approx(2.0)
+        assert sm.percent[1] == pytest.approx(2.0)
 
     def test_edges_shrink(self):
         s = shares_from([3, 6, 9, 12])
         sm = smooth_shares(s, 3)
-        assert sm[0].share == pytest.approx(4.5)  # mean of first two
-        assert sm[-1].share == pytest.approx(10.5)
+        assert sm.percent[0] == pytest.approx(4.5)  # mean of first two
+        assert sm.percent[-1] == pytest.approx(10.5)
 
     def test_even_window_rejected(self):
         with pytest.raises(DataValidationError, match="odd"):
@@ -290,7 +285,7 @@ class TestSmooth:
     def test_empty_flags_pass_through(self):
         s = shares_from([1, 0, 3], empty_at=(1,))
         sm = smooth_shares(s, 3)
-        assert [x.empty for x in sm] == [False, True, False]
+        assert sm.empty.tolist() == [False, True, False]
 
 
 class TestDetectPeaks:
@@ -407,12 +402,64 @@ class TestDetectPeaks:
 
     def test_validation(self):
         with pytest.raises(DataValidationError):
-            detect_peaks([], category=2)
+            detect_peaks(shares_from([]), category=2)
         s = shares_from([1, 2, 1])
         with pytest.raises(DataValidationError):
             detect_peaks(s, category=2, top_k=0)
         with pytest.raises(DataValidationError):
             detect_peaks(s, category=2, min_prominence=-1.0)
+        with pytest.raises(DataValidationError, match="finite"):
+            detect_peaks(s, category=2, min_prominence=float("nan"))
+
+
+EMPTY_DAY = [0, 0, 0, 0]
+# Small counts make equal shares on different days (plateaus); an empty day is all zeros.
+day_counts = st.one_of(
+    st.just(EMPTY_DAY),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.lists(st.integers(0, 60), min_size=4, max_size=4),
+)
+# Runs of one repeated day give plateaus, runs of empty days and constant series.
+count_rows = st.one_of(
+    st.lists(day_counts, min_size=1, max_size=40),
+    st.lists(st.tuples(day_counts, st.integers(1, 6)), min_size=1, max_size=8).map(
+        lambda runs: [row for row, repeat in runs for _ in range(repeat)]
+    ),
+)
+
+
+class TestAgainstLoopReference:
+    """The array stages return exactly what the per-day loops return."""
+
+    @settings(max_examples=400)
+    @given(
+        rows=count_rows,
+        category=st.integers(0, 3),
+        window=st.one_of(st.none(), st.sampled_from([1, 3, 5, 7, 9, 11])),
+        min_prominence=st.one_of(st.integers(0, 20).map(float), st.floats(0, 20)),
+        top_k=st.integers(1, 50),
+    )
+    @example(rows=[EMPTY_DAY] * 5, category=2, window=3, min_prominence=2.0, top_k=5)
+    @example(rows=[[1, 2, 3, 4]] * 5, category=2, window=None, min_prominence=2.0, top_k=5)
+    @example(rows=[[0, 0, 5, 5], EMPTY_DAY, [0, 0, 5, 5]], category=2, window=3,
+             min_prominence=0.0, top_k=5)
+    def test_shares_smoothing_and_peaks_equal(self, rows, category, window, min_prominence, top_k):
+        start = D(2021, 8, 1)
+        series = TimelineSeries(start, np.reshape(rows, (-1, 4)), utc_offset_minutes=0)
+        got = share(series, category)
+        want = reference.share(start, rows, category)
+        assert got.percent.tolist() == [s.share for s in want]
+        assert got.empty.tolist() == [s.empty for s in want]
+        if window is not None:
+            smoothed = reference.smooth_shares(want, window)
+            assert smooth_shares(got, window).percent.tolist() == [s.share for s in smoothed]
+        report = detect_peaks(got, category, min_prominence, top_k, window)
+        assert asdict(report) == asdict(
+            reference.detect_peaks(want, category, min_prominence, top_k, window)
+        )
+        # Python floats, so peaks.json rounds them the way round() does
+        assert {type(p.share) for p in report.local_maxima} == {float}
+        assert {type(p.prominence) for p in report.local_maxima} == {float}
 
 
 class TestPersistence:
