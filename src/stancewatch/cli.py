@@ -68,6 +68,7 @@ from .timeline import (
     Classified,
     aggregate_daily,
     check_peak_parameters,
+    check_utc_offset,
     classify_corpus,
     detect_peaks,
     read_classified,
@@ -335,6 +336,7 @@ def cmd_timeline(run: Run) -> None:
     config = run.config
     window = config.smoothing_window or None  # 0 keeps raw shares
     check_peak_parameters(config.min_prominence, config.top_k, window)
+    check_utc_offset(config.utc_offset_minutes)
     if config.classified_path:
         reused = run.input("classified", config.classified_path, "classified file", "--classified")
         with run.manifest.stage("read_classified"):
@@ -380,6 +382,7 @@ def cmd_timeline(run: Run) -> None:
 def cmd_gen_synthetic(run: Run, per_class, days, per_day, start_date, base_shares,
                       spike_days, spike_share, labeled_seed, corpus_seed) -> None:
     """Generate the bundled synthetic labeled set and spiked corpus."""
+    check_utc_offset(run.config.utc_offset_minutes)
     try:
         start = dt.date.fromisoformat(start_date)
         shares_vec = tuple(float(s) for s in base_shares.split(","))

@@ -40,6 +40,7 @@ EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 ONE_US = dt.timedelta(microseconds=1)  # (t - EPOCH) // ONE_US is t in microseconds
 US_PER_MINUTE = 60_000_000
 US_PER_DAY = 24 * 60 * US_PER_MINUTE
+MAX_UTC_OFFSET_MINUTES = 24 * 60
 
 
 class ClassifiedTweet(NamedTuple):
@@ -141,8 +142,17 @@ def local_day(created_at: dt.datetime, utc_offset_minutes: int) -> dt.date:
     return shifted.date()
 
 
+def check_utc_offset(utc_offset_minutes: int) -> None:
+    """Reject an offset of more than a day either way, which no timezone has."""
+    if abs(utc_offset_minutes) > MAX_UTC_OFFSET_MINUTES:
+        raise DataValidationError(
+            f"utc_offset_minutes must be within ±{MAX_UTC_OFFSET_MINUTES}, got {utc_offset_minutes}"
+        )
+
+
 def aggregate_daily(classified: Classified, utc_offset_minutes: int) -> TimelineSeries:
     """Bin by local calendar day and zero-fill between first and last day."""
+    check_utc_offset(utc_offset_minutes)
     if len(classified) == 0:
         raise DataValidationError("cannot aggregate an empty classification result")
     days = (classified.created_us + utc_offset_minutes * US_PER_MINUTE) // US_PER_DAY
@@ -293,14 +303,22 @@ def detect_peaks(
 
 
 def write_classified(classified: Classified, path: str | Path) -> int:
-    """Newline-delimited classification records; returns the record count."""
+    """Newline-delimited classification records; returns the record count.
+
+    Each line is byte-identical to ``json.dumps(record, sort_keys=True,
+    ensure_ascii=False)``, built from the sorted key order directly: the id
+    through ``json.dumps``, the finite probabilities through ``float.__repr__``
+    as json writes them, and the timestamp, which needs no escaping, as is.
+    """
     columns = (classified.ids, classified.created_us.tolist(), classified.predicted.tolist(),
                classified.proba.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for tid, us, predicted, proba in zip(*columns):
-            rec = {"id": tid, "created_at": format_timestamp(EPOCH + us * ONE_US),
-                   "predicted": predicted, "proba": proba}
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+        for tid, us, predicted, (p0, p1, p2, p3) in zip(*columns):
+            fh.write(
+                f'{{"created_at": "{format_timestamp(EPOCH + us * ONE_US)}", '
+                f'"id": {json.dumps(tid, ensure_ascii=False)}, "predicted": {predicted}, '
+                f'"proba": [{p0!r}, {p1!r}, {p2!r}, {p3!r}]}}\n'
+            )
     return len(classified)
 
 

@@ -14,8 +14,13 @@ order of the input texts.
 
 Encoding is greedy longest-match from the left within each pre-token. Case
 is preserved; text is NFC-normalized before pre-tokenization. Pre-tokens
-split on whitespace, and any character that is neither alphanumeric nor
-whitespace becomes its own pre-token.
+come from one regex: runs of alphanumeric characters (``str.isalnum``) are
+words, whitespace separates them, and any other character is a word of its
+own. ``encode`` stops matching words once it holds ``max_len - 2`` pieces.
+Each vocabulary memoises the piece ids of the words it has matched, bounded
+by ``WORD_CACHE_ENTRIES``; the memo holds only results of a pure function of
+the vocabulary, so it cannot change a result, and it takes no part in
+equality, hashing or ``content_hash``.
 
 Every character seen during building is seeded into the vocabulary in both
 its word-initial and its continuation form, which guarantees the greedy
@@ -25,11 +30,13 @@ matcher can always fall back to single characters before emitting ``[UNK]``.
 from __future__ import annotations
 
 import hashlib
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import DataValidationError, InputPathError
 
@@ -37,6 +44,9 @@ PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 CONTINUATION_PREFIX = "##"
+WORD_CACHE_ENTRIES = 1 << 16
+# In CPython's re, \w is str.isalnum() plus "_" and \S is "not str.isspace()".
+_PRE_TOKEN = re.compile(r"[^\W_]+|\S")
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    word_ids: Callable[[str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
@@ -59,6 +70,8 @@ class Vocabulary:
                 raise DataValidationError(f"duplicate token {tok!r} at ids {mapping[tok]} and {i}")
             mapping[tok] = i
         object.__setattr__(self, "token_to_id", mapping)
+        memo = lru_cache(maxsize=WORD_CACHE_ENTRIES)(partial(_greedy_ids, mapping))
+        object.__setattr__(self, "word_ids", memo)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -106,24 +119,7 @@ class Encoding:
 
 def pre_tokenize(text: str) -> list[str]:
     """NFC-normalize and split into words; punctuation is its own word."""
-    text = unicodedata.normalize("NFC", text)
-    words: list[str] = []
-    buf: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            if buf:
-                words.append("".join(buf))
-                buf = []
-        elif not ch.isalnum():
-            if buf:
-                words.append("".join(buf))
-                buf = []
-            words.append(ch)
-        else:
-            buf.append(ch)
-    if buf:
-        words.append("".join(buf))
-    return words
+    return _PRE_TOKEN.findall(unicodedata.normalize("NFC", text))
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
@@ -199,47 +195,50 @@ def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = 2) -> 
     return Vocabulary(tuple(tokens))
 
 
-def _greedy_pieces(vocab: Vocabulary, word: str) -> list[str]:
-    """Greedy longest-match pieces for one pre-token, or [UNK] on failure."""
-    pieces: list[str] = []
+def _greedy_ids(token_to_id: dict[str, int], word: str) -> tuple[int, ...]:
+    """Greedy longest-match piece ids for one pre-token, or (UNK_ID,) on failure."""
+    ids: list[int] = []
     start = 0
     while start < len(word):
         end = len(word)
-        found: str | None = None
+        found: int | None = None
         while start < end:
             cand = word[start:end]
             if start > 0:
                 cand = CONTINUATION_PREFIX + cand
-            if cand in vocab.token_to_id:
-                found = cand
+            found = token_to_id.get(cand)
+            if found is not None:
                 break
             end -= 1
         if found is None:
-            return [UNK_TOKEN]
-        pieces.append(found)
+            return (UNK_ID,)
+        ids.append(found)
         start = end
-    return pieces
+    return tuple(ids)
 
 
 def tokenize(vocab: Vocabulary, text: str) -> list[str]:
     """Full piece sequence for a text, without specials or truncation."""
-    pieces: list[str] = []
-    for word in pre_tokenize(text):
-        pieces.extend(_greedy_pieces(vocab, word))
-    return pieces
+    return [vocab.tokens[i] for word in pre_tokenize(text) for i in vocab.word_ids(word)]
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
     """Encode a text into exactly ``max_len`` ids with an attention mask.
 
-    Pieces beyond ``max_len - 2`` are dropped, then the sequence is wrapped
-    in ``[CLS]`` / ``[SEP]`` and padded with ``[PAD]``.
+    Words are matched only until ``max_len - 2`` pieces are held; pieces
+    beyond that are dropped, then the sequence is wrapped in ``[CLS]`` /
+    ``[SEP]`` and padded with ``[PAD]``.
     """
     if max_len < 2:
         raise DataValidationError(f"max_len must be at least 2, got {max_len}")
-    piece_ids = [vocab.token_to_id[p] for p in tokenize(vocab, text)]
-    piece_ids = piece_ids[: max_len - 2]
-    ids = [CLS_ID] + piece_ids + [SEP_ID]
+    budget = max_len - 2
+    ids = [CLS_ID]
+    for word in pre_tokenize(text):
+        if len(ids) > budget:
+            break
+        ids.extend(vocab.word_ids(word))
+    del ids[budget + 1:]
+    ids.append(SEP_ID)
     n_real = len(ids)
     ids.extend([PAD_ID] * (max_len - n_real))
     mask = [1] * n_real + [0] * (max_len - n_real)

@@ -133,6 +133,19 @@ class TestExitCodes:
         assert "smoothing window must be odd and >= 1, got 2" in result.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("offset", ["100000000000000", "153722867280", "6000000", "-1441"])
+    def test_utc_offset_beyond_a_day_is_3_before_any_stage(self, runner, tmp_path, offset):
+        """An offset no timezone has is rejected before anything is read, not as a traceback."""
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(generate_corpus(days=2, per_day=5, seed=1, spike_days=()), corpus)
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["timeline", "--corpus", str(corpus), "--out", str(out),
+                                      "--utc-offset-minutes", offset])
+        assert result.exit_code == 3, result.output
+        assert f"utc_offset_minutes must be within ±1440, got {offset}" in result.output
+        assert list(out.iterdir()) == []
+
 
 class TestOutputPaths:
     def test_out_naming_a_file_is_2(self, runner, tmp_path):
@@ -517,6 +530,16 @@ class TestGenSynthetic:
         result = runner.invoke(main, ["gen-synthetic", "--days", "3", "--spike-days", "9",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("offset", ["100000000000000", "6000000"])
+    def test_utc_offset_beyond_a_day_is_3(self, runner, tmp_path, offset):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["gen-synthetic", "--per-class", "2", "--days", "2",
+                                      "--per-day", "2", "--spike-days", "1", "--out", str(out),
+                                      "--set", f"utc_offset_minutes={offset}"])
+        assert result.exit_code == 3, result.output
+        assert f"utc_offset_minutes must be within ±1440, got {offset}" in result.output
+        assert list(out.iterdir()) == []
 
     def test_default_spikes_match_default_days(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import timeline_reference as reference
 from conftest import random_encodings
-from stancewatch.corpus import Category, Tweet
+from stancewatch.corpus import Category, Tweet, format_timestamp
 from stancewatch.encoder import EncoderConfig, init_params
 from stancewatch.errors import DataValidationError, InputPathError
 from stancewatch.timeline import (
@@ -206,6 +206,16 @@ class TestAggregateDaily:
     def test_empty_fatal(self):
         with pytest.raises(DataValidationError, match="empty"):
             aggregate_daily(block([]), utc_offset_minutes=0)
+
+    @pytest.mark.parametrize("offset", [24 * 60 + 1, -24 * 60 - 1, 6_000_000, 153722867280, 10**14])
+    def test_offset_beyond_a_day_fatal(self, offset):
+        with pytest.raises(DataValidationError, match="utc_offset_minutes must be within"):
+            aggregate_daily(block([ct(0, D(2021, 8, 1))]), utc_offset_minutes=offset)
+
+    def test_offset_of_a_day_either_way_allowed(self):
+        rows = block([ct(0, D(2021, 8, 1))])
+        assert aggregate_daily(rows, utc_offset_minutes=24 * 60).start == D(2021, 8, 2)
+        assert aggregate_daily(rows, utc_offset_minutes=-24 * 60).start == D(2021, 7, 31)
 
     def test_local_day_helper(self):
         t = dt.datetime(2021, 8, 1, 22, 30, tzinfo=UTC)
@@ -495,6 +505,30 @@ class TestPersistence:
         assert list(back) == list(rows)
         text = first.read_text(encoding="utf-8")
         assert '"1969-12-31T23:59:59.999999Z"' in text and '"2021-08-01T12:00:00.250000Z"' in text
+
+    @given(st.lists(st.text(min_size=1), min_size=1, max_size=8, unique=True),
+           st.lists(st.integers((dt.datetime(1, 1, 1, tzinfo=UTC) - EPOCH) // ONE_US,
+                                (dt.datetime(9999, 12, 31, tzinfo=UTC) - EPOCH) // ONE_US),
+                    min_size=8, max_size=8))
+    @example(ids=["ş日😀", 'say "no"', "a\\b\\", "\x00\x1f\x7f\n\t", "\u2028\u2029\ufeff", "x"],
+             stamps=[(dt.datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=UTC) - EPOCH) // ONE_US,
+                     (dt.datetime(1900, 1, 1, 0, 0, 0, 1, tzinfo=UTC) - EPOCH) // ONE_US,
+                     (dt.datetime(2021, 8, 1, 12, 0, 0, 250000, tzinfo=UTC) - EPOCH) // ONE_US,
+                     0, -1, 1, 0, 0])
+    def test_lines_equal_sorted_json_dumps(self, tmp_path_factory, ids, stamps):
+        rng = np.random.default_rng(len(ids))
+        proba = rng.dirichlet(np.ones(4), size=len(ids))
+        proba[0] = [1.0, 0.0, -0.0, 1e-300]
+        rows = Classified(tuple(ids), stamps[:len(ids)], proba.argmax(axis=1), proba)
+        p = tmp_path_factory.mktemp("classified") / "classified.jsonl"
+        write_classified(rows, p)
+        want = "".join(
+            json.dumps({"id": tid, "created_at": format_timestamp(EPOCH + int(us) * ONE_US),
+                        "predicted": int(pred), "proba": row.tolist()},
+                       sort_keys=True, ensure_ascii=False) + "\n"
+            for tid, us, pred, row in zip(rows.ids, rows.created_us, rows.predicted, rows.proba)
+        )
+        assert p.read_bytes() == want.encode("utf-8")
 
     def test_reader_names_line_of_bad_row(self, tmp_path):
         good = {"id": "a", "created_at": "2021-08-01T00:00:00Z", "predicted": 0,

@@ -1,9 +1,10 @@
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tokenizer_reference as reference
 from stancewatch.errors import DataValidationError, InputPathError
 from stancewatch.tokenizer import (
     CLS_ID,
@@ -11,6 +12,7 @@ from stancewatch.tokenizer import (
     SEP_ID,
     UNK_ID,
     UNK_TOKEN,
+    WORD_CACHE_ENTRIES,
     Encoding,
     Vocabulary,
     build_vocab,
@@ -207,3 +209,80 @@ class TestEncodeProperties:
         assert len(pieces) >= 0  # no crash; pieces all known or UNK
         for p in pieces:
             assert p in vocab or p == UNK_TOKEN
+
+
+# A vocabulary with multi-piece words, built once; most of st.text()'s
+# characters are unknown to it and become [UNK] words.
+ORACLE_VOCAB = build_vocab(["aşı aşılar karşı, bcı! aşılar abc"] * 3, max_size=40)
+oracle_texts = st.one_of(st.text(), st.text(alphabet="aşbcıklr ,!\t\n"))
+
+
+def assert_matches_reference(vocab: Vocabulary, text: str, max_len: int) -> None:
+    enc = encode(vocab, text, max_len)
+    assert (enc.ids, enc.mask, enc.n_real) == reference.encode(vocab.token_to_id, text, max_len)
+
+
+class TestReferenceOracle:
+    """The regex pre-tokenizer and the early-stopping, memoised encoder
+    against the loop versions they replaced (tests/tokenizer_reference.py)."""
+
+    @given(oracle_texts)
+    @example("aşı_oldum #tag @user 3.5 x² ½ Ⅻ ٣ e\u0301 \u00a0\u2028")
+    def test_pre_tokenize_matches_reference(self, text):
+        assert pre_tokenize(text) == reference.pre_tokenize(text)
+
+    @given(oracle_texts)
+    def test_encode_matches_reference(self, text):
+        assert tokenize(ORACLE_VOCAB, text) == reference.tokenize(ORACLE_VOCAB.token_to_id, text)
+        for max_len in (2, 3, 8, 64):
+            assert_matches_reference(ORACLE_VOCAB, text, max_len)
+
+    def test_cut_inside_multi_piece_word(self):
+        vocab = toy_vocab("a", "##b", "##c")
+        for max_len in range(2, 10):
+            assert_matches_reference(vocab, "ab abc ab", max_len)
+        # budget 3: a ##b | a ##b ##c -> the second word is cut after its first piece
+        assert encode(vocab, "ab abc ab", max_len=5).ids == (CLS_ID, 4, 5, 4, SEP_ID)
+
+    def test_unk_words(self):
+        vocab = toy_vocab("a", "##b")
+        for max_len in range(2, 8):
+            assert_matches_reference(vocab, "q ab abq ✓ ab", max_len)
+        assert encode(vocab, "q ab", max_len=4).ids == (CLS_ID, UNK_ID, 4, SEP_ID)
+
+    @pytest.mark.parametrize("text", ["", " ", "  \t\n", "　 ", "\r\n\x1c"])
+    def test_empty_or_whitespace_only(self, text):
+        for max_len in (2, 3, 8):
+            assert_matches_reference(ORACLE_VOCAB, text, max_len)
+            assert encode(ORACLE_VOCAB, text, max_len).n_real == 2
+
+    def test_every_single_code_point(self):
+        mismatches = [
+            c for c in range(0x110000)
+            if not 0xD800 <= c <= 0xDFFF and pre_tokenize(chr(c)) != reference.pre_tokenize(chr(c))
+        ]
+        assert mismatches == []
+
+
+class TestWordMemo:
+    def test_memo_stays_bounded_and_exact(self):
+        vocab = toy_vocab("w", "w1", *("##" + d for d in "0123456789"))
+        words = [f"w{i}" for i in range(WORD_CACHE_ENTRIES + 100)]
+        for i in range(0, len(words), 500):
+            tokenize(vocab, " ".join(words[i:i + 500]))
+        info = vocab.word_ids.cache_info()
+        assert info.misses == len(words)
+        assert info.currsize <= WORD_CACHE_ENTRIES
+        # the earliest words were evicted; they and the latest still encode exactly
+        for text in (" ".join(words[:40]), " ".join(words[-40:])):
+            assert tokenize(vocab, text) == reference.tokenize(vocab.token_to_id, text)
+            for max_len in (2, 3, 8, 64):
+                assert_matches_reference(vocab, text, max_len)
+
+    def test_memo_takes_no_part_in_equality(self):
+        warm, cold = toy_vocab("a", "##b"), toy_vocab("a", "##b")
+        encode(warm, "ab ab q", max_len=8)
+        assert warm.word_ids.cache_info().currsize == 2
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm.content_hash() == cold.content_hash()
+        assert warm != toy_vocab("a", "##c")
