@@ -257,7 +257,9 @@ def cmd_build_vocab(run: Run) -> None:
 def cmd_train(run: Run) -> None:
     """Split the labeled set and fine-tune the encoder on the train half."""
     config = run.config
+    training = train_config(config)
     vocab = run.vocab()
+    model_config = encoder_config(config, len(vocab))
     ckpt_path = run.output(config.checkpoint_path, "model.ckpt")
     trace_path = run.output("", "train_trace.txt")
     split_path = run.output("", "split_manifest.json")
@@ -265,7 +267,7 @@ def cmd_train(run: Run) -> None:
     write_split_manifest(split, split_path)
     run.say(f"training on {len(split.train)} examples, testing on {len(split.test)}")
     with run.manifest.stage("train"):
-        trace = run_training(split, vocab, encoder_config(config, len(vocab)), train_config(config))
+        trace = run_training(split, vocab, model_config, training)
     with run.manifest.stage("save"):
         save_checkpoint(trace.params, ckpt_path)
         write_trace(trace, trace_path)

@@ -10,9 +10,11 @@ The computation is the original post-layer-norm ordering:
     pooled = tanh(pooler . h[CLS] + b)
     logits = classifier . pooled + b
 
-GELU uses the exact Gaussian CDF form, x * 0.5 * (1 + erf(x / sqrt(2))).
-Dropout (embedding output, attention output, feed-forward output) runs only
-in train mode, with seeded masks, so inference and gradient checks are
+GELU uses the exact Gaussian CDF form, x * 0.5 * (1 + erf(x / sqrt(2))),
+with one erf per value: a training forward keeps the CDF for the backward
+pass, whose GELU derivative then needs only the density's exp. Dropout
+(embedding output, attention output, feed-forward output) runs only in
+train mode, with seeded masks, so inference and gradient checks are
 deterministic. The additive mask constant is -1e9 rather than -inf so no
 NaN can propagate through the softmax.
 
@@ -22,9 +24,12 @@ that holds it, capped at ``max_len``. Trimming drops only padding, and
 padding cannot move the result: exp(-1e9) is exactly 0.0 in float64, so a
 padded key gets exactly zero attention weight, and a padded query feeds
 nothing but its own row, which the [CLS] output never reads. A different
-width changes only the order of float summation. Dropout masks are drawn
-at ``max_len`` and sliced, so a trimmed train-mode batch sees the same
-masks at its real positions as the full-width one. The head computes each
+width changes only the order of float summation. A dropout mask row is
+drawn at the batch's width and the generator then skips the draws of the
+positions past it up to ``max_len``, so a trimmed train-mode batch sees
+the same masks at its real positions as the full-width one. Attention
+scores, softmax and layernorm work in place on their temporaries, taking
+the same float steps as the allocating forms. The head computes each
 row as its own one-row product, so a row's logits do not depend on how
 many rows share its batch.
 
@@ -254,25 +259,45 @@ def init_params(
     return ModelParams(config, tensors, vocab_hash=vocab_hash, init_seed=seed)
 
 
+def gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) = x * Phi(x) and the Gaussian CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2))
+    it scales by, from one erf per value. Scaling by 0.5 is exact, so x * Phi(x)
+    rounds as x * 0.5 * (1 + erf(...)) does."""
+    cdf = erf(x / np.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return gelu_and_cdf(x)[0]
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return cdf + x * pdf
+def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+    """Phi(x) + x * phi(x). ``cdf`` is Phi(x) as ``gelu_and_cdf`` returned it;
+    with it, only the pdf's exp is computed here."""
+    if cdf is None:
+        cdf = gelu_and_cdf(x)[1]
+    pdf = np.exp(-0.5 * x * x)
+    pdf /= np.sqrt(2.0 * np.pi)
+    pdf *= x
+    pdf += cdf
+    return pdf
 
 
 def _layernorm_forward(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize over the last axis. Returns (y, xhat, inv_std) for backprop."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, xhat, inv
+    """Normalize over the last axis. Returns (y, xhat, inv_std) for backprop.
+
+    The variance is the mean of the squared centred values, the steps
+    ``x.var`` takes, so centring once gives the same bytes."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
 
 
 def _layernorm_backward(
@@ -292,9 +317,11 @@ def _layernorm_backward(
 
 
 def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``x``, which it returns."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def bucket_len(n_real: int, max_len: int) -> int:
@@ -327,11 +354,17 @@ def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarra
 
 
 def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, width: int) -> np.ndarray:
-    # Inverted dropout: surviving activations are scaled by 1 / keep. The
-    # draw covers max_len positions whatever the width, so a trimmed batch
-    # gets the full-width masks at its positions.
-    draw = rng.random((batch, cfg.max_len, cfg.d_model))[:, :width]
-    return (draw >= cfg.dropout_rate).astype(np.float64) / (1.0 - cfg.dropout_rate)
+    # Inverted dropout: surviving activations are scaled by 1 / keep. Each
+    # row consumes max_len * d_model draws whatever the width: its first
+    # width * d_model fill the row and the generator skips the rest (PCG64
+    # spends one 64-bit output per float64), so a trimmed batch gets the
+    # full-width masks at its positions.
+    draw = np.empty((batch, width, cfg.d_model))
+    skip = (cfg.max_len - width) * cfg.d_model
+    for row in draw:
+        rng.random(out=row)
+        rng.bit_generator.advance(skip)
+    return np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0)
 
 
 def forward_with_cache(
@@ -367,7 +400,7 @@ def forward_with_cache(
     emb_drop = None
     if dropping:
         emb_drop = _dropout_mask(rng, cfg, B, T)
-        h = h * emb_drop
+        h *= emb_drop
 
     cache: dict | None = None
     if need_cache:
@@ -386,26 +419,33 @@ def forward_with_cache(
         q = (h @ layer["wq"] + layer["bq"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
         k = (h @ layer["wk"] + layer["bk"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
         v = (h @ layer["wv"] + layer["bv"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + addmask
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += addmask
         probs = _softmax_lastaxis(scores)
         ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
-        attn = ctx @ layer["wo"] + layer["bo"]
+        attn = ctx @ layer["wo"]
+        attn += layer["bo"]
         attn_drop = None
         if dropping:
             attn_drop = _dropout_mask(rng, cfg, B, T)
-            attn = attn * attn_drop
+            attn *= attn_drop
+        attn += h_in
         h1, ln1_xhat, ln1_inv = _layernorm_forward(
-            h_in + attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
+            attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
         )
-        u = h1 @ layer["w1"] + layer["b1"]
-        gu = gelu(u)
-        f = gu @ layer["w2"] + layer["b2"]
+        u = h1 @ layer["w1"]
+        u += layer["b1"]
+        gu, cdf = gelu_and_cdf(u)
+        f = gu @ layer["w2"]
+        f += layer["b2"]
         ffn_drop = None
         if dropping:
             ffn_drop = _dropout_mask(rng, cfg, B, T)
-            f = f * ffn_drop
+            f *= ffn_drop
+        f += h1
         h, ln2_xhat, ln2_inv = _layernorm_forward(
-            h1 + f, layer["ln2_gain"], layer["ln2_bias"], cfg.layer_norm_eps
+            f, layer["ln2_gain"], layer["ln2_bias"], cfg.layer_norm_eps
         )
         if need_cache:
             cache["layers"].append(
@@ -417,7 +457,7 @@ def forward_with_cache(
                     "attn_drop": attn_drop,
                     "ln1_xhat": ln1_xhat, "ln1_inv": ln1_inv,
                     "h1": h1,
-                    "u": u, "gu": gu,
+                    "u": u, "cdf": cdf, "gu": gu,
                     "ffn_drop": ffn_drop,
                     "ln2_xhat": ln2_xhat, "ln2_inv": ln2_inv,
                 }
@@ -474,14 +514,14 @@ def backward_from_logits(
         dr2, g["ln2_gain"][...], g["ln2_bias"][...] = _layernorm_backward(
             dh, lc["ln2_xhat"], lc["ln2_inv"], layer["ln2_gain"]
         )
-        dh1 = dr2.copy()
-        df = dr2
+        dh1 = df = dr2
         if lc["ffn_drop"] is not None:
             df = df * lc["ffn_drop"]
         gu = lc["gu"]
         g["w2"][...] = gu.reshape(-1, cfg.d_ff).T @ df.reshape(-1, d)
         g["b2"][...] = df.sum(axis=(0, 1))
-        du = (df @ layer["w2"].T) * gelu_grad(lc["u"])
+        du = df @ layer["w2"].T
+        du *= gelu_grad(lc["u"], lc["cdf"])
         h1 = lc["h1"]
         g["w1"][...] = h1.reshape(-1, d).T @ du.reshape(-1, cfg.d_ff)
         g["b1"][...] = du.sum(axis=(0, 1))
@@ -490,8 +530,7 @@ def backward_from_logits(
         dr1, g["ln1_gain"][...], g["ln1_bias"][...] = _layernorm_backward(
             dh1, lc["ln1_xhat"], lc["ln1_inv"], layer["ln1_gain"]
         )
-        dh_prev = dr1.copy()
-        dattn = dr1
+        dh_prev = dattn = dr1
         if lc["attn_drop"] is not None:
             dattn = dattn * lc["attn_drop"]
         ctx = lc["ctx"]
@@ -527,8 +566,9 @@ def backward_from_logits(
 
 
 def predict_proba(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; rows sum to 1."""
-    return _softmax_lastaxis(np.asarray(logits, dtype=np.float64))
+    """Row-wise softmax with max subtraction; rows sum to 1. ``logits`` is
+    left as it is."""
+    return _softmax_lastaxis(np.array(logits, dtype=np.float64))
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -13,6 +13,7 @@ does not depend on how many batches an epoch happens to have.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,11 @@ from .tokenizer import Encoding, Vocabulary, encode
 # parameter buffer from here on.
 HEAD_START = "pooler_w"
 
+# Values per block of the Adam update: each block's slices of the gradient,
+# the parameters, both moments and two scratch arrays stay in cache while
+# the update's passes run over them.
+ADAM_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -52,8 +58,8 @@ class TrainConfig:
     head_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise DataValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise DataValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise DataValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -62,13 +68,13 @@ class TrainConfig:
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise DataValidationError(f"{name} must be in [0, 1), got {b}")
-        if self.adam_eps <= 0:
-            raise DataValidationError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise DataValidationError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         if self.class_weights is not None:
             if len(self.class_weights) != 4:
                 raise DataValidationError("class_weights must have exactly 4 entries")
-            if any(w < 0 for w in self.class_weights):
-                raise DataValidationError("class_weights must be non-negative")
+            if not all(math.isfinite(w) and w >= 0 for w in self.class_weights):
+                raise DataValidationError(f"class_weights must be finite and non-negative, got {self.class_weights}")
             object.__setattr__(self, "class_weights", tuple(float(w) for w in self.class_weights))
 
 
@@ -193,13 +199,28 @@ def adam_step(
     bc2 = 1.0 - b2**state.t
     lo = params.tensors.flat.size - grads.flat.size
     g, theta, m, v = grads.flat, params.tensors.flat[lo:], state.m.flat[lo:], state.v.flat[lo:]
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * (g * g)
-    mhat = m / bc1
-    vhat = v / bc2
-    theta -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+    # The whole-buffer update (m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    # theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps)), one block at a time with
+    # the same operations in the same order, so every value rounds as before.
+    scratch = np.empty((2, min(ADAM_BLOCK, g.size)))
+    for start in range(0, g.size, ADAM_BLOCK):
+        blk = slice(start, start + ADAM_BLOCK)
+        gb, mb, vb, tb = g[blk], m[blk], v[blk], theta[blk]
+        a, b = scratch[:, : gb.size]
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=a)
+        mb += a
+        vb *= b2
+        np.multiply(gb, gb, out=a)
+        a *= 1.0 - b2
+        vb += a
+        np.divide(mb, bc1, out=a)
+        a *= config.learning_rate
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += config.adam_eps
+        a /= b
+        tb -= a
 
 
 def _epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
@@ -252,6 +273,12 @@ def train(
             hit += int((logits.argmax(axis=1) == batch_labels).sum())
         epoch_losses.append(loss_sum / n)
         epoch_accuracies.append(hit / n)
+    # Every step checks its loss and gradients, but nothing after the last
+    # update reads the weights; a checkpoint stores them as float32.
+    with np.errstate(over="ignore"):
+        bad = TensorBuffer(params.tensors.spec, params.tensors.flat.astype(np.float32)).first_nonfinite()
+    if bad is not None:
+        raise NumericalError(f"training left a weight in tensor {bad} that float32 cannot hold")
     return TrainTrace(epoch_losses=epoch_losses, epoch_accuracies=epoch_accuracies, params=params)
 
 

@@ -341,6 +341,35 @@ class TestTrain:
         assert not (got.tensors["classifier_w"]
                     == fresh.tensors["classifier_w"].astype("float32")).all()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"),
+        ("--set", "adam_eps=nan"), ("--set", "class_weights=1,nan,1,1"),
+    ])
+    def test_nonfinite_setting_is_3_before_any_stage(self, runner, tmp_path, flag, value):
+        """Rejected before the vocabulary or the (missing) labeled file is read."""
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["train", "--labeled", str(tmp_path / "nope.jsonl"),
+                                      "--out", str(out), flag, value])
+        assert result.exit_code == 3, result.output
+        assert "finite" in result.output
+        assert list(out.iterdir()) == []
+
+    def test_weights_beyond_float32_are_4_and_leave_no_checkpoint(self, runner, tmp_path):
+        """lr 1e300 leaves float64 weights near 1e300 after one step; stored
+        as float32 they would be infinite."""
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=5), labeled)
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
+        result = runner.invoke(main, ["train", "--labeled", str(labeled), "--out", str(out),
+                                      *FAST_TRAIN, "--lr", "1e300", "--epochs", "1",
+                                      "--batch-size", "1000"])
+        assert result.exit_code == 4, result.output
+        assert "float32" in result.output
+        assert not (out / "model.ckpt").exists()
+        assert not (out / "manifest_train.json").exists()
+
 
 class TestEvaluate:
     def test_outputs(self, runner, workspace):

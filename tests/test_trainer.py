@@ -79,6 +79,11 @@ class TestTrainConfig:
             dict(adam_eps=0.0),
             dict(class_weights=(1.0, 1.0, 1.0)),
             dict(class_weights=(1.0, -1.0, 1.0, 1.0)),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(adam_eps=float("nan")),
+            dict(class_weights=(1.0, float("nan"), 1.0, 1.0)),
+            dict(class_weights=(1.0, 1.0, float("inf"), 1.0)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
