@@ -99,7 +99,7 @@ def parse_timestamp(raw: str) -> datetime:
     """Parse a timestamp of the `_TIMESTAMP` forms and normalize it to UTC.
 
     A trailing ``Z`` is accepted; naive timestamps are taken as UTC.
-    Raises ValueError for any other input.
+    Raises ValueError for any other input or a UTC time outside the years 1-9999.
     """
     s = raw.strip()
     m = _TIMESTAMP.fullmatch(s)
@@ -113,7 +113,10 @@ def parse_timestamp(raw: str) -> datetime:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp falls outside the years 1-9999 in UTC: {raw!r}") from None
 
 
 def format_timestamp(dt: datetime) -> str:

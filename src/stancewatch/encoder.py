@@ -4,11 +4,18 @@ The computation is the original post-layer-norm ordering:
 
     h0 = LayerNorm(tok_emb + pos_emb + seg_emb)
     per layer:  a  = MultiHeadAttention(h)             (additive -1e9 pad mask)
-                h  = LayerNorm(h + dropout(a))
+                h  = LayerNorm(h + dropout(a))         (add-and-norm)
                 f  = W2 . gelu(W1 . h + b1) + b2
-                h  = LayerNorm(h + dropout(f))
+                h  = LayerNorm(h + dropout(f))         (add-and-norm)
     pooled = tanh(pooler . h[CLS] + b)
     logits = classifier . pooled + b
+
+Attention, the feed-forward and add-and-norm are each a pair of functions,
+``_attention_*``, ``_ffn_*`` and ``_add_and_norm*``. Each forward returns
+its output and a tuple of what its backward reads; the cache is those
+tuples, (attention, norm1, ffn, norm2) per layer, between the embedding's
+arrays and the head's. Each backward writes its parameters' gradients and
+adds its input gradient into the residual's in place.
 
 GELU uses the exact Gaussian CDF form, x * 0.5 * (1 + erf(x / sqrt(2))),
 with one erf per value: a training forward keeps the CDF for the backward
@@ -16,7 +23,10 @@ pass, whose GELU derivative then needs only the density's exp. Dropout
 (embedding output, attention output, feed-forward output) runs only in
 train mode, with seeded masks, so inference and gradient checks are
 deterministic. The additive mask constant is -1e9 rather than -inf so no
-NaN can propagate through the softmax.
+NaN can propagate through the softmax. ``layer*.bk`` has an analytically
+zero gradient (q . bk is one constant across a row of scores, which the
+softmax cancels), so training moves it only by rounding noise: it is the
+first tensor to differ in byte comparisons between two correct versions.
 
 Encodings are ``max_len`` long, but ``collate`` trims a batch to
 ``bucket_len`` of its longest member: the smallest multiple of ``BUCKET``
@@ -170,11 +180,11 @@ class TensorBuffer(Mapping[str, np.ndarray]):
         rest = self.spec[list(self._views).index(name) :]
         return TensorBuffer(rest, self.flat[self.flat.size - sum(math.prod(s) for _, s in rest) :])
 
-    def first_nonfinite(self) -> str | None:
-        """Name of the first tensor holding a NaN or an infinity, if any."""
-        if np.isfinite(self.flat).all():
-            return None
-        return next(name for name, arr in self.items() if not np.isfinite(arr).all())
+    def check_finite(self, what: str) -> None:
+        """Raise NumericalError naming the first tensor that holds a NaN or an infinity."""
+        if not np.isfinite(self.flat).all():
+            bad = next(name for name, arr in self.items() if not np.isfinite(arr).all())
+            raise NumericalError(f"{what} in tensor {bad}")
 
 
 @dataclass
@@ -367,6 +377,87 @@ def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, widt
     return np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0)
 
 
+def _attention_forward(h: np.ndarray, addmask: np.ndarray, layer: dict, n_heads: int) -> tuple:
+    """Multi-head self-attention through the output projection, and (h, q, k, v, probs, ctx)."""
+    B, T, d = h.shape
+    q, k, v = (
+        (h @ layer["w" + n] + layer["b" + n]).reshape(B, T, n_heads, -1).transpose(0, 2, 1, 3)
+        for n in "qkv"
+    )
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores += addmask
+    probs = _softmax_lastaxis(scores)
+    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
+    attn = ctx @ layer["wo"]
+    attn += layer["bo"]
+    return attn, (h, q, k, v, probs, ctx)
+
+
+def _attention_backward(dattn: np.ndarray, dh: np.ndarray, saved: tuple, layer: dict, g: dict) -> None:
+    """Writes its parameter gradients into ``g``, adds its input gradient into ``dh`` (q, k, v)."""
+    h, q, k, v, probs, ctx = saved
+    B, n_heads, T, d_head = q.shape
+    d = n_heads * d_head
+    g["wo"][...] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
+    g["bo"][...] = dattn.sum(axis=(0, 1))
+    dctx = (dattn @ layer["wo"].T).reshape(B, T, n_heads, d_head).transpose(0, 2, 1, 3)
+    dprobs = dctx @ v.transpose(0, 1, 3, 2)
+    dv = probs.transpose(0, 1, 3, 2) @ dctx
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    scale = 1.0 / np.sqrt(d_head)
+    dq = dscores @ k * scale
+    dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+    h_flat = h.reshape(-1, d)
+    for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
+        dmat = dproj.transpose(0, 2, 1, 3).reshape(B * T, d)
+        g["w" + name][...] = h_flat.T @ dmat
+        g["b" + name][...] = dmat.sum(axis=0)
+        dh += (dmat @ layer["w" + name].T).reshape(B, T, d)
+
+
+def _ffn_forward(h: np.ndarray, layer: dict) -> tuple:
+    """W2 . gelu(W1 . h + b1) + b2, and (h, u, cdf, gu)."""
+    u = h @ layer["w1"]
+    u += layer["b1"]
+    gu, cdf = gelu_and_cdf(u)
+    f = gu @ layer["w2"]
+    f += layer["b2"]
+    return f, (h, u, cdf, gu)
+
+
+def _ffn_backward(df: np.ndarray, dh: np.ndarray, saved: tuple, layer: dict, g: dict) -> None:
+    """Writes its parameter gradients into ``g`` and adds its input gradient into ``dh``."""
+    h, u, cdf, gu = saved
+    d, d_ff = layer["w1"].shape
+    g["w2"][...] = gu.reshape(-1, d_ff).T @ df.reshape(-1, d)
+    g["b2"][...] = df.sum(axis=(0, 1))
+    du = df @ layer["w2"].T
+    du *= gelu_grad(u, cdf)
+    g["w1"][...] = h.reshape(-1, d).T @ du.reshape(-1, d_ff)
+    g["b1"][...] = du.sum(axis=(0, 1))
+    dh += du @ layer["w1"].T
+
+
+def _add_and_norm(h, branch, drop, gain, bias, eps) -> tuple:
+    """LayerNorm(h + dropout(branch)), summed in place in ``branch``, and (drop,
+    xhat, inv); ``drop`` is the dropout mask, None outside training."""
+    if drop is not None:
+        branch *= drop
+    branch += h
+    y, xhat, inv = _layernorm_forward(branch, gain, bias, eps)
+    return y, (drop, xhat, inv)
+
+
+def _add_and_norm_backward(dy, saved, gain, dgain, dbias) -> tuple[np.ndarray, np.ndarray]:
+    """(d h, d branch); writes the layer norm's gradients into ``dgain`` and
+    ``dbias``. Without dropout both are one array, so a branch's backward
+    reads all of its gradient before it adds into the residual's."""
+    drop, xhat, inv = saved
+    dh, dgain[...], dbias[...] = _layernorm_backward(dy, xhat, inv, gain)
+    return dh, dh if drop is None else dh * drop
+
+
 def forward_with_cache(
     params: ModelParams,
     ids: np.ndarray,
@@ -374,7 +465,7 @@ def forward_with_cache(
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
     need_cache: bool = False,
-) -> tuple[np.ndarray, dict | None]:
+) -> tuple[np.ndarray, tuple | None]:
     """Run the encoder on collated arrays; optionally keep activations.
 
     The cache holds everything the backward pass needs. Dropout masks are
@@ -384,94 +475,40 @@ def forward_with_cache(
     cfg = params.config
     B, T = ids.shape
     dropping = train_mode and cfg.dropout_rate > 0.0
-    rng: np.random.Generator | None = None
-    if dropping:
-        if dropout_seed is None:
-            raise DataValidationError("train-mode forward requires an explicit dropout seed")
-        rng = np.random.default_rng(dropout_seed)
+    if dropping and dropout_seed is None:
+        raise DataValidationError("train-mode forward requires an explicit dropout seed")
+    rng = np.random.default_rng(dropout_seed) if dropping else None
+
+    def dropout() -> np.ndarray | None:
+        return None if rng is None else _dropout_mask(rng, cfg, B, T)
 
     addmask = ((1.0 - mask) * MASK_ADDEND)[:, None, None, :]  # (B,1,1,T)
 
-    p = params.tensors
+    p, eps = params.tensors, cfg.layer_norm_eps
     x = p["tok_emb"][ids] + p["pos_emb"][None, :T, :] + p["seg_emb"][0]
-    h, emb_xhat, emb_inv = _layernorm_forward(
-        x, p["emb_ln_gain"], p["emb_ln_bias"], cfg.layer_norm_eps
-    )
-    emb_drop = None
-    if dropping:
-        emb_drop = _dropout_mask(rng, cfg, B, T)
+    h, emb_xhat, emb_inv = _layernorm_forward(x, p["emb_ln_gain"], p["emb_ln_bias"], eps)
+    emb_drop = dropout()
+    if emb_drop is not None:
         h *= emb_drop
 
-    cache: dict | None = None
-    if need_cache:
-        cache = {
-            "ids": ids,
-            "emb_xhat": emb_xhat,
-            "emb_inv": emb_inv,
-            "emb_drop": emb_drop,
-            "layers": [],
-        }
-
-    scale = 1.0 / np.sqrt(cfg.d_head)
+    layers = []
     for i in range(cfg.n_layers):
         layer = _layer(p, i)
-        h_in = h
-        q = (h @ layer["wq"] + layer["bq"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        k = (h @ layer["wk"] + layer["bk"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        v = (h @ layer["wv"] + layer["bv"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= scale
-        scores += addmask
-        probs = _softmax_lastaxis(scores)
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
-        attn = ctx @ layer["wo"]
-        attn += layer["bo"]
-        attn_drop = None
-        if dropping:
-            attn_drop = _dropout_mask(rng, cfg, B, T)
-            attn *= attn_drop
-        attn += h_in
-        h1, ln1_xhat, ln1_inv = _layernorm_forward(
-            attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
-        )
-        u = h1 @ layer["w1"]
-        u += layer["b1"]
-        gu, cdf = gelu_and_cdf(u)
-        f = gu @ layer["w2"]
-        f += layer["b2"]
-        ffn_drop = None
-        if dropping:
-            ffn_drop = _dropout_mask(rng, cfg, B, T)
-            f *= ffn_drop
-        f += h1
-        h, ln2_xhat, ln2_inv = _layernorm_forward(
-            f, layer["ln2_gain"], layer["ln2_bias"], cfg.layer_norm_eps
-        )
+        attn, attention = _attention_forward(h, addmask, layer, cfg.n_heads)
+        h1, norm1 = _add_and_norm(h, attn, dropout(), layer["ln1_gain"], layer["ln1_bias"], eps)
+        f, ffn = _ffn_forward(h1, layer)
+        h, norm2 = _add_and_norm(h1, f, dropout(), layer["ln2_gain"], layer["ln2_bias"], eps)
         if need_cache:
-            cache["layers"].append(
-                {
-                    "h_in": h_in,
-                    "q": q, "k": k, "v": v,
-                    "probs": probs,
-                    "ctx": ctx,
-                    "attn_drop": attn_drop,
-                    "ln1_xhat": ln1_xhat, "ln1_inv": ln1_inv,
-                    "h1": h1,
-                    "u": u, "cdf": cdf, "gu": gu,
-                    "ffn_drop": ffn_drop,
-                    "ln2_xhat": ln2_xhat, "ln2_inv": ln2_inv,
-                }
-            )
+            layers.append((attention, norm1, ffn, norm2))
+        # Free this layer's arrays before the next layer allocates its own.
+        del attn, attention, h1, norm1, f, ffn, norm2
 
     # One-row products per batch entry: a 2-D product would switch BLAS
     # kernels with the row count and so round a lone row differently.
     pooled = np.tanh((h[:, :1, :] @ p["pooler_w"])[:, 0] + p["pooler_b"])
     logits = (pooled[:, None, :] @ p["classifier_w"].T)[:, 0] + p["classifier_b"]
-    if need_cache:
-        cache["h_cls"] = h[:, 0, :]
-        cache["pooled"] = pooled
-        cache["h_last_shape"] = h.shape
-    return logits, cache
+    cache = ((ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled))
+    return logits, cache if need_cache else None
 
 
 def forward(
@@ -486,81 +523,37 @@ def forward(
     return logits
 
 
-def backward_from_logits(
-    params: ModelParams, cache: dict, dlogits: np.ndarray
-) -> TensorBuffer:
+def backward_from_logits(params: ModelParams, cache: tuple, dlogits: np.ndarray) -> TensorBuffer:
     """Exact gradients of every parameter tensor given d(loss)/d(logits),
     in the parameters' buffer layout."""
-    cfg = params.config
-    B, T, d = cache["h_last_shape"]
     p = params.tensors
     grads = p.zeros_like()
+    (ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled) = cache
 
-    pooled = cache["pooled"]
     grads["classifier_w"][...] = dlogits.T @ pooled
     grads["classifier_b"][...] = dlogits.sum(axis=0)
     dpooled = dlogits @ p["classifier_w"]
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
-    grads["pooler_w"][...] = cache["h_cls"].T @ dpooled_pre
+    grads["pooler_w"][...] = h[:, 0, :].T @ dpooled_pre
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
-    dh = np.zeros((B, T, d), dtype=np.float64)
+    dh = np.zeros(h.shape, dtype=np.float64)
     dh[:, 0, :] = dpooled_pre @ p["pooler_w"].T
 
-    scale = 1.0 / np.sqrt(cfg.d_head)
-    for i in range(cfg.n_layers - 1, -1, -1):
+    for i in reversed(range(len(layers))):
         layer, g = _layer(p, i), _layer(grads, i)
-        lc = cache["layers"][i]
+        attention, norm1, ffn, norm2 = layers[i]
+        dh1, df = _add_and_norm_backward(dh, norm2, layer["ln2_gain"], g["ln2_gain"], g["ln2_bias"])
+        _ffn_backward(df, dh1, ffn, layer, g)
+        dh, dattn = _add_and_norm_backward(dh1, norm1, layer["ln1_gain"], g["ln1_gain"], g["ln1_bias"])
+        _attention_backward(dattn, dh, attention, layer, g)
 
-        dr2, g["ln2_gain"][...], g["ln2_bias"][...] = _layernorm_backward(
-            dh, lc["ln2_xhat"], lc["ln2_inv"], layer["ln2_gain"]
-        )
-        dh1 = df = dr2
-        if lc["ffn_drop"] is not None:
-            df = df * lc["ffn_drop"]
-        gu = lc["gu"]
-        g["w2"][...] = gu.reshape(-1, cfg.d_ff).T @ df.reshape(-1, d)
-        g["b2"][...] = df.sum(axis=(0, 1))
-        du = df @ layer["w2"].T
-        du *= gelu_grad(lc["u"], lc["cdf"])
-        h1 = lc["h1"]
-        g["w1"][...] = h1.reshape(-1, d).T @ du.reshape(-1, cfg.d_ff)
-        g["b1"][...] = du.sum(axis=(0, 1))
-        dh1 += du @ layer["w1"].T
-
-        dr1, g["ln1_gain"][...], g["ln1_bias"][...] = _layernorm_backward(
-            dh1, lc["ln1_xhat"], lc["ln1_inv"], layer["ln1_gain"]
-        )
-        dh_prev = dattn = dr1
-        if lc["attn_drop"] is not None:
-            dattn = dattn * lc["attn_drop"]
-        ctx = lc["ctx"]
-        g["wo"][...] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
-        g["bo"][...] = dattn.sum(axis=(0, 1))
-        dctx = (dattn @ layer["wo"].T).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
-
-        probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
-        dprobs = dctx @ v.transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = dscores @ k * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-
-        h_in = lc["h_in"]
-        h_flat = h_in.reshape(-1, d)
-        for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
-            dmat = dproj.transpose(0, 2, 1, 3).reshape(B * T, d)
-            g["w" + name][...] = h_flat.T @ dmat
-            g["b" + name][...] = dmat.sum(axis=0)
-            dh_prev += (dmat @ layer["w" + name].T).reshape(B, T, d)
-        dh = dh_prev
-
-    if cache["emb_drop"] is not None:
-        dh = dh * cache["emb_drop"]
+    if emb_drop is not None:
+        dh = dh * emb_drop
     dx, grads["emb_ln_gain"][...], grads["emb_ln_bias"][...] = _layernorm_backward(
-        dh, cache["emb_xhat"], cache["emb_inv"], p["emb_ln_gain"]
+        dh, emb_xhat, emb_inv, p["emb_ln_gain"]
     )
-    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), dx.reshape(-1, d))
-    grads["pos_emb"][:T] = dx.sum(axis=0)
+    np.add.at(grads["tok_emb"], ids.reshape(-1), dx.reshape(ids.size, -1))
+    grads["pos_emb"][: ids.shape[1]] = dx.sum(axis=0)
     grads["seg_emb"][0] = dx.sum(axis=(0, 1))
     return grads
 
@@ -573,7 +566,11 @@ def predict_proba(logits: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write magic, version, JSON metadata header, then the parameter
-    buffer as little-endian float32."""
+    buffer as little-endian float32. A weight that is not finite in float32
+    raises NumericalError before the file is opened."""
+    with np.errstate(over="ignore"):
+        stored = TensorBuffer(params.tensors.spec, params.tensors.flat.astype("<f4"))
+    stored.check_finite("the checkpoint would hold a weight that is not finite in float32")
     meta = {"config": asdict(params.config), "vocab_hash": params.vocab_hash,
             "init_seed": params.init_seed}
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -581,7 +578,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        fh.write(params.tensors.flat.astype("<f4").tobytes())
+        fh.write(stored.flat.tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -625,7 +622,5 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise DataValidationError(f"checkpoint has {len(blob) - off - 4 * count} unexpected trailing bytes")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off).astype(np.float64)
     tensors = TensorBuffer(spec, flat)
-    bad = tensors.first_nonfinite()
-    if bad is not None:
-        raise NumericalError(f"checkpoint {p} holds a non-finite weight in tensor {bad}")
+    tensors.check_finite(f"checkpoint {p} holds a non-finite weight")
     return ModelParams(config, tensors, vocab_hash=vocab_hash, init_seed=init_seed)

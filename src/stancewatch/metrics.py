@@ -279,12 +279,3 @@ def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
     lines = ["fpr,tpr"] + [f"{x:.10f},{y:.10f}" for x, y in zip(curve.fprs, curve.tprs)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def write_roc_csvs(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """One fpr,tpr CSV per class, named roc_<category>.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / f"roc_{slug}.csv" for slug in CATEGORY_SLUGS]
-    for curve, p in zip(report.roc_curves, paths):
-        write_roc_csv(curve, p)
-    return paths

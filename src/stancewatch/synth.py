@@ -53,6 +53,14 @@ def _day_start_utc(day: dt.date, utc_offset_minutes: int) -> dt.datetime:
     return local_midnight - dt.timedelta(minutes=utc_offset_minutes)
 
 
+def _check_span(start_date: dt.date, days: int, utc_offset_minutes: int) -> None:
+    """Reject local days whose UTC times fall outside datetime's years 1-9999."""
+    first = (start_date.toordinal() - 1) * 1440 - utc_offset_minutes  # minutes after 0001-01-01Z
+    if first < 0 or first + days * 1440 > dt.date.max.toordinal() * 1440:
+        raise DataValidationError(f"start_date {start_date}: {days} days at UTC offset "
+                                  f"{utc_offset_minutes} min reach outside the years 1-9999")
+
+
 def generate_labeled(
     per_class: int = 100,
     seed: int = 101,
@@ -62,6 +70,7 @@ def generate_labeled(
     """Balanced labeled set, ``per_class`` examples per category."""
     if per_class < 1:
         raise DataValidationError(f"per_class must be >= 1, got {per_class}")
+    _check_span(start_date, min(14, 4 * per_class), utc_offset_minutes)
     rng = random.Random(seed)
     tweets = []
     n_total = 4 * per_class
@@ -107,6 +116,7 @@ def generate_corpus(
     for d in spike_days:
         if not 0 <= d < days:
             raise DataValidationError(f"spike day {d} outside 0..{days - 1}")
+    _check_span(start_date, days, utc_offset_minutes)
 
     rng = random.Random(seed)
     spike_set = set(spike_days)

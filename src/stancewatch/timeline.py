@@ -40,6 +40,8 @@ EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 ONE_US = dt.timedelta(microseconds=1)  # (t - EPOCH) // ONE_US is t in microseconds
 US_PER_MINUTE = 60_000_000
 US_PER_DAY = 24 * 60 * US_PER_MINUTE
+# The days since EPOCH that datetime.date can hold: the years 1-9999.
+DATE_DAYS = range((dt.date.min - EPOCH.date()).days, (dt.date.max - EPOCH.date()).days + 1)
 MAX_UTC_OFFSET_MINUTES = 24 * 60
 
 
@@ -157,6 +159,10 @@ def aggregate_daily(classified: Classified, utc_offset_minutes: int) -> Timeline
         raise DataValidationError("cannot aggregate an empty classification result")
     days = (classified.created_us + utc_offset_minutes * US_PER_MINUTE) // US_PER_DAY
     first, last = int(days.min()), int(days.max())
+    if first not in DATE_DAYS or last not in DATE_DAYS:
+        raise DataValidationError(
+            f"at UTC offset {utc_offset_minutes} min a tweet's local day falls outside the years 1-9999"
+        )
     slot = (days - first) * 4 + classified.predicted
     counts = np.bincount(slot, minlength=4 * (last - first + 1)).reshape(-1, 4)
     return TimelineSeries(EPOCH.date() + dt.timedelta(days=first), counts, utc_offset_minutes)

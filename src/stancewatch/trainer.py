@@ -146,9 +146,7 @@ def _step(
     grads = backward_from_logits(params, cache, dlogits)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
-    bad = grads.first_nonfinite()
-    if bad is not None:
-        raise NumericalError(f"non-finite gradient in tensor {bad}")
+    grads.check_finite("non-finite gradient")
     return loss, logits, grads
 
 
@@ -273,12 +271,6 @@ def train(
             hit += int((logits.argmax(axis=1) == batch_labels).sum())
         epoch_losses.append(loss_sum / n)
         epoch_accuracies.append(hit / n)
-    # Every step checks its loss and gradients, but nothing after the last
-    # update reads the weights; a checkpoint stores them as float32.
-    with np.errstate(over="ignore"):
-        bad = TensorBuffer(params.tensors.spec, params.tensors.flat.astype(np.float32)).first_nonfinite()
-    if bad is not None:
-        raise NumericalError(f"training left a weight in tensor {bad} that float32 cannot hold")
     return TrainTrace(epoch_losses=epoch_losses, epoch_accuracies=epoch_accuracies, params=params)
 
 

@@ -278,6 +278,18 @@ class TestBuildVocab:
         doc = json.loads((out / "manifest_build_vocab.json").read_text(encoding="utf-8"))
         assert "rejects_labeled.jsonl" in doc["outputs"]
 
+    @pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:30:00+01:00"])
+    def test_timestamp_beyond_the_calendar_is_rejected(self, runner, tmp_path, stamp):
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=3), labeled)
+        with labeled.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "edge", "created_at": stamp, "text": "aşı", "label": 0}) + "\n")
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
+        rejects = [json.loads(line) for line in (out / "rejects_labeled.jsonl").open(encoding="utf-8")]
+        assert [(r["id"], r["line"]) for r in rejects] == [("edge", 33)]
+        assert stamp in rejects[0]["reason"]
+
 
 class TestTrain:
     def test_outputs(self, workspace):
@@ -522,6 +534,18 @@ class TestBadClassified:
         assert f"{classified}:3: bad classified record: duplicate id 'a'" in result.output
         assert not (out / "timeline.csv").exists()
 
+    def test_local_day_beyond_the_calendar_is_3(self, runner, tmp_path):
+        rec = {"id": "a", "created_at": "9999-12-31T23:00:00Z", "predicted": 2,
+               "proba": [0.1, 0.1, 0.7, 0.1]}
+        classified = tmp_path / "classified.jsonl"
+        classified.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["timeline", "--classified", str(classified), "--out", str(out),
+                                      "--utc-offset-minutes", "180", "--quiet"])
+        assert result.exit_code == 3, result.output
+        assert "outside the years 1-9999" in result.output
+        assert not (out / "timeline.csv").exists()
+
 
 class TestUndecodableInputs:
     @pytest.mark.parametrize("kind", ["classified", "vocabulary", "config"])
@@ -568,6 +592,14 @@ class TestGenSynthetic:
                                       "--set", f"utc_offset_minutes={offset}"])
         assert result.exit_code == 3, result.output
         assert f"utc_offset_minutes must be within ±1440, got {offset}" in result.output
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("start", ["9999-12-20", "0001-01-01"])
+    def test_start_date_beyond_the_calendar_is_3(self, runner, tmp_path, start):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["gen-synthetic", "--start-date", start, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"start_date {start}" in result.output
         assert list(out.iterdir()) == []
 
     def test_default_spikes_match_default_days(self, runner, tmp_path):

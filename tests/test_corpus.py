@@ -55,6 +55,15 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp("not a date")
 
+    @pytest.mark.parametrize("raw", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:30:00+01:00"])
+    def test_utc_beyond_the_calendar_raises_value_error(self, raw):
+        with pytest.raises(ValueError, match="outside the years 1-9999"):
+            parse_timestamp(raw)
+
+    def test_calendar_ends_in_utc_parse(self):
+        assert parse_timestamp("9999-12-31T23:59:59Z") == dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=UTC)
+        assert parse_timestamp("0001-01-01T01:00:00+01:00") == dt.datetime(1, 1, 1, tzinfo=UTC)
+
     def test_accepted_forms_do_not_depend_on_the_interpreter(self):
         """Exactly YYYY-MM-DD[(T| )HH:MM[:SS[.f{1,6}]][Z|z|+-HH:MM]].
         datetime.fromisoformat accepts most of the rejected strings on 3.10

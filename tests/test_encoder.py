@@ -378,11 +378,25 @@ class TestCheckpoint:
 
     def test_nonfinite_weight_rejected(self, tiny_config, tmp_path):
         params = init_params(tiny_config, seed=9)
-        params.tensors["pooler_w"][1, 2] = np.inf
         p = tmp_path / "m.ckpt"
         save_checkpoint(params, p)
+        # The buffer ends the file; overwrite the float32 of pooler_w[1, 2].
+        from_end = params.tensors.tail("pooler_w").flat.size - (tiny_config.d_model + 2)
+        blob = bytearray(p.read_bytes())
+        at = len(blob) - 4 * from_end
+        blob[at : at + 4] = struct.pack("<f", np.inf)
+        p.write_bytes(bytes(blob))
         with pytest.raises(NumericalError, match="pooler_w"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("value", [np.nan, 1e300])
+    def test_save_refuses_weight_not_finite_in_float32(self, tiny_config, tmp_path, value):
+        params = init_params(tiny_config, seed=9)
+        params.tensors["pooler_w"][1, 2] = value
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(NumericalError, match="float32 in tensor pooler_w"):
+            save_checkpoint(params, p)
+        assert not p.exists()
 
     def test_short_file(self, tmp_path):
         p = tmp_path / "m.ckpt"

@@ -19,7 +19,7 @@ from stancewatch.metrics import (
     prf,
     roc_points,
     write_report,
-    write_roc_csvs,
+    write_roc_csv,
 )
 from stancewatch.tokenizer import build_vocab, encode
 
@@ -266,17 +266,12 @@ class TestEvaluate:
         rows = doc["confusion_rows_gold_cols_pred"]
         assert len(rows) == 4 and all(len(r) == 4 for r in rows)
 
-    def test_write_roc_csvs(self, eval_setup, tmp_path):
+    def test_write_roc_csv(self, eval_setup, tmp_path):
         params, vocab, testset = eval_setup
         report = evaluate(params, vocab, testset)
-        paths = write_roc_csvs(report, tmp_path)
-        assert [p.name for p in paths] == [
-            "roc_news.csv",
-            "roc_irrelevant.csv",
-            "roc_anti_vaccine.csv",
-            "roc_pro_vaccine.csv",
-        ]
-        lines = paths[0].read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "roc_news.csv"
+        write_roc_csv(report.roc_curves[0], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "fpr,tpr"
         assert lines[1] == "0.0000000000,0.0000000000"
         assert lines[-1] == "1.0000000000,1.0000000000"

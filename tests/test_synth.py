@@ -135,3 +135,18 @@ class TestCorpus:
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(DataValidationError):
             generate_corpus(days=kwargs.pop("days", 30), **kwargs)
+
+    @pytest.mark.parametrize("start, offset", [(dt.date(9999, 12, 20), 180), (dt.date(1, 1, 1), 180),
+                                               (dt.date(9999, 12, 31), -1)])
+    def test_days_beyond_the_calendar_rejected(self, start, offset):
+        with pytest.raises(DataValidationError, match="start_date"):
+            generate_corpus(days=14, per_day=2, spike_days=(), start_date=start, utc_offset_minutes=offset)
+        with pytest.raises(DataValidationError, match="start_date"):
+            generate_labeled(per_class=4, start_date=start, utc_offset_minutes=offset)
+
+    def test_days_at_the_calendar_ends_allowed(self):
+        last = generate_corpus(days=3, per_day=2, spike_days=(), start_date=dt.date(9999, 12, 29),
+                               utc_offset_minutes=0)
+        first = generate_labeled(per_class=1, start_date=dt.date(1, 1, 1), utc_offset_minutes=-60)
+        assert last[-1].created_at.date() == dt.date(9999, 12, 31)
+        assert first[0].created_at == dt.datetime(1, 1, 1, 1, tzinfo=dt.timezone.utc)

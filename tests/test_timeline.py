@@ -212,6 +212,17 @@ class TestAggregateDaily:
         with pytest.raises(DataValidationError, match="utc_offset_minutes must be within"):
             aggregate_daily(block([ct(0, D(2021, 8, 1))]), utc_offset_minutes=offset)
 
+    @pytest.mark.parametrize("when, offset", [(D(9999, 12, 31), 180), (D(1, 1, 1), -180)])
+    def test_local_day_beyond_the_calendar_fatal(self, when, offset):
+        rows = block([ct(0, D(2021, 8, 1)), ct(1, when, hour=23 if offset > 0 else 0)])
+        with pytest.raises(DataValidationError, match="outside the years 1-9999"):
+            aggregate_daily(rows, utc_offset_minutes=offset)
+
+    def test_calendar_ends_in_local_time_allowed(self):
+        rows = block([ct(0, D(9999, 12, 31), hour=20), ct(1, D(1, 1, 1), hour=4)])
+        series = aggregate_daily(rows, utc_offset_minutes=180)
+        assert (series.start, len(series.bins)) == (D(1, 1, 1), (D(9999, 12, 31) - D(1, 1, 1)).days + 1)
+
     def test_offset_of_a_day_either_way_allowed(self):
         rows = block([ct(0, D(2021, 8, 1))])
         assert aggregate_daily(rows, utc_offset_minutes=24 * 60).start == D(2021, 8, 2)
