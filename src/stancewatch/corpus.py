@@ -95,11 +95,16 @@ _TIMESTAMP = re.compile(
 )
 
 
+class TimestampRangeError(ValueError):
+    """A timestamp of the accepted forms whose UTC time falls outside the years 1-9999."""
+
+
 def parse_timestamp(raw: str) -> datetime:
     """Parse a timestamp of the `_TIMESTAMP` forms and normalize it to UTC.
 
     A trailing ``Z`` is accepted; naive timestamps are taken as UTC.
-    Raises ValueError for any other input or a UTC time outside the years 1-9999.
+    Raises ValueError for any other input, and its TimestampRangeError for a
+    UTC time outside the years 1-9999.
     """
     s = raw.strip()
     m = _TIMESTAMP.fullmatch(s)
@@ -116,7 +121,7 @@ def parse_timestamp(raw: str) -> datetime:
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:
-        raise ValueError(f"timestamp falls outside the years 1-9999 in UTC: {raw!r}") from None
+        raise TimestampRangeError(f"timestamp falls outside the years 1-9999 in UTC: {raw!r}") from None
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -152,6 +157,8 @@ def _record_to_tweet(rec: dict) -> Tweet:
         raise ValueError("created_at missing or not a string")
     try:
         created = parse_timestamp(raw_ts)
+    except TimestampRangeError:
+        raise ValueError(f"created_at falls outside the years 1-9999 in UTC: {raw_ts!r}") from None
     except ValueError:
         raise ValueError(f"created_at does not parse as ISO-8601: {raw_ts!r}")
     text = rec.get("text")

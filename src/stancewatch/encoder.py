@@ -43,6 +43,19 @@ the same float steps as the allocating forms. The head computes each
 row as its own one-row product, so a row's logits do not depend on how
 many rows share its batch.
 
+A pass without a cache (inference, evaluation, ``forward``) computes the
+last layer for [CLS] only, since the head reads nothing else of its
+output: the queries, context, output projection, both add-and-norms and
+the feed-forward run on row 0, while keys and values still come from
+every position, so nothing the [CLS] row attends to is dropped. Only
+rounding moves: a one-row product takes a matrix-vector kernel where the
+full width takes a matrix-matrix one, and sums in another order, so the
+logits agree with the cached pass's to about 1e-15. In train mode that
+layer's masks are drawn one position wide, and the skip to ``max_len``
+gives [CLS] the values the full-width mask holds. A pass with a cache
+(training) keeps every layer at full width, so gradients and trained
+checkpoints do not change.
+
 All arithmetic is float64 in memory. The parameters live in one buffer
 whose named views follow ``tensor_shapes``; a checkpoint is a metadata
 header followed by that buffer as little-endian float32.
@@ -377,18 +390,22 @@ def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, widt
     return np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0)
 
 
-def _attention_forward(h: np.ndarray, addmask: np.ndarray, layer: dict, n_heads: int) -> tuple:
-    """Multi-head self-attention through the output projection, and (h, q, k, v, probs, ctx)."""
-    B, T, d = h.shape
+def _attention_forward(
+    hq: np.ndarray, h: np.ndarray, addmask: np.ndarray, layer: dict, n_heads: int
+) -> tuple:
+    """Multi-head attention of the query rows ``hq`` (``h`` itself, or its
+    first rows) over every row of ``h``, through the output projection, and
+    (h, q, k, v, probs, ctx) for the backward, which reads it only when
+    ``hq`` is ``h``."""
     q, k, v = (
-        (h @ layer["w" + n] + layer["b" + n]).reshape(B, T, n_heads, -1).transpose(0, 2, 1, 3)
-        for n in "qkv"
+        (x @ layer["w" + n] + layer["b" + n]).reshape(*x.shape[:2], n_heads, -1).transpose(0, 2, 1, 3)
+        for x, n in ((hq, "q"), (h, "k"), (h, "v"))
     )
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= 1.0 / np.sqrt(q.shape[-1])
     scores += addmask
     probs = _softmax_lastaxis(scores)
-    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
+    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(hq.shape)
     attn = ctx @ layer["wo"]
     attn += layer["bo"]
     return attn, (h, q, k, v, probs, ctx)
@@ -479,29 +496,33 @@ def forward_with_cache(
         raise DataValidationError("train-mode forward requires an explicit dropout seed")
     rng = np.random.default_rng(dropout_seed) if dropping else None
 
-    def dropout() -> np.ndarray | None:
-        return None if rng is None else _dropout_mask(rng, cfg, B, T)
+    def dropout(width: int) -> np.ndarray | None:
+        return None if rng is None else _dropout_mask(rng, cfg, B, width)
 
     addmask = ((1.0 - mask) * MASK_ADDEND)[:, None, None, :]  # (B,1,1,T)
 
     p, eps = params.tensors, cfg.layer_norm_eps
     x = p["tok_emb"][ids] + p["pos_emb"][None, :T, :] + p["seg_emb"][0]
     h, emb_xhat, emb_inv = _layernorm_forward(x, p["emb_ln_gain"], p["emb_ln_bias"], eps)
-    emb_drop = dropout()
+    emb_drop = dropout(T)
     if emb_drop is not None:
         h *= emb_drop
 
     layers = []
     for i in range(cfg.n_layers):
         layer = _layer(p, i)
-        attn, attention = _attention_forward(h, addmask, layer, cfg.n_heads)
-        h1, norm1 = _add_and_norm(h, attn, dropout(), layer["ln1_gain"], layer["ln1_bias"], eps)
+        # Only [CLS] of the last layer's output reaches the head, so without a
+        # cache that layer computes the queries and all after them for row 0.
+        hq = h[:, :1] if not need_cache and i == cfg.n_layers - 1 else h
+        rows = hq.shape[1]
+        attn, attention = _attention_forward(hq, h, addmask, layer, cfg.n_heads)
+        h1, norm1 = _add_and_norm(hq, attn, dropout(rows), layer["ln1_gain"], layer["ln1_bias"], eps)
         f, ffn = _ffn_forward(h1, layer)
-        h, norm2 = _add_and_norm(h1, f, dropout(), layer["ln2_gain"], layer["ln2_bias"], eps)
+        h, norm2 = _add_and_norm(h1, f, dropout(rows), layer["ln2_gain"], layer["ln2_bias"], eps)
         if need_cache:
             layers.append((attention, norm1, ffn, norm2))
         # Free this layer's arrays before the next layer allocates its own.
-        del attn, attention, h1, norm1, f, ffn, norm2
+        del hq, attn, attention, h1, norm1, f, ffn, norm2
 
     # One-row products per batch entry: a 2-D product would switch BLAS
     # kernels with the row count and so round a lone row differently.
@@ -523,9 +544,12 @@ def forward(
     return logits
 
 
-def backward_from_logits(params: ModelParams, cache: tuple, dlogits: np.ndarray) -> TensorBuffer:
+def backward_from_logits(
+    params: ModelParams, cache: tuple, dlogits: np.ndarray, head_only: bool = False
+) -> TensorBuffer:
     """Exact gradients of every parameter tensor given d(loss)/d(logits),
-    in the parameters' buffer layout."""
+    in the parameters' buffer layout. ``head_only`` stops after the pooler
+    and classifier, leaving the encoder's gradients zero."""
     p = params.tensors
     grads = p.zeros_like()
     (ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled) = cache
@@ -536,6 +560,8 @@ def backward_from_logits(params: ModelParams, cache: tuple, dlogits: np.ndarray)
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
     grads["pooler_w"][...] = h[:, 0, :].T @ dpooled_pre
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
+    if head_only:
+        return grads
     dh = np.zeros(h.shape, dtype=np.float64)
     dh[:, 0, :] = dpooled_pre @ p["pooler_w"].T
 

@@ -139,11 +139,6 @@ class TimelineSeries:
         return [self.start + dt.timedelta(days=k) for k in range(len(self.bins))]
 
 
-def local_day(created_at: dt.datetime, utc_offset_minutes: int) -> dt.date:
-    shifted = created_at + dt.timedelta(minutes=utc_offset_minutes)
-    return shifted.date()
-
-
 def check_utc_offset(utc_offset_minutes: int) -> None:
     """Reject an offset of more than a day either way, which no timezone has."""
     if abs(utc_offset_minutes) > MAX_UTC_OFFSET_MINUTES:

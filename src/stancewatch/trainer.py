@@ -135,15 +135,18 @@ def _step(
     weights: Sequence[float] | None,
     train_mode: bool,
     dropout_seed: int | np.random.SeedSequence | None,
+    head_only: bool = False,
 ) -> tuple[float, np.ndarray, TensorBuffer]:
     """collate -> forward with cache -> loss and dlogits -> backward, then
-    check that loss and gradients are finite. Returns (loss, logits, grads)."""
+    check that loss and gradients are finite. Returns (loss, logits, grads);
+    with ``head_only`` the backward stops at the head and the encoder's
+    gradients stay zero."""
     ids, mask = collate(batch, params.config)
     logits, cache = forward_with_cache(
         params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=True
     )
     loss, dlogits = _loss_and_dlogits(logits, labels, weights)
-    grads = backward_from_logits(params, cache, dlogits)
+    grads = backward_from_logits(params, cache, dlogits, head_only)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
     grads.check_finite("non-finite gradient")
@@ -261,6 +264,7 @@ def train(
                 loss, logits, grads = _step(
                     params, batch, batch_labels, train_config.class_weights, train_mode=True,
                     dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
+                    head_only=train_config.head_only,
                 )
             except NumericalError as exc:
                 raise NumericalError(f"{exc} at epoch {epoch} batch {step}") from None

@@ -136,6 +136,21 @@ class TestIngest:
         assert "ISO-8601" in result.rejects[2].reason
         assert "label" in result.rejects[3].reason
 
+    def test_timestamp_beyond_the_calendar_has_its_own_reason(self, tmp_path):
+        lines = [
+            json.dumps({"id": "a", "created_at": "9999-12-31T23:59:59-01:00", "text": "aşı"}),
+            json.dumps({"id": "b", "created_at": "0001-01-01T00:30:00+01:00", "text": "aşı"}),
+            json.dumps({"id": "c", "created_at": "2021-13-01T10:00:00Z", "text": "aşı"}),
+            json.dumps({"id": "d", "created_at": "2021-07-22T10:00:00+2:00", "text": "aşı"}),
+        ]
+        rejects = ingest_jsonl(self.write(tmp_path, lines)).rejects
+        assert [r.reason for r in rejects] == [
+            "created_at falls outside the years 1-9999 in UTC: '9999-12-31T23:59:59-01:00'",
+            "created_at falls outside the years 1-9999 in UTC: '0001-01-01T00:30:00+01:00'",
+            "created_at does not parse as ISO-8601: '2021-13-01T10:00:00Z'",
+            "created_at does not parse as ISO-8601: '2021-07-22T10:00:00+2:00'",
+        ]
+
     def test_duplicate_id_fatal_with_both_lines(self, tmp_path):
         rec = {"id": "dup", "created_at": "2021-07-22T10:00:00Z", "text": "aşı"}
         p = self.write(tmp_path, [json.dumps(rec), json.dumps(rec)])

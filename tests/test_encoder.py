@@ -269,6 +269,57 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+def noisy_model_and_batch(width, n_layers, batch):
+    """Parameters with noise on every tensor, and (ids, mask) of ``batch``
+    rows ``width`` wide whose real lengths reach into the last 8 positions."""
+    cfg = EncoderConfig(vocab_size=40, d_model=32, n_layers=n_layers, n_heads=4, max_len=64)
+    params = init_params(cfg, seed=11)
+    rng = np.random.default_rng(width + 10 * n_layers + 100 * batch)
+    params.tensors.flat[:] += rng.normal(scale=0.05, size=params.tensors.flat.size)
+    ids = rng.integers(1, cfg.vocab_size, size=(batch, width))
+    mask = np.ones((batch, width))
+    for row, n_real in enumerate(rng.integers(max(1, width - 7), width + 1, size=batch)):
+        ids[row, n_real:], mask[row, n_real:] = 0, 0.0
+    return params, ids, mask
+
+
+class TestClsOnlyLastLayer:
+    """Without a cache the last layer computes queries, add-and-norms and the
+    feed-forward for [CLS] only, over keys and values of every position."""
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("width", [8, 24, 64])
+    def test_matches_cached_pass(self, width, n_layers, batch):
+        params, ids, mask = noisy_model_and_batch(width, n_layers, batch)
+        cached, _ = forward_with_cache(params, ids, mask, need_cache=True)
+        cls_only, cache = forward_with_cache(params, ids, mask)
+        assert cache is None
+        np.testing.assert_allclose(cls_only, cached, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(cls_only.argmax(axis=1), cached.argmax(axis=1))
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_train_mode_masks_line_up(self, width, n_layers):
+        # The last layer's masks are drawn one position wide; each row then
+        # skips to max_len, so [CLS] gets the values the full-width masks hold.
+        params, ids, mask = noisy_model_and_batch(width, n_layers, 5)
+        for seed in (1, 2):
+            cached, _ = forward_with_cache(params, ids, mask, True, seed, need_cache=True)
+            cls_only, _ = forward_with_cache(params, ids, mask, True, seed)
+            np.testing.assert_allclose(cls_only, cached, rtol=0, atol=1e-13)
+        other, _ = forward_with_cache(params, ids, mask, True, 3)
+        assert not np.allclose(other, cached, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_exact_batch_size_invariance(self, n_layers):
+        params, ids, mask = noisy_model_and_batch(64, n_layers, 6)
+        together, _ = forward_with_cache(params, ids, mask)
+        alone = np.vstack([forward_with_cache(params, ids[r : r + 1], mask[r : r + 1])[0]
+                           for r in range(len(ids))])
+        np.testing.assert_array_equal(together, alone)
+
+
 class TestPredictProba:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)

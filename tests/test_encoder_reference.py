@@ -175,9 +175,11 @@ def test_training_and_inference_match_reference_ops(monkeypatch, head_only):
 @pytest.mark.parametrize("train_mode", [False, True])
 @pytest.mark.parametrize("width", [8, 24, 32])
 def test_passes_match_single_loop_reference(width, train_mode, n_layers, batch):
-    """Logits, cache-free logits and every gradient tensor equal the one-loop
-    passes byte for byte, at widths 8, 24 and max_len, with and without
-    dropout."""
+    """Logits and every gradient tensor equal the one-loop passes byte for
+    byte, at widths 8, 24 and max_len, with and without dropout. The
+    cache-free pass computes the last layer for [CLS] only, one-row products
+    that round differently from the full-width ones, so its logits equal the
+    cached logits to 1e-13 and give the same argmax."""
     cfg = EncoderConfig(vocab_size=40, d_model=32, n_layers=n_layers, n_heads=4, max_len=32,
                         dropout_rate=0.1)
     params = init_params(cfg, seed=11)
@@ -191,7 +193,9 @@ def test_passes_match_single_loop_reference(width, train_mode, n_layers, batch):
     logits, cache = sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed, need_cache=True)
     ref_logits, ref_cache = reference.forward_with_cache(params, ids, mask, train_mode, seed, True)
     assert_same_bytes(logits, ref_logits)
-    assert_same_bytes(sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed)[0], ref_logits)
+    cls_only = sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed)[0]
+    np.testing.assert_allclose(cls_only, logits, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(cls_only.argmax(axis=1), logits.argmax(axis=1))
     dlogits = rng.normal(size=logits.shape)
     grads = sw_encoder.backward_from_logits(params, cache, dlogits)
     ref_grads = reference.backward_from_logits(params, ref_cache, dlogits)

@@ -11,7 +11,7 @@ from stancewatch.synth import (
     generate_corpus,
     generate_labeled,
 )
-from stancewatch.timeline import local_day
+from timeline_reference import local_day
 
 
 def keyword_category(text: str) -> int:

@@ -24,7 +24,6 @@ from stancewatch.timeline import (
     aggregate_daily,
     classify_corpus,
     detect_peaks,
-    local_day,
     read_classified,
     share,
     smooth_shares,
@@ -230,9 +229,9 @@ class TestAggregateDaily:
 
     def test_local_day_helper(self):
         t = dt.datetime(2021, 8, 1, 22, 30, tzinfo=UTC)
-        assert local_day(t, 0) == D(2021, 8, 1)
-        assert local_day(t, 180) == D(2021, 8, 2)
-        assert local_day(t, -24 * 60) == D(2021, 7, 31)
+        assert reference.local_day(t, 0) == D(2021, 8, 1)
+        assert reference.local_day(t, 180) == D(2021, 8, 2)
+        assert reference.local_day(t, -24 * 60) == D(2021, 7, 31)
 
     @given(
         st.integers((dt.datetime(1900, 1, 1, tzinfo=UTC) - EPOCH) // ONE_US,
@@ -249,7 +248,7 @@ class TestAggregateDaily:
         series = aggregate_daily(rows, utc_offset_minutes=offset)
         want = {}
         for us, p in zip(stamps, predicted):
-            want.setdefault(local_day(EPOCH + us * ONE_US, offset), [0, 0, 0, 0])[p] += 1
+            want.setdefault(reference.local_day(EPOCH + us * ONE_US, offset), [0, 0, 0, 0])[p] += 1
         got = {d: row for d, row in zip(series.dates, series.bins.tolist()) if sum(row)}
         assert got == want
         assert (series.dates[0], series.dates[-1]) == (min(want), max(want))

@@ -5,11 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stancewatch.trainer as sw_trainer
 from conftest import TINY, random_encodings
 from stancewatch.corpus import Category, DatasetSplit, LabeledDataset, Tweet
-from stancewatch.encoder import EncoderConfig, init_params
+from stancewatch.encoder import (
+    EncoderConfig,
+    backward_from_logits,
+    collate,
+    forward_with_cache,
+    init_params,
+)
 from stancewatch.errors import DataValidationError, NumericalError
-from stancewatch.tokenizer import build_vocab
+from stancewatch.tokenizer import build_vocab, encode
 from stancewatch.trainer import (
     HEAD_START,
     AdamState,
@@ -256,6 +263,29 @@ class TestTrain:
         assert list(head) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
         for name, arr in head.items():
             assert not np.array_equal(arr, fresh.tensors[name]), name
+
+    def test_head_only_backward_stops_at_the_head(self, monkeypatch):
+        """The backward's early return gives the full backward's head gradients
+        byte for byte, so a head-only run trains the same bytes as one that
+        runs the whole backward and keeps only the head's part."""
+        cfg = replace(self.model_cfg, n_layers=2)
+        params = init_params(cfg, seed=3)
+        encs = [encode(self.vocab, t.text, cfg.max_len) for t in self.split.train.examples[:6]]
+        ids, mask = collate(encs, cfg)
+        _, cache = forward_with_cache(params, ids, mask, True, 4, need_cache=True)
+        dlogits = np.random.default_rng(0).normal(size=(len(encs), 4))
+        full = backward_from_logits(params, cache, dlogits)
+        head = backward_from_logits(params, cache, dlogits, head_only=True)
+        assert head.tail(HEAD_START).flat.tobytes() == full.tail(HEAD_START).flat.tobytes()
+        assert not head.flat[: head.flat.size - head.tail(HEAD_START).flat.size].any()
+
+        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
+        early = train(self.split, self.vocab, cfg, tc)
+        monkeypatch.setattr(sw_trainer, "backward_from_logits",
+                            lambda p, c, d, head_only=False: backward_from_logits(p, c, d))
+        whole = train(self.split, self.vocab, cfg, tc)
+        assert early.epoch_losses == whole.epoch_losses
+        assert early.params.tensors.flat.tobytes() == whole.params.tensors.flat.tobytes()
 
     def test_params_carry_vocab_hash_and_seed(self):
         tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, init_seed=9)

@@ -9,6 +9,8 @@ small series.
 A series is a start date and a list of per-day count rows [news,
 irrelevant, anti, pro]. Peak and PeakReport carry the same field names as
 the package's classes, so `dataclasses.asdict` of both can be compared.
+`local_day` is the calendar day of one timestamp, the day the package's
+binning computes for a whole column at once.
 """
 
 import datetime as dt
@@ -38,6 +40,11 @@ class PeakReport:
     top_k: int
     smoothing_window: object
     degenerate: bool
+
+
+def local_day(created_at, utc_offset_minutes):
+    """The local calendar day of an aware datetime at a fixed UTC offset."""
+    return (created_at + dt.timedelta(minutes=utc_offset_minutes)).date()
 
 
 def share(start, counts, category):
