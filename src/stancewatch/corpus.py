@@ -18,6 +18,7 @@ import gzip
 import json
 import random
 import re
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
@@ -215,7 +216,8 @@ def ingest_jsonl(path: str | Path) -> IngestResult:
                     )
                 seen[tweet.id] = line_no
                 tweets.append(tweet)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
+        # EOFError: a gzip stream cut short; zlib.error: a corrupt deflate block.
         raise InputPathError(f"cannot read corpus file: {p}: {exc}")
     return IngestResult(tuple(tweets), tuple(rejects))
 
@@ -260,13 +262,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    @property
-    def class_counts(self) -> dict[Category, int]:
-        counts = {c: 0 for c in Category}
-        for t in self.examples:
-            counts[t.gold_label] += 1
-        return counts
 
 
 def labeled_subset(tweets: Iterable[Tweet]) -> LabeledDataset:

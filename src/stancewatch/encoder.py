@@ -43,18 +43,13 @@ the same float steps as the allocating forms. The head computes each
 row as its own one-row product, so a row's logits do not depend on how
 many rows share its batch.
 
-A pass without a cache (inference, evaluation, ``forward``) computes the
-last layer for [CLS] only, since the head reads nothing else of its
-output: the queries, context, output projection, both add-and-norms and
-the feed-forward run on row 0, while keys and values still come from
-every position, so nothing the [CLS] row attends to is dropped. Only
-rounding moves: a one-row product takes a matrix-vector kernel where the
-full width takes a matrix-matrix one, and sums in another order, so the
-logits agree with the cached pass's to about 1e-15. In train mode that
-layer's masks are drawn one position wide, and the skip to ``max_len``
-gives [CLS] the values the full-width mask holds. A pass with a cache
-(training) keeps every layer at full width, so gradients and trained
-checkpoints do not change.
+The last layer computes [CLS] only, since the head reads nothing else of
+its output: the queries, context, output projection, both add-and-norms
+and the feed-forward run on row 0, while keys and values still come from
+every position, so nothing the [CLS] row attends to is dropped. Training
+and inference take this one path; the other rows would get a gradient of
+exactly zero. That layer's dropout masks are drawn one position wide, and
+the skip to ``max_len`` gives [CLS] the values a full-width mask holds.
 
 All arithmetic is float64 in memory. The parameters live in one buffer
 whose named views follow ``tensor_shapes``; a checkpoint is a metadata
@@ -292,15 +287,9 @@ def gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * cdf, cdf
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return gelu_and_cdf(x)[0]
-
-
-def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    """Phi(x) + x * phi(x). ``cdf`` is Phi(x) as ``gelu_and_cdf`` returned it;
-    with it, only the pdf's exp is computed here."""
-    if cdf is None:
-        cdf = gelu_and_cdf(x)[1]
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Phi(x) + x * phi(x). ``cdf`` is Phi(x) as ``gelu_and_cdf`` returned it,
+    so only the pdf's exp is computed here."""
     pdf = np.exp(-0.5 * x * x)
     pdf /= np.sqrt(2.0 * np.pi)
     pdf *= x
@@ -395,8 +384,7 @@ def _attention_forward(
 ) -> tuple:
     """Multi-head attention of the query rows ``hq`` (``h`` itself, or its
     first rows) over every row of ``h``, through the output projection, and
-    (h, q, k, v, probs, ctx) for the backward, which reads it only when
-    ``hq`` is ``h``."""
+    (hq, h, q, k, v, probs, ctx) for the backward."""
     q, k, v = (
         (x @ layer["w" + n] + layer["b" + n]).reshape(*x.shape[:2], n_heads, -1).transpose(0, 2, 1, 3)
         for x, n in ((hq, "q"), (h, "k"), (h, "v"))
@@ -408,29 +396,33 @@ def _attention_forward(
     ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(hq.shape)
     attn = ctx @ layer["wo"]
     attn += layer["bo"]
-    return attn, (h, q, k, v, probs, ctx)
+    return attn, (hq, h, q, k, v, probs, ctx)
 
 
-def _attention_backward(dattn: np.ndarray, dh: np.ndarray, saved: tuple, layer: dict, g: dict) -> None:
-    """Writes its parameter gradients into ``g``, adds its input gradient into ``dh`` (q, k, v)."""
-    h, q, k, v, probs, ctx = saved
-    B, n_heads, T, d_head = q.shape
+def _attention_backward(dattn: np.ndarray, dhq: np.ndarray, saved: tuple, layer: dict, g: dict) -> np.ndarray:
+    """Writes its parameter gradients into ``g``; returns the gradient of
+    ``h``: ``dhq``, the query rows' residual gradient, padded with zeros to
+    every row, plus the q, k and v terms."""
+    hq, h, q, k, v, probs, ctx = saved
+    B, n_heads, Tq, d_head = q.shape
     d = n_heads * d_head
     g["wo"][...] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
     g["bo"][...] = dattn.sum(axis=(0, 1))
-    dctx = (dattn @ layer["wo"].T).reshape(B, T, n_heads, d_head).transpose(0, 2, 1, 3)
+    dctx = (dattn @ layer["wo"].T).reshape(B, Tq, n_heads, d_head).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.transpose(0, 1, 3, 2)
     dv = probs.transpose(0, 1, 3, 2) @ dctx
     dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
     scale = 1.0 / np.sqrt(d_head)
     dq = dscores @ k * scale
     dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-    h_flat = h.reshape(-1, d)
-    for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
-        dmat = dproj.transpose(0, 2, 1, 3).reshape(B * T, d)
-        g["w" + name][...] = h_flat.T @ dmat
+    dh = np.zeros(h.shape)
+    dh[:, :Tq] = dhq
+    for x, name, dproj in ((hq, "q", dq), (h, "k", dk), (h, "v", dv)):
+        dmat = dproj.transpose(0, 2, 1, 3).reshape(-1, d)
+        g["w" + name][...] = x.reshape(-1, d).T @ dmat
         g["b" + name][...] = dmat.sum(axis=0)
-        dh += (dmat @ layer["w" + name].T).reshape(B, T, d)
+        dh[:, : x.shape[1]] += (dmat @ layer["w" + name].T).reshape(x.shape)
+    return dh
 
 
 def _ffn_forward(h: np.ndarray, layer: dict) -> tuple:
@@ -511,9 +503,9 @@ def forward_with_cache(
     layers = []
     for i in range(cfg.n_layers):
         layer = _layer(p, i)
-        # Only [CLS] of the last layer's output reaches the head, so without a
-        # cache that layer computes the queries and all after them for row 0.
-        hq = h[:, :1] if not need_cache and i == cfg.n_layers - 1 else h
+        # Only [CLS] of the last layer's output reaches the head, so that
+        # layer computes the queries and all after them for row 0.
+        hq = h[:, :1] if i == cfg.n_layers - 1 else h
         rows = hq.shape[1]
         attn, attention = _attention_forward(hq, h, addmask, layer, cfg.n_heads)
         h1, norm1 = _add_and_norm(hq, attn, dropout(rows), layer["ln1_gain"], layer["ln1_bias"], eps)
@@ -562,8 +554,7 @@ def backward_from_logits(
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
     if head_only:
         return grads
-    dh = np.zeros(h.shape, dtype=np.float64)
-    dh[:, 0, :] = dpooled_pre @ p["pooler_w"].T
+    dh = (dpooled_pre @ p["pooler_w"].T)[:, None, :]
 
     for i in reversed(range(len(layers))):
         layer, g = _layer(p, i), _layer(grads, i)
@@ -571,7 +562,7 @@ def backward_from_logits(
         dh1, df = _add_and_norm_backward(dh, norm2, layer["ln2_gain"], g["ln2_gain"], g["ln2_bias"])
         _ffn_backward(df, dh1, ffn, layer, g)
         dh, dattn = _add_and_norm_backward(dh1, norm1, layer["ln1_gain"], g["ln1_gain"], g["ln1_bias"])
-        _attention_backward(dattn, dh, attention, layer, g)
+        dh = _attention_backward(dattn, dh, attention, layer, g)
 
     if emb_drop is not None:
         dh = dh * emb_drop

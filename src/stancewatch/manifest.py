@@ -8,6 +8,7 @@ plus inputs; the timing block is the one part that varies between reruns.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -74,32 +75,25 @@ class RunManifest:
         os.replace(tmp, path)
 
 
-def _create_lock(lock_path: Path) -> int | None:
+def _previous_holder(fd: int) -> int | None:
+    """The PID a killed run left in the lock file, if it holds one."""
     try:
-        return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+        pid = int(os.read(fd, 32).decode("ascii"))
+    except (UnicodeDecodeError, ValueError):
         return None
-
-
-def _dead_holder(lock_path: Path) -> int | None:
-    """The PID written in the lock file if no such process exists, else None."""
-    try:
-        pid = int(lock_path.read_text(encoding="ascii"))
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, ValueError, OverflowError):
-        pass
-    return None
+    return pid if pid > 0 else None
 
 
 @contextmanager
 def output_lock(out_dir: str | Path):
-    """One running command per output directory; O_EXCL create, unlink on exit.
+    """One running command per output directory: an exclusive ``flock`` on
+    the lock file, held until the run ends and unlinked then.
 
-    A lock whose PID names no live process is left by a killed run and is
-    taken over; the context yields that PID, or None for a fresh lock.
+    The kernel drops the lock when its process dies, so a lock file left by
+    a killed run (empty, or naming a PID that is dead or has been reused)
+    is taken over; the context yields the PID such a file names, or None.
+    A run that locks a file another run has just unlinked retries on the
+    file now at the path, so two runs never both hold the directory.
     """
     out = Path(out_dir)
     try:
@@ -107,16 +101,29 @@ def output_lock(out_dir: str | Path):
     except OSError as exc:
         raise InputPathError(f"cannot use output directory {out}: {exc}")
     lock_path = out / LOCK_NAME
-    fd = _create_lock(lock_path)
-    stale = None if fd is not None else _dead_holder(lock_path)
-    if stale is not None:
-        lock_path.unlink(missing_ok=True)
-        fd = _create_lock(lock_path)
-    if fd is None:
-        raise InputPathError(f"output directory is locked by another run: {lock_path}")
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
+    while True:
+        try:
+            fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError as exc:
+            raise InputPathError(f"cannot create lock file {lock_path}: {exc}")
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise InputPathError(f"output directory is locked by another run: {lock_path}")
+            raise InputPathError(f"cannot lock {lock_path}: {exc}")
+        try:
+            if os.path.samestat(os.fstat(fd), os.stat(lock_path)):
+                break
+        except FileNotFoundError:
+            pass
         os.close(fd)
+    try:
+        stale = _previous_holder(fd)
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, str(os.getpid()).encode("ascii"), 0)
         yield stale
     finally:
         lock_path.unlink(missing_ok=True)
+        os.close(fd)

@@ -18,8 +18,12 @@ passes as they were before the layer loop became pairs of forward and
 backward functions: one loop each, talking through a dict of named
 arrays. They call the package's own ops (through ``package.``, since this
 module's op names are taken), so they pin the order of the float
-operations between the ops, not the ops: the package must give the same
-logits and gradient bytes.
+operations between the ops, not the ops. With ``cls_only`` (the default)
+the last layer computes its queries and all after them for row 0, as the
+package does, and the package must give the same logits and gradient
+bytes. Without it every layer runs at full width, as the package's passes
+did before; the two agree in real arithmetic, since the head reads only
+row 0 of the last layer, so they differ by rounding only.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ def forward_with_cache(
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
     need_cache: bool = False,
+    cls_only: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
     """Run the encoder on collated arrays; optionally keep activations.
 
@@ -125,21 +130,23 @@ def forward_with_cache(
     for i in range(cfg.n_layers):
         layer = package._layer(p, i)
         h_in = h
-        q = (h @ layer["wq"] + layer["bq"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        rows = 1 if cls_only and i == cfg.n_layers - 1 else T
+        hq = h[:, :rows]
+        q = (hq @ layer["wq"] + layer["bq"]).reshape(B, rows, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
         k = (h @ layer["wk"] + layer["bk"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
         v = (h @ layer["wv"] + layer["bv"]).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= scale
         scores += addmask
         probs = package._softmax_lastaxis(scores)
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, T, cfg.d_model)
+        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, rows, cfg.d_model)
         attn = ctx @ layer["wo"]
         attn += layer["bo"]
         attn_drop = None
         if dropping:
-            attn_drop = package._dropout_mask(rng, cfg, B, T)
+            attn_drop = package._dropout_mask(rng, cfg, B, rows)
             attn *= attn_drop
-        attn += h_in
+        attn += hq
         h1, ln1_xhat, ln1_inv = package._layernorm_forward(
             attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
         )
@@ -150,7 +157,7 @@ def forward_with_cache(
         f += layer["b2"]
         ffn_drop = None
         if dropping:
-            ffn_drop = package._dropout_mask(rng, cfg, B, T)
+            ffn_drop = package._dropout_mask(rng, cfg, B, rows)
             f *= ffn_drop
         f += h1
         h, ln2_xhat, ln2_inv = package._layernorm_forward(
@@ -159,7 +166,7 @@ def forward_with_cache(
         if need_cache:
             cache["layers"].append(
                 {
-                    "h_in": h_in,
+                    "h_in": h_in, "hq": hq,
                     "q": q, "k": k, "v": v,
                     "probs": probs,
                     "ctx": ctx,
@@ -189,7 +196,8 @@ def backward_from_logits(
     """Exact gradients of every parameter tensor given d(loss)/d(logits),
     in the parameters' buffer layout."""
     cfg = params.config
-    B, T, d = cache["h_last_shape"]
+    B, T = cache["ids"].shape
+    d = cfg.d_model
     p = params.tensors
     grads = p.zeros_like()
 
@@ -200,13 +208,14 @@ def backward_from_logits(
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
     grads["pooler_w"][...] = cache["h_cls"].T @ dpooled_pre
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
-    dh = np.zeros((B, T, d), dtype=np.float64)
+    dh = np.zeros(cache["h_last_shape"], dtype=np.float64)
     dh[:, 0, :] = dpooled_pre @ p["pooler_w"].T
 
     scale = 1.0 / np.sqrt(cfg.d_head)
     for i in range(cfg.n_layers - 1, -1, -1):
         layer, g = package._layer(p, i), package._layer(grads, i)
         lc = cache["layers"][i]
+        rows = lc["q"].shape[2]
 
         dr2, g["ln2_gain"][...], g["ln2_bias"][...] = package._layernorm_backward(
             dh, lc["ln2_xhat"], lc["ln2_inv"], layer["ln2_gain"]
@@ -233,7 +242,7 @@ def backward_from_logits(
         ctx = lc["ctx"]
         g["wo"][...] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
         g["bo"][...] = dattn.sum(axis=(0, 1))
-        dctx = (dattn @ layer["wo"].T).reshape(B, T, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+        dctx = (dattn @ layer["wo"].T).reshape(B, rows, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
 
         probs, q, k, v = lc["probs"], lc["q"], lc["k"], lc["v"]
         dprobs = dctx @ v.transpose(0, 1, 3, 2)
@@ -242,14 +251,15 @@ def backward_from_logits(
         dq = dscores @ k * scale
         dk = dscores.transpose(0, 1, 3, 2) @ q * scale
 
-        h_in = lc["h_in"]
-        h_flat = h_in.reshape(-1, d)
-        for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
-            dmat = dproj.transpose(0, 2, 1, 3).reshape(B * T, d)
-            g["w" + name][...] = h_flat.T @ dmat
+        # The query rows' residual gradient, zero on the rows past them.
+        dh = np.zeros((B, T, d), dtype=np.float64)
+        dh[:, :rows] = dh_prev
+        for name, dproj, x in (("q", dq, lc["hq"]), ("k", dk, lc["h_in"]), ("v", dv, lc["h_in"])):
+            n = x.shape[1]
+            dmat = dproj.transpose(0, 2, 1, 3).reshape(B * n, d)
+            g["w" + name][...] = x.reshape(-1, d).T @ dmat
             g["b" + name][...] = dmat.sum(axis=0)
-            dh_prev += (dmat @ layer["w" + name].T).reshape(B, T, d)
-        dh = dh_prev
+            dh[:, :n] += (dmat @ layer["w" + name].T).reshape(B, n, d)
 
     if cache["emb_drop"] is not None:
         dh = dh * cache["emb_drop"]

@@ -1,7 +1,10 @@
+import fcntl
+import gzip
 import json
 import os
 import struct
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +29,19 @@ def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+@contextmanager
+def lock_held_elsewhere(out):
+    """Hold the output lock of ``out`` as another running command would: an
+    exclusive flock on its (here empty) lock file, through a descriptor of
+    its own."""
+    fd = os.open(out / LOCK_NAME, os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
 
 
 # Small-but-trainable settings shared by the pipeline tests.
@@ -92,20 +108,23 @@ class TestExitCodes:
 
     def test_lock_contention_is_2(self, runner, workspace):
         out = workspace["out"]
-        (out / LOCK_NAME).write_text(str(os.getpid()), encoding="utf-8")
-        result = runner.invoke(main, ["build-vocab", "--labeled", str(workspace["labeled"]),
-                                      "--out", str(out), *FAST_TRAIN])
-        (out / LOCK_NAME).unlink()
+        with lock_held_elsewhere(out):
+            result = runner.invoke(main, ["build-vocab", "--labeled", str(workspace["labeled"]),
+                                          "--out", str(out), *FAST_TRAIN])
         assert result.exit_code == 2
         assert "locked" in result.output
 
     def test_stale_lock_is_taken_over(self, runner, workspace, dead_pid):
+        """No live run holds the lock, so it is taken over whatever the file
+        says; a PID in it is reported."""
         out = workspace["out"]
         args = ["build-vocab", "--labeled", str(workspace["labeled"]), "--out", str(out), *FAST_TRAIN]
-        (out / LOCK_NAME).write_text("not a pid", encoding="utf-8")
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2, result.output
-        assert "locked" in result.output
+        for content in ("", "not a pid", str(os.getpid())):
+            (out / LOCK_NAME).write_text(content, encoding="utf-8")
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert ("stale lock of process" in result.output) == (content == str(os.getpid()))
+            assert not (out / LOCK_NAME).exists()
         (out / LOCK_NAME).write_text(str(dead_pid), encoding="utf-8")
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
@@ -146,6 +165,31 @@ class TestExitCodes:
         assert f"utc_offset_minutes must be within ±1440, got {offset}" in result.output
         assert list(out.iterdir()) == []
 
+
+    @pytest.mark.parametrize("damage, cause", [
+        ("truncated", "end-of-stream marker"),  # EOFError
+        ("corrupt", "while decompressing data"),  # zlib.error
+    ], ids=["truncated", "corrupt"])
+    def test_damaged_gzip_input_is_2(self, runner, tmp_path, damage, cause):
+        """A gzip stream cut in half, or with a flipped byte in its first
+        deflate block's header, exits 2 naming the file, and leaves no output
+        behind."""
+        plain = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=12, seed=7), plain)
+        blob = bytearray(gzip.compress(plain.read_bytes(), mtime=0))
+        if damage == "truncated":
+            del blob[len(blob) // 2 :]
+        else:
+            blob[20] ^= 0xFF
+        labeled = tmp_path / "labeled.jsonl.gz"
+        labeled.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build-vocab", "--labeled", str(labeled), "--out", str(out),
+                                      *FAST_TRAIN])
+        assert result.exit_code == 2, result.output
+        assert f"cannot read corpus file: {labeled}" in result.output
+        assert cause in result.output
+        assert list(out.iterdir()) == []
 
 class TestOutputPaths:
     def test_out_naming_a_file_is_2(self, runner, tmp_path):
@@ -286,7 +330,8 @@ class TestBuildVocab:
             fh.write(json.dumps({"id": "edge", "created_at": stamp, "text": "aşı", "label": 0}) + "\n")
         out = tmp_path / "out"
         run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
-        rejects = [json.loads(line) for line in (out / "rejects_labeled.jsonl").open(encoding="utf-8")]
+        rejects = [json.loads(line) for line in
+                   (out / "rejects_labeled.jsonl").read_text(encoding="utf-8").splitlines()]
         assert [(r["id"], r["line"]) for r in rejects] == [("edge", 33)]
         assert stamp in rejects[0]["reason"]
 

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import json
 import os
@@ -101,6 +102,72 @@ class TestOutputLock:
         with output_lock(out) as stale:
             assert stale == dead_pid
             assert (out / LOCK_NAME).read_text(encoding="ascii") == str(os.getpid())
+        assert not (out / LOCK_NAME).exists()
+
+    def test_empty_lock_file_taken_over(self, tmp_path):
+        """A run killed between creating the lock file and writing its PID
+        leaves it empty; no process holds it."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / LOCK_NAME).write_bytes(b"")
+        with output_lock(out) as stale:
+            assert stale is None
+            assert (out / LOCK_NAME).read_text(encoding="ascii") == str(os.getpid())
+        assert not (out / LOCK_NAME).exists()
+
+    def test_reused_pid_taken_over(self, tmp_path):
+        """The PID of a killed run now names another live process (here the
+        test's parent); the lock is still free."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / LOCK_NAME).write_text(str(os.getppid()), encoding="ascii")
+        with output_lock(out) as stale:
+            assert stale == os.getppid()
+        assert not (out / LOCK_NAME).exists()
+
+    def test_two_runs_finding_one_stale_lock(self, tmp_path, dead_pid, monkeypatch):
+        """Both runs open the stale lock file; the rival locks it first, so
+        this run is refused instead of taking the directory over too."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / LOCK_NAME).write_text(str(dead_pid), encoding="ascii")
+        real_flock = fcntl.flock
+        rival = output_lock(out)
+
+        def rival_locks_first(fd, op):
+            monkeypatch.setattr(fcntl, "flock", real_flock)
+            assert rival.__enter__() == dead_pid
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", rival_locks_first)
+        with pytest.raises(InputPathError, match="locked"):
+            with output_lock(out):
+                pass
+        assert (out / LOCK_NAME).read_text(encoding="ascii") == str(os.getpid())
+        rival.__exit__(None, None, None)
+        assert not (out / LOCK_NAME).exists()
+
+    def test_lock_file_unlinked_under_a_waiting_run(self, tmp_path, monkeypatch):
+        """A rival run ends, unlinking the lock file this run has opened but
+        not yet locked; this run locks the file now at the path, so a third
+        run is refused."""
+        out = tmp_path / "out"
+        out.mkdir()
+        real_flock = fcntl.flock
+
+        def rival_runs_first(fd, op):
+            monkeypatch.setattr(fcntl, "flock", real_flock)
+            with output_lock(out):
+                pass
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", rival_runs_first)
+        (out / LOCK_NAME).write_bytes(b"")
+        with output_lock(out):
+            assert (out / LOCK_NAME).read_text(encoding="ascii") == str(os.getpid())
+            with pytest.raises(InputPathError, match="locked"):
+                with output_lock(out):
+                    pass
         assert not (out / LOCK_NAME).exists()
 
     def test_creates_out_dir(self, tmp_path):
