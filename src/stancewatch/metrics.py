@@ -55,12 +55,13 @@ def confusion(preds: Sequence[int], golds: Sequence[int]) -> ConfusionMatrix:
         )
     if len(preds) == 0:
         raise DataValidationError("cannot build a confusion matrix from zero examples")
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for p, g in zip(preds, golds):
-        if not (0 <= p < N_CLASSES and 0 <= g < N_CLASSES):
-            raise DataValidationError(f"label out of range: pred={p} gold={g}")
-        counts[g, p] += 1
-    return ConfusionMatrix(counts)
+    p, g = np.asarray(preds), np.asarray(golds)
+    bad = (p < 0) | (p >= N_CLASSES) | (g < 0) | (g >= N_CLASSES)
+    if bad.any():
+        k = bad.argmax()
+        raise DataValidationError(f"label out of range: pred={p[k]} gold={g[k]}")
+    counts = np.bincount(g * N_CLASSES + p, minlength=N_CLASSES * N_CLASSES)
+    return ConfusionMatrix(counts.reshape(N_CLASSES, N_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class PrfResult:
     accuracy: float
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def prf(cm: ConfusionMatrix) -> PrfResult:
@@ -83,14 +84,14 @@ def prf(cm: ConfusionMatrix) -> PrfResult:
     tp = np.diag(counts).astype(np.float64)
     support = counts.sum(axis=1).astype(np.float64)
     predicted = counts.sum(axis=0).astype(np.float64)
-    precision = [_safe_div(tp[c], predicted[c]) for c in range(N_CLASSES)]
-    recall = [_safe_div(tp[c], support[c]) for c in range(N_CLASSES)]
-    f1 = [_safe_div(2 * p * r, p + r) for p, r in zip(precision, recall)]
+    precision = _safe_div(tp, predicted)
+    recall = _safe_div(tp, support)
+    f1 = _safe_div(2 * precision * recall, precision + recall)
     total = counts.sum()
     return PrfResult(
-        precision=tuple(precision),
-        recall=tuple(recall),
-        f1=tuple(f1),
+        precision=tuple(precision.tolist()),
+        recall=tuple(recall.tolist()),
+        f1=tuple(f1.tolist()),
         macro_f1=float(np.mean(f1)),
         weighted_f1=float(np.dot(f1, support) / total),
         accuracy=float(tp.sum() / total),
@@ -123,27 +124,18 @@ def roc_points(scores: Sequence[float], binary_golds: Sequence[int]) -> RocCurve
         raise DataValidationError("ROC/AUC undefined: gold vector contains a single class")
 
     order = np.argsort(-s, kind="stable")
-    fprs = [0.0]
-    tprs = [0.0]
-    tp = 0
-    fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        t = s[order[i]]
-        while j < len(order) and s[order[j]] == t:
-            j += 1
-        block_pos = int(y[order[i:j]].sum())
-        tp += block_pos
-        fp += (j - i) - block_pos
-        fprs.append(fp / n_neg)
-        tprs.append(tp / n_pos)
-        i = j
-    return RocCurve(tuple(fprs), tuple(tprs))
+    ranked = s[order]
+    # the last position of each tie block is one threshold of the sweep
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(y[order])[ends]
+    fp = ends + 1 - tp
+    return RocCurve((0.0, *(fp / n_neg).tolist()), (0.0, *(tp / n_pos).tolist()))
 
 
 def auc(curve: RocCurve) -> float:
     """Trapezoidal area; equals the Mann-Whitney pair statistic with ties at half."""
+    # A plain loop on purpose: built-in sum() compensates rounding from Python
+    # 3.12 on and numpy sums pairwise, so either would change the bits.
     area = 0.0
     for k in range(1, len(curve.fprs)):
         dx = curve.fprs[k] - curve.fprs[k - 1]
@@ -152,14 +144,11 @@ def auc(curve: RocCurve) -> float:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(PrfResult):
+    """`prf`'s scores plus the confusion matrix they come from, the
+    one-vs-rest ROC curves with their areas, and the example count."""
+
     confusion: ConfusionMatrix
-    precision: tuple[float, float, float, float]
-    recall: tuple[float, float, float, float]
-    f1: tuple[float, float, float, float]
-    macro_f1: float
-    weighted_f1: float
-    accuracy: float
     auc: tuple[float, float, float, float]
     roc_curves: tuple[RocCurve, RocCurve, RocCurve, RocCurve]
     n_examples: int
@@ -221,28 +210,15 @@ def evaluate(
     if not testset.examples:
         raise DataValidationError("test set is empty")
     texts = [t.text for t in testset.examples]
-    golds = [int(t.gold_label) for t in testset.examples]
+    golds = np.array([int(t.gold_label) for t in testset.examples])
     probs = predict_batches(params, vocab, texts, batch_size)
-    preds = probs.argmax(axis=1)
-    cm = confusion(list(preds), golds)
-    scores = prf(cm)
-    curves = []
-    aucs = []
-    gold_arr = np.asarray(golds)
-    for c in range(N_CLASSES):
-        curve = roc_points(probs[:, c], (gold_arr == c).astype(np.int64))
-        curves.append(curve)
-        aucs.append(auc(curve))
+    cm = confusion(probs.argmax(axis=1), golds)
+    curves = tuple(roc_points(probs[:, c], golds == c) for c in range(N_CLASSES))
     return EvalReport(
+        **vars(prf(cm)),
         confusion=cm,
-        precision=scores.precision,
-        recall=scores.recall,
-        f1=scores.f1,
-        macro_f1=scores.macro_f1,
-        weighted_f1=scores.weighted_f1,
-        accuracy=scores.accuracy,
-        auc=tuple(aucs),
-        roc_curves=tuple(curves),
+        auc=tuple(auc(curve) for curve in curves),
+        roc_curves=curves,
         n_examples=len(golds),
     )
 

@@ -126,7 +126,6 @@ class TimelineSeries:
 
     start: dt.date
     bins: np.ndarray
-    utc_offset_minutes: int
 
     def __post_init__(self) -> None:
         bins = np.asarray(self.bins, dtype=np.int64)
@@ -160,7 +159,7 @@ def aggregate_daily(classified: Classified, utc_offset_minutes: int) -> Timeline
         )
     slot = (days - first) * 4 + classified.predicted
     counts = np.bincount(slot, minlength=4 * (last - first + 1)).reshape(-1, 4)
-    return TimelineSeries(EPOCH.date() + dt.timedelta(days=first), counts, utc_offset_minutes)
+    return TimelineSeries(EPOCH.date() + dt.timedelta(days=first), counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +205,8 @@ def smooth_shares(shares: DayShares, window: int) -> DayShares:
     n, half = len(shares), window // 2
     padded = np.pad(shares.percent, half)
     # Summing the shifted copies in window order adds each day's window left to
-    # right, as a per-day sum() does, so the bits match; the zero padding adds nothing.
+    # right, one value after another like a per-day running total; the zero
+    # padding adds nothing.
     total = sum(padded[k:k + n] for k in range(window))
     day = np.arange(n)
     count = np.minimum(day + half + 1, n) - np.maximum(day - half, 0)

@@ -70,6 +70,10 @@ class TrainConfig:
                 raise DataValidationError(f"{name} must be in [0, 1), got {b}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise DataValidationError(f"adam_eps must be finite and positive, got {self.adam_eps}")
+        for name in ("init_seed", "shuffle_seed", "dropout_seed"):
+            seed = getattr(self, name)
+            if seed < 0:  # numpy's generators take no negative seed
+                raise DataValidationError(f"{name} must be >= 0, got {seed}")
         if self.class_weights is not None:
             if len(self.class_weights) != 4:
                 raise DataValidationError("class_weights must have exactly 4 entries")

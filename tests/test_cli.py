@@ -412,6 +412,24 @@ class TestTrain:
         assert "finite" in result.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, key", [
+        ("--seed-init", "init_seed"), ("--seed-shuffle", "shuffle_seed"),
+        ("--seed-dropout", "dropout_seed"),
+    ])
+    def test_negative_seed_is_3_before_any_stage(self, runner, tmp_path, flag, key):
+        """numpy's generators refuse a negative seed; the run stops before
+        the vocabulary or the labeled file is read, with no traceback."""
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=5), labeled)
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["train", "--labeled", str(labeled), "--out", str(out),
+                                      *FAST_TRAIN, flag, "-1"])
+        assert result.exit_code == 3, result.output
+        assert f"{key} must be >= 0, got -1" in result.output
+        assert "Traceback" not in result.output
+        assert list(out.iterdir()) == []
+
     def test_weights_beyond_float32_are_4_and_leave_no_checkpoint(self, runner, tmp_path):
         """lr 1e300 leaves float64 weights near 1e300 after one step; stored
         as float32 they would be infinite."""

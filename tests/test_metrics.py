@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_reference as reference
 from stancewatch.corpus import Category, LabeledDataset, Tweet
 from stancewatch.encoder import EncoderConfig, bucket_len, init_params
 from stancewatch.errors import DataValidationError
@@ -170,6 +171,67 @@ class TestRoc:
         got = auc(roc_points(scores, golds))
         want = mann_whitney_auc(scores, golds)
         assert abs(got - want) < 1e-12
+
+
+def bits(values):
+    """Exact identity of a float sequence: equal hex strings, -0.0 included."""
+    return [float(v).hex() for v in values]
+
+
+def assert_prf_equal(cm):
+    got, want = prf(cm), reference.prf(cm.counts.tolist())
+    for name in ("precision", "recall", "f1"):
+        assert all(type(v) is float for v in getattr(got, name))
+        assert bits(getattr(got, name)) == bits(want[name])
+    for name in ("macro_f1", "weighted_f1", "accuracy"):
+        assert bits([getattr(got, name)]) == bits([want[name]])
+
+
+class TestMatchesLoopReference:
+    """The array code returns exactly the loop reference's counts and floats."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_confusion_and_prf_equal(self, data):
+        n = data.draw(st.integers(1, 60))
+        # a narrow label range leaves classes unseen (zero denominators);
+        # the occasional -1 or 4 must be refused with the reference's message
+        labels = st.one_of(st.integers(0, 3), st.integers(0, 1), st.sampled_from([-1, 4]))
+        preds = data.draw(st.lists(labels, min_size=n, max_size=n))
+        golds = data.draw(st.lists(labels, min_size=n, max_size=n))
+        try:
+            want = reference.confusion(preds, golds)
+        except ValueError as exc:
+            with pytest.raises(DataValidationError) as got:
+                confusion(preds, golds)
+            assert str(got.value) == str(exc)
+            return
+        cm = confusion(np.array(preds), np.array(golds))
+        assert cm.counts.tolist() == want
+        assert confusion(preds, golds).counts.tolist() == want
+        assert_prf_equal(cm)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 1000), min_size=16, max_size=16))
+    def test_prf_on_large_counts_equal(self, flat):
+        flat[0] += 1  # at least one example
+        assert_prf_equal(ConfusionMatrix(np.reshape(flat, (4, 4))))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_roc_points_and_auc_equal(self, data):
+        n = data.draw(st.integers(2, 80))
+        # a coarse grid forces tie blocks; free floats give tie-free stretches
+        grid = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.9, 1.0])
+        scores = data.draw(st.lists(st.one_of(grid, st.floats(0, 1)), min_size=n, max_size=n))
+        golds = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        if sum(golds) in (0, n):
+            golds[0] = 1 - golds[0]
+        curve = roc_points(scores, golds)
+        want_fprs, want_tprs = reference.roc_points(scores, golds)
+        assert bits(curve.fprs) == bits(want_fprs)
+        assert bits(curve.tprs) == bits(want_tprs)
+        assert bits([auc(curve)]) == bits([reference.auc(want_fprs, want_tprs)])
 
 
 def make_testset():

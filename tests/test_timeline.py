@@ -255,7 +255,7 @@ class TestAggregateDaily:
 
     def test_bins_must_be_four_wide(self):
         with pytest.raises(DataValidationError, match="days, 4"):
-            TimelineSeries(D(2021, 8, 1), np.zeros((3, 5), dtype=np.int64), utc_offset_minutes=0)
+            TimelineSeries(D(2021, 8, 1), np.zeros((3, 5), dtype=np.int64))
 
 
 class TestShare:
@@ -463,9 +463,11 @@ class TestAgainstLoopReference:
     @example(rows=[[1, 2, 3, 4]] * 5, category=2, window=None, min_prominence=2.0, top_k=5)
     @example(rows=[[0, 0, 5, 5], EMPTY_DAY, [0, 0, 5, 5]], category=2, window=3,
              min_prominence=0.0, top_k=5)
+    @example(rows=[EMPTY_DAY, [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]], category=0,
+             window=5, min_prominence=11.0, top_k=1)  # no local maximum
     def test_shares_smoothing_and_peaks_equal(self, rows, category, window, min_prominence, top_k):
         start = D(2021, 8, 1)
-        series = TimelineSeries(start, np.reshape(rows, (-1, 4)), utc_offset_minutes=0)
+        series = TimelineSeries(start, np.reshape(rows, (-1, 4)))
         got = share(series, category)
         want = reference.share(start, rows, category)
         assert got.percent.tolist() == [s.share for s in want]
@@ -478,8 +480,8 @@ class TestAgainstLoopReference:
             reference.detect_peaks(want, category, min_prominence, top_k, window)
         )
         # Python floats, so peaks.json rounds them the way round() does
-        assert {type(p.share) for p in report.local_maxima} == {float}
-        assert {type(p.prominence) for p in report.local_maxima} == {float}
+        for p in report.local_maxima:
+            assert type(p.share) is float and type(p.prominence) is float
 
 
 class TestPersistence:

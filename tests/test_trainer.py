@@ -91,6 +91,9 @@ class TestTrainConfig:
             dict(adam_eps=float("nan")),
             dict(class_weights=(1.0, float("nan"), 1.0, 1.0)),
             dict(class_weights=(1.0, 1.0, float("inf"), 1.0)),
+            dict(init_seed=-1),
+            dict(shuffle_seed=-1),
+            dict(dropout_seed=-1),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

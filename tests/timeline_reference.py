@@ -69,7 +69,12 @@ def smooth_shares(shares, window):
     for i, s in enumerate(shares):
         lo = max(0, i - half)
         hi = min(len(values), i + half + 1)
-        out.append(DayShare(date=s.date, share=sum(values[lo:hi]) / (hi - lo), empty=s.empty))
+        # explicit left-to-right adds: from Python 3.12 sum() compensates
+        # float rounding, so its result would depend on the Python version
+        total = 0.0
+        for v in values[lo:hi]:
+            total += v
+        out.append(DayShare(date=s.date, share=total / (hi - lo), empty=s.empty))
     return out
 
 
