@@ -45,6 +45,7 @@ from .corpus import (
     Category,
     DatasetSplit,
     IngestResult,
+    check_train_fraction,
     ingest_jsonl,
     labeled_subset,
     split_dataset,
@@ -55,7 +56,7 @@ from .corpus import (
 from .encoder import ModelParams, load_checkpoint, save_checkpoint
 from .errors import DataValidationError, InputPathError, StancewatchError
 from .manifest import RunManifest, output_lock, partial_path
-from .metrics import evaluate, write_report, write_roc_csv
+from .metrics import check_batch_size, evaluate, write_report, write_roc_csv
 from .svg import confusion_svg, prf_bars_svg, roc_svg, timeline_svg
 from .synth import (
     DEFAULT_BASE_SHARES,
@@ -172,6 +173,7 @@ class Run:
 
     def classify_to_file(self) -> tuple[Classified, Path]:
         """Classify the corpus with the trained model and write classified.jsonl."""
+        check_batch_size(self.config.classify_batch_size, "classify_batch_size")
         corpus = self.input("corpus", self.config.corpus_path, "corpus file", "--corpus")
         path = self.output(self.config.classified_path, "classified.jsonl")
         params, vocab = self.model_and_vocab()
@@ -228,6 +230,7 @@ def pipeline_command(name: str, *options):
 )
 def cmd_build_vocab(run: Run) -> None:
     """Learn a WordPiece vocabulary from the training split only."""
+    check_train_fraction(run.config.train_fraction)
     vocab_path = run.output(run.config.vocab_path, "vocab.txt")
     split = run.labeled_split()
     with run.manifest.stage("build_vocab"):
@@ -258,6 +261,7 @@ def cmd_train(run: Run) -> None:
     """Split the labeled set and fine-tune the encoder on the train half."""
     config = run.config
     training = train_config(config)
+    check_train_fraction(config.train_fraction)
     vocab = run.vocab()
     model_config = encoder_config(config, len(vocab))
     ckpt_path = run.output(config.checkpoint_path, "model.ckpt")
@@ -287,6 +291,8 @@ def cmd_train(run: Run) -> None:
 )
 def cmd_evaluate(run: Run) -> None:
     """Score the held-out split: metrics document, ROC CSVs, figures."""
+    check_batch_size(run.config.eval_batch_size, "eval_batch_size")
+    check_train_fraction(run.config.train_fraction)
     params, vocab = run.model_and_vocab()
     split = run.labeled_split()
     with run.manifest.stage("evaluate"):

@@ -278,6 +278,12 @@ class DatasetSplit:
     seed: int
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    """Reject a fraction that would leave the train or the test half empty."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DataValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
 def split_dataset(data: LabeledDataset, train_fraction: float, seed: int) -> DatasetSplit:
     """Stratified split: per class, seeded shuffle then floor(fraction * n) to train.
 
@@ -285,8 +291,7 @@ def split_dataset(data: LabeledDataset, train_fraction: float, seed: int) -> Dat
     order with a single seeded generator, so membership is a pure function
     of (dataset, fraction, seed).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_train_fraction(train_fraction)
     by_class: dict[Category, list[int]] = {c: [] for c in Category}
     for pos, t in enumerate(data.examples):
         by_class[t.gold_label].append(pos)

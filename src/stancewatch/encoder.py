@@ -28,16 +28,16 @@ zero gradient (q . bk is one constant across a row of scores, which the
 softmax cancels), so training moves it only by rounding noise: it is the
 first tensor to differ in byte comparisons between two correct versions.
 
-Encodings are ``max_len`` long, but ``collate`` trims a batch to
-``bucket_len`` of its longest member: the smallest multiple of ``BUCKET``
-that holds it, capped at ``max_len``. Trimming drops only padding, and
-padding cannot move the result: exp(-1e9) is exactly 0.0 in float64, so a
-padded key gets exactly zero attention weight, and a padded query feeds
-nothing but its own row, which the [CLS] output never reads. A different
-width changes only the order of float summation. A dropout mask row is
-drawn at the batch's width and the generator then skips the draws of the
-positions past it up to ``max_len``, so a trimmed train-mode batch sees
-the same masks at its real positions as the full-width one. Attention
+An encoding holds only its real ids; ``collate`` alone pads, with
+``[PAD]`` to ``bucket_len`` of a batch's longest member (the smallest
+multiple of ``BUCKET`` that holds it, capped at ``max_len``), and builds
+the mask from the lengths. Padding cannot move the result: exp(-1e9) is
+exactly 0.0 in float64, so a padded key gets exactly zero attention
+weight, and a padded query feeds nothing but its own row, which the [CLS]
+output never reads. A different width changes only the order of float
+summation. A dropout mask row is drawn at the batch's width and the
+generator skips the draws of the positions past it up to ``max_len``, so
+real positions get the same train-mode masks at any width. Attention
 scores, softmax and layernorm work in place on their temporaries, taking
 the same float steps as the allocating forms. The head computes each
 row as its own one-row product, so a row's logits do not depend on how
@@ -65,13 +65,14 @@ import struct
 import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erf, ndtr, ndtri
 
 from .errors import DataValidationError, InputPathError, NumericalError
-from .tokenizer import Encoding
+from .tokenizer import PAD_ID, Encoding
 
 MASK_ADDEND = -1e9
 BUCKET = 8
@@ -343,26 +344,27 @@ def bucket_len(n_real: int, max_len: int) -> int:
 
 
 def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack encodings into (ids, mask) arrays, validating dimensions, and
-    trim them to the bucket of the longest member (the last real position
-    of any row, read from the masks)."""
+    """Pad encodings with ``[PAD]`` into (ids, mask) arrays as wide as the
+    bucket of the longest member, checking that each holds 1..max_len ids
+    and that every id is in the vocabulary."""
     if not batch:
         raise DataValidationError("empty batch")
-    for i, enc in enumerate(batch):
-        if len(enc.ids) != config.max_len:
-            raise DataValidationError(
-                f"batch item {i}: encoding length {len(enc.ids)} does not match "
-                f"model max_len {config.max_len}"
-            )
-    ids = np.array([enc.ids for enc in batch], dtype=np.int64)
-    if ids.max() >= config.vocab_size:
+    n_real = np.fromiter((len(enc.ids) for enc in batch), dtype=np.int64, count=len(batch))
+    bad = np.flatnonzero((n_real < 1) | (n_real > config.max_len))
+    if bad.size:
         raise DataValidationError(
-            f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}"
+            f"batch item {bad[0]}: encoding holds {n_real[bad[0]]} ids, not 1 to max_len {config.max_len}"
         )
-    mask = np.array([enc.mask for enc in batch], dtype=np.float64)
-    last_real = np.flatnonzero(mask.any(axis=0)).max(initial=0)
-    width = bucket_len(int(last_real) + 1, config.max_len)
-    return ids[:, :width], mask[:, :width]
+    real = np.arange(bucket_len(int(n_real.max()), config.max_len)) < n_real[:, None]
+    ids = np.full(real.shape, PAD_ID, dtype=np.int64)
+    ids[real] = np.fromiter(chain.from_iterable(enc.ids for enc in batch), dtype=np.int64,
+                            count=int(n_real.sum()))
+    lo, hi = int(ids.min()), int(ids.max())
+    if lo < 0 or hi >= config.vocab_size:
+        raise DataValidationError(
+            f"token id {lo if lo < 0 else hi} out of range for vocab_size {config.vocab_size}"
+        )
+    return ids, real.astype(np.float64)
 
 
 def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, width: int) -> np.ndarray:
@@ -474,12 +476,15 @@ def forward_with_cache(
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
     need_cache: bool = False,
-) -> tuple[np.ndarray, tuple | None]:
-    """Run the encoder on collated arrays; optionally keep activations.
+) -> tuple[np.ndarray, tuple]:
+    """Run the encoder on collated arrays; return the logits and a cache.
 
-    The cache holds everything the backward pass needs. Dropout masks are
-    drawn in a fixed order (embedding, then per layer attention / ffn) from
-    a generator seeded with ``dropout_seed``.
+    The cache always holds the head's inputs, the last layer's [CLS] row
+    and the pooled vector, which is all a head-only backward reads.
+    ``need_cache`` adds the embedding's arrays and every layer's tuples,
+    which the full backward needs. Dropout masks are drawn in a fixed order
+    (embedding, then per layer attention / ffn) from a generator seeded
+    with ``dropout_seed``.
     """
     cfg = params.config
     B, T = ids.shape
@@ -520,8 +525,9 @@ def forward_with_cache(
     # kernels with the row count and so round a lone row differently.
     pooled = np.tanh((h[:, :1, :] @ p["pooler_w"])[:, 0] + p["pooler_b"])
     logits = (pooled[:, None, :] @ p["classifier_w"].T)[:, 0] + p["classifier_b"]
-    cache = ((ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled))
-    return logits, cache if need_cache else None
+    if not need_cache:
+        return logits, (None, None, (h, pooled))
+    return logits, ((ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled))
 
 
 def forward(
@@ -541,10 +547,11 @@ def backward_from_logits(
 ) -> TensorBuffer:
     """Exact gradients of every parameter tensor given d(loss)/d(logits),
     in the parameters' buffer layout. ``head_only`` stops after the pooler
-    and classifier, leaving the encoder's gradients zero."""
+    and classifier, leaving the encoder's gradients zero; any other
+    backward needs the cache of a forward run with ``need_cache``."""
     p = params.tensors
     grads = p.zeros_like()
-    (ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled) = cache
+    emb, layers, (h, pooled) = cache
 
     grads["classifier_w"][...] = dlogits.T @ pooled
     grads["classifier_b"][...] = dlogits.sum(axis=0)
@@ -554,6 +561,9 @@ def backward_from_logits(
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
     if head_only:
         return grads
+    if layers is None:
+        raise DataValidationError("a full backward needs a forward run with need_cache=True")
+    ids, emb_drop, emb_xhat, emb_inv = emb
     dh = (dpooled_pre @ p["pooler_w"].T)[:, None, :]
 
     for i in reversed(range(len(layers))):

@@ -154,6 +154,12 @@ class EvalReport(PrfResult):
     n_examples: int
 
 
+def check_batch_size(batch_size: int, key: str = "batch_size") -> None:
+    """Reject a batch size below 1; ``key`` names the setting in the message."""
+    if batch_size < 1:
+        raise DataValidationError(f"{key} must be >= 1, got {batch_size}")
+
+
 def predict_batches(
     params: ModelParams,
     vocab: Vocabulary,
@@ -170,8 +176,7 @@ def predict_batches(
     Refuses to run when the checkpoint records a vocabulary hash different
     from the one supplied, which would silently skew every token id.
     """
-    if batch_size < 1:
-        raise DataValidationError(f"batch_size must be >= 1, got {batch_size}")
+    check_batch_size(batch_size)
     if params.vocab_hash is not None and params.vocab_hash != vocab.content_hash():
         raise DataValidationError(
             "vocabulary hash mismatch: checkpoint was trained with a different vocabulary "

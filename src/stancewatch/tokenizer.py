@@ -1,4 +1,4 @@
-"""WordPiece-style subword vocabulary building and fixed-length encoding.
+"""WordPiece-style subword vocabulary building and encoding.
 
 The vocabulary is trained from scratch on the training-split texts. Training
 is the classic pair-merge procedure: start from single characters (word
@@ -16,7 +16,10 @@ Encoding is greedy longest-match from the left within each pre-token. Case
 is preserved; text is NFC-normalized before pre-tokenization. Pre-tokens
 come from one regex: runs of alphanumeric characters (``str.isalnum``) are
 words, whitespace separates them, and any other character is a word of its
-own. ``encode`` stops matching words once it holds ``max_len - 2`` pieces.
+own. ``encode`` stops matching words once it holds ``max_len - 2`` pieces
+and returns only the real ids, ``[CLS]`` through ``[SEP]``: it adds no
+``[PAD]`` and no attention mask, which ``encoder.collate`` builds for a
+whole batch from the lengths.
 Each vocabulary memoises the piece ids of the words it has matched, bounded
 by ``WORD_CACHE_ENTRIES``; the memo holds only results of a pure function of
 the vocabulary, so it cannot change a result, and it takes no part in
@@ -106,15 +109,13 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Encoding:
-    """Fixed-length id sequence with its attention mask.
-
-    ``ids[0]`` is ``[CLS]``, the last real position is ``[SEP]``, and
-    ``mask[i] == 1`` exactly where ``ids[i]`` is a real token.
-    """
+    """The real ids of one text: ``[CLS]``, its pieces, then ``[SEP]``."""
 
     ids: tuple[int, ...]
-    mask: tuple[int, ...]
-    n_real: int
+
+    @property
+    def n_real(self) -> int:
+        return len(self.ids)
 
 
 def pre_tokenize(text: str) -> list[str]:
@@ -223,11 +224,11 @@ def tokenize(vocab: Vocabulary, text: str) -> list[str]:
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
-    """Encode a text into exactly ``max_len`` ids with an attention mask.
+    """Encode a text into at most ``max_len`` ids.
 
     Words are matched only until ``max_len - 2`` pieces are held; pieces
     beyond that are dropped, then the sequence is wrapped in ``[CLS]`` /
-    ``[SEP]`` and padded with ``[PAD]``.
+    ``[SEP]``.
     """
     if max_len < 2:
         raise DataValidationError(f"max_len must be at least 2, got {max_len}")
@@ -239,7 +240,4 @@ def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
         ids.extend(vocab.word_ids(word))
     del ids[budget + 1:]
     ids.append(SEP_ID)
-    n_real = len(ids)
-    ids.extend([PAD_ID] * (max_len - n_real))
-    mask = [1] * n_real + [0] * (max_len - n_real)
-    return Encoding(tuple(ids), tuple(mask), n_real)
+    return Encoding(tuple(ids))

@@ -143,11 +143,11 @@ def _step(
 ) -> tuple[float, np.ndarray, TensorBuffer]:
     """collate -> forward with cache -> loss and dlogits -> backward, then
     check that loss and gradients are finite. Returns (loss, logits, grads);
-    with ``head_only`` the backward stops at the head and the encoder's
-    gradients stay zero."""
+    with ``head_only`` the forward keeps no layer's activations, the
+    backward stops at the head and the encoder's gradients stay zero."""
     ids, mask = collate(batch, params.config)
     logits, cache = forward_with_cache(
-        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=True
+        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=not head_only
     )
     loss, dlogits = _loss_and_dlogits(logits, labels, weights)
     grads = backward_from_logits(params, cache, dlogits, head_only)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from stancewatch.encoder import EncoderConfig, init_params
-from stancewatch.tokenizer import Encoding
+from stancewatch.tokenizer import PAD_ID, Encoding
 
 settings.register_profile(
     "suite",
@@ -65,15 +65,17 @@ def tiny_params(tiny_config):
 
 
 def random_encodings(rng: np.random.Generator, n: int, config: EncoderConfig) -> list[Encoding]:
-    """Valid-looking encodings: CLS, random interior, SEP, PAD tail."""
+    """Valid-looking encodings: CLS, random interior, SEP."""
     out = []
     for _ in range(n):
         n_real = int(rng.integers(2, config.max_len + 1))
         interior = rng.integers(4, config.vocab_size, max(0, n_real - 2))
         ids = [2, *[int(x) for x in interior], 3]
-        ids = ids[: config.max_len]
-        n_real = len(ids)
-        ids += [0] * (config.max_len - n_real)
-        mask = [1] * n_real + [0] * (config.max_len - n_real)
-        out.append(Encoding(tuple(ids), tuple(mask), n_real))
+        out.append(Encoding(tuple(ids[: config.max_len])))
     return out
+
+
+def padded(enc: Encoding, max_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``enc`` as ``max_len`` ids with a [PAD] tail, and its 0/1 attention mask."""
+    pad = max_len - enc.n_real
+    return enc.ids + (PAD_ID,) * pad, (1,) * enc.n_real + (0,) * pad

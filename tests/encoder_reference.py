@@ -24,6 +24,12 @@ package does, and the package must give the same logits and gradient
 bytes. Without it every layer runs at full width, as the package's passes
 did before; the two agree in real arithmetic, since the head reads only
 row 0 of the last layer, so they differ by rounding only.
+
+``collate`` is the package's as it was when encodings came padded to
+``max_len`` with their masks: it takes (ids, mask) pairs, such as
+``conftest.padded`` makes, reads the last real position from the masks
+and trims the padding off again. The package's ``collate`` pads the real
+ids itself and must return the same bytes.
 """
 
 from __future__ import annotations
@@ -78,6 +84,26 @@ def adam_step(params, grads, state, config):
     mhat = m / bc1
     vhat = v / bc2
     theta -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+
+
+def collate(batch, config):
+    if not batch:
+        raise package.DataValidationError("empty batch")
+    for i, (ids, _) in enumerate(batch):
+        if len(ids) != config.max_len:
+            raise package.DataValidationError(
+                f"batch item {i}: encoding length {len(ids)} does not match "
+                f"model max_len {config.max_len}"
+            )
+    ids = np.array([ids for ids, _ in batch], dtype=np.int64)
+    if ids.max() >= config.vocab_size:
+        raise package.DataValidationError(
+            f"token id {int(ids.max())} out of range for vocab_size {config.vocab_size}"
+        )
+    mask = np.array([mask for _, mask in batch], dtype=np.float64)
+    last_real = np.flatnonzero(mask.any(axis=0)).max(initial=0)
+    width = package.bucket_len(int(last_real) + 1, config.max_len)
+    return ids[:, :width], mask[:, :width]
 
 
 def forward_with_cache(

@@ -19,17 +19,17 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from conftest import TINY, criterion, random_encodings
+from conftest import TINY, criterion, padded, random_encodings
 from scalar_reference import forward_scalar
 
 from stancewatch.cli import main
 from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
-from stancewatch.encoder import EncoderConfig, forward, init_params
+from stancewatch.encoder import EncoderConfig, forward, forward_with_cache, init_params
 from stancewatch.manifest import RunManifest
 from stancewatch.metrics import auc, confusion, evaluate, prf, roc_points
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.timeline import aggregate_daily, classify_corpus, detect_peaks, share
-from stancewatch.tokenizer import Encoding, build_vocab
+from stancewatch.tokenizer import build_vocab
 from stancewatch.trainer import AdamState, TrainConfig, adam_step, cross_entropy, gradients, train
 
 
@@ -98,17 +98,16 @@ def test_forward_oracle():
             batch = random_encodings(rng, 10, config)
             logits = forward(params, batch)
             for row, enc in enumerate(batch):
-                want = forward_scalar(tensors, scalar_config(config), list(enc.ids), list(enc.mask))
+                ids, mask = padded(enc, config.max_len)
+                want = forward_scalar(tensors, scalar_config(config), list(ids), list(mask))
                 np.testing.assert_allclose(logits[row], want, rtol=0, atol=1e-10)
 
                 # padding invariance: garbage token ids under mask 0 must not
                 # move the logits
                 tail = rng.integers(4, config.vocab_size, config.max_len - enc.n_real)
-                ids = enc.ids[: enc.n_real] + tuple(int(x) for x in tail)
-                twin = Encoding(ids, enc.mask, enc.n_real)
-                np.testing.assert_allclose(
-                    forward(params, [twin])[0], logits[row], rtol=0, atol=1e-6
-                )
+                twin_ids = np.array([enc.ids + tuple(int(x) for x in tail)])
+                twin, _ = forward_with_cache(params, twin_ids, np.array([mask], dtype=np.float64))
+                np.testing.assert_allclose(twin[0], logits[row], rtol=0, atol=1e-6)
                 cases += 1
         assert cases >= 100
 

@@ -152,6 +152,32 @@ class TestExitCodes:
         assert "smoothing window must be odd and >= 1, got 2" in result.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("args, message", [
+        (["classify", "--corpus", "MISSING", "--classify-batch-size", "0"],
+         "classify_batch_size must be >= 1, got 0"),
+        (["timeline", "--corpus", "MISSING", "--set", "classify_batch_size=-2"],
+         "classify_batch_size must be >= 1, got -2"),
+        (["evaluate", "--labeled", "MISSING", "--eval-batch-size", "0"],
+         "eval_batch_size must be >= 1, got 0"),
+        (["evaluate", "--labeled", "MISSING", "--train-fraction", "1.5"],
+         "train_fraction must be in (0, 1), got 1.5"),
+        (["train", "--labeled", "MISSING", "--train-fraction", "1.5"],
+         "train_fraction must be in (0, 1), got 1.5"),
+        (["build-vocab", "--labeled", "MISSING", "--set", "train_fraction=0"],
+         "train_fraction must be in (0, 1), got 0"),
+    ], ids=["classify", "timeline", "evaluate-batch", "evaluate-split", "train", "build-vocab"])
+    def test_bad_batch_size_or_split_is_3_before_any_input(self, runner, tmp_path, args, message):
+        """A setting no run could use is named before any input is read, so
+        even a missing input file is not what the run reports."""
+        out = tmp_path / "out"
+        out.mkdir()
+        args = [str(tmp_path / "missing.jsonl") if a == "MISSING" else a for a in args]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("offset", ["100000000000000", "153722867280", "6000000", "-1441"])
     def test_utc_offset_beyond_a_day_is_3_before_any_stage(self, runner, tmp_path, offset):
         """An offset no timezone has is rejected before anything is read, not as a traceback."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import encoder_reference
-from conftest import random_encodings
+from conftest import padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
@@ -155,8 +155,9 @@ class TestCollate:
                 ids, mask = collate(batch, cfg)
                 width = bucket_len(max(e.n_real for e in batch), cfg.max_len)
                 assert ids.shape == mask.shape == (len(batch), width)
-                np.testing.assert_array_equal(ids, [e.ids[:width] for e in batch])
-                np.testing.assert_array_equal(mask, [e.mask[:width] for e in batch])
+                full = [padded(e, cfg.max_len) for e in batch]
+                np.testing.assert_array_equal(ids, [e_ids[:width] for e_ids, _ in full])
+                np.testing.assert_array_equal(mask, [e_mask[:width] for _, e_mask in full])
 
     def test_shapes_and_dtypes(self, tiny_config):
         rng = np.random.default_rng(0)
@@ -166,15 +167,29 @@ class TestCollate:
         assert ids.dtype == np.int64 and mask.dtype == np.float64
 
     def test_wrong_length_rejected(self, tiny_config):
-        enc = Encoding((2, 3), (1, 1), 2)
-        with pytest.raises(DataValidationError, match="max_len"):
-            collate([enc], tiny_config)
+        longest = Encoding((2,) + (4,) * (tiny_config.max_len - 2) + (3,))
+        collate([longest], tiny_config)
+        too_long = Encoding(longest.ids[:-1] + (4, 3))
+        with pytest.raises(DataValidationError, match="batch item 1: .* max_len 8"):
+            collate([longest, too_long], tiny_config)
+
+    def test_empty_encoding_rejected(self, tiny_config):
+        for batch, item in (([Encoding(())], 0), ([Encoding((2, 3)), Encoding(())], 1)):
+            with pytest.raises(DataValidationError, match=f"batch item {item}: encoding holds 0 ids"):
+                collate(batch, tiny_config)
 
     def test_out_of_range_id_rejected(self, tiny_config):
-        ids = (2, 99, 3, 0, 0, 0, 0, 0)
-        enc = Encoding(ids, (1, 1, 1, 0, 0, 0, 0, 0), 3)
-        with pytest.raises(DataValidationError, match="out of range"):
+        enc = Encoding((2, 99, 3))
+        with pytest.raises(DataValidationError, match="token id 99 out of range"):
             collate([enc], tiny_config)
+
+    def test_negative_id_rejected(self, tiny_config, tiny_params):
+        # numpy indexing would read id -1 as the last embedding row, 15
+        enc = Encoding((2, -1, 3))
+        with pytest.raises(DataValidationError, match="token id -1 out of range"):
+            collate([enc], tiny_config)
+        with pytest.raises(DataValidationError, match="out of range"):
+            forward(tiny_params, [enc])
 
     def test_empty_batch_rejected(self, tiny_config):
         with pytest.raises(DataValidationError, match="empty"):
@@ -210,16 +225,17 @@ class TestForward:
         logits = forward(tiny_params, batch)
         tensors = tensors_as_lists(tiny_params)
         for row, enc in enumerate(batch):
-            want = forward_scalar(tensors, scalar_config(tiny_config), list(enc.ids), list(enc.mask))
+            ids, mask = padded(enc, tiny_config.max_len)
+            want = forward_scalar(tensors, scalar_config(tiny_config), list(ids), list(mask))
             np.testing.assert_allclose(logits[row], want, rtol=0, atol=1e-10)
 
     def test_padding_does_not_leak(self, tiny_config, tiny_params):
         base = (2, 5, 9, 3)
-        a = Encoding(base + (0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 0), 4)
-        b = Encoding(base + (7, 11, 4, 6), (1, 1, 1, 1, 0, 0, 0, 0), 4)
-        la = forward(tiny_params, [a])
-        lb = forward(tiny_params, [b])
+        mask = np.array([[1, 1, 1, 1, 0, 0, 0, 0]], dtype=np.float64)
+        la, _ = forward_with_cache(tiny_params, np.array([base + (0, 0, 0, 0)]), mask)
+        lb, _ = forward_with_cache(tiny_params, np.array([base + (7, 11, 4, 6)]), mask)
         np.testing.assert_allclose(la, lb, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(forward(tiny_params, [Encoding(base)]), la)
 
     def test_batch_independence(self, tiny_config, tiny_params):
         rng = np.random.default_rng(5)
@@ -235,8 +251,8 @@ class TestForward:
         batch = [enc for enc in batch if enc.n_real <= 12][:5]
         ids, mask = collate(batch, cfg)
         assert ids.shape[1] == 16
-        full_ids = np.array([enc.ids for enc in batch])
-        full_mask = np.array([enc.mask for enc in batch], dtype=np.float64)
+        full_ids = np.array([padded(enc, cfg.max_len)[0] for enc in batch])
+        full_mask = np.array([padded(enc, cfg.max_len)[1] for enc in batch], dtype=np.float64)
         for seed in (1, 2, 3):
             trimmed, _ = forward_with_cache(params, ids, mask, train_mode=True, dropout_seed=seed)
             full, _ = forward_with_cache(params, full_ids, full_mask, train_mode=True, dropout_seed=seed)
@@ -300,7 +316,7 @@ class TestClsOnlyLastLayer:
         params, ids, mask = noisy_model_and_batch(width, n_layers, batch)
         cached, _ = forward_with_cache(params, ids, mask, need_cache=True)
         cls_only, cache = forward_with_cache(params, ids, mask)
-        assert cache is None
+        assert cache[:2] == (None, None)
         assert cls_only.tobytes() == cached.tobytes()
 
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -327,6 +343,24 @@ class TestClsOnlyLastLayer:
         alone = np.vstack([forward_with_cache(params, ids[r : r + 1], mask[r : r + 1])[0]
                            for r in range(len(ids))])
         np.testing.assert_array_equal(together, alone)
+
+
+class TestHeadOnlyCache:
+    """Without ``need_cache`` the cache holds only the head's inputs: enough
+    for a head-only backward, and refused by a full one."""
+
+    def test_head_only_backward_needs_no_layer_cache(self, tiny_config, tiny_params):
+        ids, mask = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
+        dlogits = np.random.default_rng(1).normal(size=(3, 4))
+        _, full_cache = forward_with_cache(tiny_params, ids, mask, True, 2, need_cache=True)
+        _, head_cache = forward_with_cache(tiny_params, ids, mask, True, 2)
+        assert head_cache[:2] == (None, None)
+        assert [a.shape for a in head_cache[2]] == [(3, 1, 8), (3, 8)]
+        want = backward_from_logits(tiny_params, full_cache, dlogits, head_only=True)
+        got = backward_from_logits(tiny_params, head_cache, dlogits, head_only=True)
+        assert got.flat.tobytes() == want.flat.tobytes()
+        with pytest.raises(DataValidationError, match="need_cache"):
+            backward_from_logits(tiny_params, head_cache, dlogits)
 
 
 class TestPredictProba:

@@ -2,14 +2,18 @@
 they replaced (tests/encoder_reference.py): each op returns the same bytes,
 and training and inference give the same bytes with the reference ops
 swapped in. The forward and backward passes give the same bytes as the
-one-loop passes they replaced."""
+one-loop passes they replaced, and ``collate`` gives the same arrays as the
+one that trimmed encodings padded to ``max_len``."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import encoder_reference as reference
+from conftest import padded, random_encodings
 import stancewatch.encoder as sw_encoder
 import stancewatch.trainer as sw_trainer
 from stancewatch.corpus import labeled_subset, split_dataset
@@ -18,6 +22,7 @@ from stancewatch.encoder import (
     _dropout_mask,
     _layernorm_forward,
     _softmax_lastaxis,
+    collate,
     gelu_and_cdf,
     gelu_grad,
     init_params,
@@ -25,7 +30,7 @@ from stancewatch.encoder import (
 )
 from stancewatch.metrics import predict_batches
 from stancewatch.synth import generate_labeled
-from stancewatch.tokenizer import build_vocab
+from stancewatch.tokenizer import build_vocab, encode
 from stancewatch.trainer import ADAM_BLOCK, HEAD_START, AdamState, TrainConfig, adam_step, train
 
 
@@ -227,3 +232,23 @@ def test_passes_match_full_width_reference_to_rounding(width, train_mode, n_laye
     for name in grads:
         atol = 1e-15 if name.endswith(".bk") else 1e-14 * largest
         np.testing.assert_allclose(grads[name], full_grads[name], rtol=0, atol=atol, err_msg=name)
+
+
+COLLATE_VOCAB = build_vocab(["aşı aşılar karşı, bcı! aşılar abc"] * 3, max_size=40)
+# Each batch item is a text to encode or a seed for one random encoding.
+collate_items = st.one_of(st.text(alphabet="aşbcıklr ,!", max_size=150), st.integers(0, 2**32 - 1))
+
+
+@given(st.sampled_from([2, 8, 12, 40, 64]), st.lists(collate_items, min_size=1, max_size=8))
+def test_collate_matches_padded_reference(max_len, items):
+    cfg = EncoderConfig(vocab_size=len(COLLATE_VOCAB), d_model=8, n_layers=1, n_heads=2,
+                        max_len=max_len)
+    batch = [
+        encode(COLLATE_VOCAB, item, max_len) if isinstance(item, str)
+        else random_encodings(np.random.default_rng(item), 1, cfg)[0]
+        for item in items
+    ]
+    ids, mask = collate(batch, cfg)
+    ref_ids, ref_mask = reference.collate([padded(enc, max_len) for enc in batch], cfg)
+    assert_same_bytes(ids, ref_ids)
+    assert_same_bytes(mask, ref_mask)

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import tokenizer_reference as reference
+from conftest import padded
 from stancewatch.errors import DataValidationError, InputPathError
 from stancewatch.tokenizer import (
     CLS_ID,
@@ -131,8 +132,8 @@ class TestEncode:
     def test_hand_worked_encode(self):
         vocab = toy_vocab("aşı", "##lar")
         enc = encode(vocab, "aşılar", max_len=8)
-        assert enc.ids == (2, 4, 5, 3, 0, 0, 0, 0)
-        assert enc.mask == (1, 1, 1, 1, 0, 0, 0, 0)
+        assert enc.ids == (2, 4, 5, 3)
+        assert padded(enc, 8) == ((2, 4, 5, 3, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 0))
         assert enc.n_real == 4
 
     def test_greedy_longest_match(self):
@@ -149,12 +150,13 @@ class TestEncode:
         enc = encode(vocab, "aaaaaaaaaa", max_len=5)
         assert enc.ids[0] == CLS_ID
         assert enc.ids[4] == SEP_ID
-        assert enc.n_real == 5
-        assert all(m == 1 for m in enc.mask)
+        assert enc.n_real == len(enc.ids) == 5
+        assert padded(enc, 5)[1] == (1,) * 5
 
     def test_empty_text(self):
         enc = encode(toy_vocab("a"), "", max_len=4)
-        assert enc.ids == (CLS_ID, SEP_ID, PAD_ID, PAD_ID)
+        assert enc.ids == (CLS_ID, SEP_ID)
+        assert padded(enc, 4)[0] == (CLS_ID, SEP_ID, PAD_ID, PAD_ID)
         assert enc.n_real == 2
 
     def test_max_len_floor(self):
@@ -180,11 +182,10 @@ class TestEncodeProperties:
         vocab = build_vocab(texts, max_size=200)
         for text in texts:
             enc = encode(vocab, text, max_len)
-            assert len(enc.ids) == max_len and len(enc.mask) == max_len
+            assert 2 <= len(enc.ids) == enc.n_real <= max_len
             assert enc.ids[0] == CLS_ID
-            assert SEP_ID in enc.ids
-            assert enc.mask == tuple(1 if i < enc.n_real else 0 for i in range(max_len))
-            assert all(i == PAD_ID for i in enc.ids[enc.n_real :])
+            assert enc.ids[-1] == SEP_ID
+            assert PAD_ID not in enc.ids
 
     @given(corpus_texts)
     def test_in_corpus_text_never_unk(self, texts):
@@ -219,7 +220,8 @@ oracle_texts = st.one_of(st.text(), st.text(alphabet="aşbcıklr ,!\t\n"))
 
 def assert_matches_reference(vocab: Vocabulary, text: str, max_len: int) -> None:
     enc = encode(vocab, text, max_len)
-    assert (enc.ids, enc.mask, enc.n_real) == reference.encode(vocab.token_to_id, text, max_len)
+    assert (*padded(enc, max_len), enc.n_real) == reference.encode(vocab.token_to_id, text, max_len)
+    assert len(enc.ids) == enc.n_real
 
 
 class TestReferenceOracle:

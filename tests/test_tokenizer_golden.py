@@ -3,8 +3,9 @@
 A vocabulary is built from seeded Turkish-like texts, then 400 long tweets
 (20-45 Zipf-drawn words with punctuation, hashtags, capitals and a few
 characters the vocabulary never saw) are encoded at max_len 64, where every
-tweet is truncated, and at 16. The SHA-256 of the ids and masks must match
-the digests below, so a change to pre-tokenization, vocabulary building,
+tweet is truncated, and at 16. The SHA-256 of the ids padded to max_len and
+their masks, the fixed-length form ``encode`` returned before ``collate``
+took over the padding, must match the digests below, so a change to pre-tokenization, vocabulary building,
 greedy matching, truncation or padding cannot move an encoding unnoticed.
 Change a digest only together with a deliberate, stated change of the
 tokenizer's output.
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from conftest import padded
 from stancewatch.tokenizer import build_vocab, encode
 
 GOLDEN = {
@@ -70,5 +72,5 @@ def vocab_and_texts():
 def test_encoding_digest(vocab_and_texts, max_len):
     vocab, texts = vocab_and_texts
     encodings = [encode(vocab, text, max_len) for text in texts]
-    payload = json.dumps([[e.ids, e.mask] for e in encodings], separators=(",", ":"))
+    payload = json.dumps([padded(e, max_len) for e in encodings], separators=(",", ":"))
     assert hashlib.sha256(payload.encode("ascii")).hexdigest() == GOLDEN[max_len]

@@ -269,8 +269,9 @@ class TestTrain:
 
     def test_head_only_backward_stops_at_the_head(self, monkeypatch):
         """The backward's early return gives the full backward's head gradients
-        byte for byte, so a head-only run trains the same bytes as one that
-        runs the whole backward and keeps only the head's part."""
+        byte for byte, so a head-only run, whose forward keeps no layer's
+        activations, trains the same bytes as one that keeps them all, runs
+        the whole backward and keeps only the head's part."""
         cfg = replace(self.model_cfg, n_layers=2)
         params = init_params(cfg, seed=3)
         encs = [encode(self.vocab, t.text, cfg.max_len) for t in self.split.train.examples[:6]]
@@ -284,6 +285,8 @@ class TestTrain:
 
         tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
         early = train(self.split, self.vocab, cfg, tc)
+        monkeypatch.setattr(sw_trainer, "forward_with_cache",
+                            lambda *args, **kw: forward_with_cache(*args, **{**kw, "need_cache": True}))
         monkeypatch.setattr(sw_trainer, "backward_from_logits",
                             lambda p, c, d, head_only=False: backward_from_logits(p, c, d))
         whole = train(self.split, self.vocab, cfg, tc)
