@@ -79,7 +79,7 @@ from .timeline import (
     write_peak_report,
     write_timeline_csv,
 )
-from .tokenizer import Vocabulary, build_vocab
+from .tokenizer import Vocabulary, build_vocab, check_vocab_settings
 from .trainer import train as run_training
 from .trainer import write_trace
 
@@ -231,6 +231,7 @@ def pipeline_command(name: str, *options):
 def cmd_build_vocab(run: Run) -> None:
     """Learn a WordPiece vocabulary from the training split only."""
     check_train_fraction(run.config.train_fraction)
+    check_vocab_settings(run.config.vocab_max_size, run.config.min_pair_freq)
     vocab_path = run.output(run.config.vocab_path, "vocab.txt")
     split = run.labeled_split()
     with run.manifest.stage("build_vocab"):

@@ -31,25 +31,48 @@ first tensor to differ in byte comparisons between two correct versions.
 An encoding holds only its real ids; ``collate`` alone pads, with
 ``[PAD]`` to ``bucket_len`` of a batch's longest member (the smallest
 multiple of ``BUCKET`` that holds it, capped at ``max_len``), and builds
-the mask from the lengths. Padding cannot move the result: exp(-1e9) is
-exactly 0.0 in float64, so a padded key gets exactly zero attention
-weight, and a padded query feeds nothing but its own row, which the [CLS]
-output never reads. A different width changes only the order of float
-summation. A dropout mask row is drawn at the batch's width and the
+the mask from the lengths. ``forward_with_cache`` takes masks of that form
+only, each row 1 to T leading ones.
+
+Row-wise work runs on the real tokens only. The real positions of the
+(B, T) batch are packed, in row-major order, into an (n, d) array whose n
+is their count rounded up to a multiple of ``BUCKET``, with zero rows at
+the end (``_Packing``). The embedding sum, every layernorm, dropout, the
+Q/K/V and output projections and the feed-forward run on those rows, and
+the backward's weight gradients are products over them. Every row-wise
+product is a stack of BUCKET-row tiles, (n / 8, 8, k) @ (k, m) (``_rows``):
+numpy calls BLAS once per tile, so every call has one shape whatever the
+batch, and a row rounds the same way whichever tile and position it takes,
+which ``tests/test_blas_tiles.py`` checks of the BLAS library. A single
+(n, k) product would not do: BLAS picks kernels by the row count, and
+rounds a row of a few-row product differently. Attention scores, softmax
+and context stay on the (B, heads, T, T) grid, into which q, k and v are
+scattered with zeros at padded positions; the context is gathered back at
+the real positions. A batch with no padding takes the same path: its
+packed rows are copies of its grid rows.
+
+Padding is never read. The ids at padded positions are not looked up;
+exp(-1e9) is exactly 0.0 in float64, so a padded key gets exactly zero
+attention weight; and a padded query row of the grid is never gathered.
+Since the head computes each row as its own one-row product too, a row's
+logits do not depend on how many rows share its batch, only on its
+width: a different width changes the order of float summation in the
+attention grid. A dropout mask row is drawn at the batch's width and the
 generator skips the draws of the positions past it up to ``max_len``, so
-real positions get the same train-mode masks at any width. Attention
-scores, softmax and layernorm work in place on their temporaries, taking
-the same float steps as the allocating forms. The head computes each
-row as its own one-row product, so a row's logits do not depend on how
-many rows share its batch.
+real positions get the same train-mode masks at any width; the masks'
+real positions are then packed like the activations. Attention scores,
+softmax and layernorm work in place on their temporaries, taking the
+same float steps as the allocating forms.
 
 The last layer computes [CLS] only, since the head reads nothing else of
 its output: the queries, context, output projection, both add-and-norms
-and the feed-forward run on row 0, while keys and values still come from
-every position, so nothing the [CLS] row attends to is dropped. Training
-and inference take this one path; the other rows would get a gradient of
-exactly zero. That layer's dropout masks are drawn one position wide, and
-the skip to ``max_len`` gives [CLS] the values a full-width mask holds.
+and the feed-forward run on each row's [CLS], packed the same way (B rows
+rounded up to a multiple of BUCKET), while keys and values still come
+from every real position, so nothing the [CLS] row attends to is dropped.
+Training and inference take this one path; the other rows would get a
+gradient of exactly zero. That layer's dropout masks are drawn one
+position wide, and the skip to ``max_len`` gives [CLS] the values a
+full-width mask holds.
 
 All arithmetic is float64 in memory. The parameters live in one buffer
 whose named views follow ``tensor_shapes``; a checkpoint is a metadata
@@ -381,58 +404,131 @@ def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, widt
     return np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0)
 
 
+def _lengths(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's real length, after checking that ``mask`` matches ``ids``
+    in shape and that each of its rows is 1 to T leading ones, the only
+    masks ``collate`` builds: packing reads [CLS] at each row's first
+    position."""
+    if mask.shape != ids.shape or ids.ndim != 2:
+        raise DataValidationError(f"mask of shape {mask.shape} does not match ids of shape {ids.shape}")
+    lengths = mask.sum(axis=1)
+    leading = np.arange(ids.shape[1]) < lengths[:, None]
+    if not np.array_equal(mask, leading) or lengths.min() < 1:
+        bad = np.flatnonzero((mask != leading).any(axis=1) | (lengths < 1))[0]
+        raise DataValidationError(f"mask row {bad} is not 1 to {ids.shape[1]} leading ones")
+    return lengths.astype(np.int64)
+
+
+class _Packing:
+    """Where the real positions of a (B, width) grid sit among packed rows,
+    given each grid row's real length.
+
+    The real positions, in row-major order, fill the first ``n_real`` of
+    ``rows`` rows; ``rows`` is ``n_real`` rounded up to a multiple of
+    BUCKET, and the rows past ``n_real`` are zero. Packing and unpacking
+    always return new arrays.
+    """
+
+    def __init__(self, lengths: np.ndarray, width: int):
+        self.grid = (len(lengths), width)
+        self.n_real = int(lengths.sum())
+        self.rows = -(-self.n_real // BUCKET) * BUCKET
+        self.index = np.flatnonzero(np.arange(width) < lengths[:, None])
+        self.columns = self.index % width  # each packed row's position in its grid row
+        self.starts = np.cumsum(lengths) - lengths  # each grid row's first packed row
+
+    def pad(self, real: np.ndarray) -> np.ndarray:
+        """The ``n_real`` rows ``real``, followed by zero rows up to ``rows``."""
+        out = np.zeros((self.rows, real.shape[1]))
+        out[: len(real)] = real
+        return out
+
+    def pack(self, grid: np.ndarray) -> np.ndarray:
+        """(B, T, ...) grid values -> (rows, features) packed rows."""
+        flat = grid.reshape(self.grid[0] * self.grid[1], -1)
+        out = np.zeros((self.rows, flat.shape[1]))
+        # mode="clip" lets take write straight into ``out``; with the default
+        # "raise" it buffers the whole result first (the index is in range).
+        np.take(flat, self.index, axis=0, out=out[: self.n_real], mode="clip")
+        return out
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """(rows, features) packed rows -> (B, T, features), zero where padded."""
+        grid = np.zeros((self.grid[0] * self.grid[1], packed.shape[1]))
+        grid[self.index] = packed[: self.n_real]
+        return grid.reshape(*self.grid, -1)
+
+
+def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for packed rows, as a stack of BUCKET-row products: numpy
+    calls BLAS once per tile, so every call has one shape and a row's bytes
+    do not depend on how many rows there are or where it sits among them."""
+    return (x.reshape(-1, BUCKET, x.shape[1]) @ w).reshape(len(x), w.shape[1])
+
+
 def _attention_forward(
-    hq: np.ndarray, h: np.ndarray, addmask: np.ndarray, layer: dict, n_heads: int
+    hq: np.ndarray, queries: _Packing, h: np.ndarray, keys: _Packing, addmask: np.ndarray,
+    layer: dict, n_heads: int,
 ) -> tuple:
-    """Multi-head attention of the query rows ``hq`` (``h`` itself, or its
-    first rows) over every row of ``h``, through the output projection, and
-    (hq, h, q, k, v, probs, ctx) for the backward."""
+    """Multi-head attention of the packed query rows ``hq`` (laid out by
+    ``queries``) over the packed rows ``h`` (laid out by ``keys``), through
+    the output projection, and (hq, queries, h, keys, q, k, v, probs, ctx)
+    for the backward. Scores, softmax and context run on the (B, heads, T,
+    T) grid, into which the projections are scattered with zero padding."""
     q, k, v = (
-        (x @ layer["w" + n] + layer["b" + n]).reshape(*x.shape[:2], n_heads, -1).transpose(0, 2, 1, 3)
-        for x, n in ((hq, "q"), (h, "k"), (h, "v"))
+        packing.unpack(_rows(x, layer["w" + n]) + layer["b" + n])
+        .reshape(*packing.grid, n_heads, -1).transpose(0, 2, 1, 3)
+        for x, packing, n in ((hq, queries, "q"), (h, keys, "k"), (h, keys, "v"))
     )
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= 1.0 / np.sqrt(q.shape[-1])
     scores += addmask
     probs = _softmax_lastaxis(scores)
-    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(hq.shape)
-    attn = ctx @ layer["wo"]
+    ctx = queries.pack((probs @ v).transpose(0, 2, 1, 3))
+    attn = _rows(ctx, layer["wo"])
     attn += layer["bo"]
-    return attn, (hq, h, q, k, v, probs, ctx)
+    return attn, (hq, queries, h, keys, q, k, v, probs, ctx)
 
 
 def _attention_backward(dattn: np.ndarray, dhq: np.ndarray, saved: tuple, layer: dict, g: dict) -> np.ndarray:
     """Writes its parameter gradients into ``g``; returns the gradient of
-    ``h``: ``dhq``, the query rows' residual gradient, padded with zeros to
-    every row, plus the q, k and v terms."""
-    hq, h, q, k, v, probs, ctx = saved
-    B, n_heads, Tq, d_head = q.shape
-    d = n_heads * d_head
-    g["wo"][...] = ctx.reshape(-1, d).T @ dattn.reshape(-1, d)
-    g["bo"][...] = dattn.sum(axis=(0, 1))
-    dctx = (dattn @ layer["wo"].T).reshape(B, Tq, n_heads, d_head).transpose(0, 2, 1, 3)
+    ``h``'s packed rows: ``dhq``, the query rows' residual gradient, plus
+    the q term at the query rows, then the k and v terms."""
+    hq, queries, h, keys, q, k, v, probs, ctx = saved
+    n_heads = q.shape[1]
+    g["wo"][...] = ctx.T @ dattn
+    g["bo"][...] = dattn.sum(axis=0)
+    dctx = queries.unpack(_rows(dattn, layer["wo"].T))
+    dctx = dctx.reshape(*queries.grid, n_heads, -1).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.transpose(0, 1, 3, 2)
     dv = probs.transpose(0, 1, 3, 2) @ dctx
     dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    scale = 1.0 / np.sqrt(d_head)
+    scale = 1.0 / np.sqrt(q.shape[-1])
     dq = dscores @ k * scale
     dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-    dh = np.zeros(h.shape)
-    dh[:, :Tq] = dhq
-    for x, name, dproj in ((hq, "q", dq), (h, "k", dk), (h, "v", dv)):
-        dmat = dproj.transpose(0, 2, 1, 3).reshape(-1, d)
-        g["w" + name][...] = x.reshape(-1, d).T @ dmat
+    dq, dk, dv = (packing.pack(grad.transpose(0, 2, 1, 3))
+                  for packing, grad in ((queries, dq), (keys, dk), (keys, dv)))
+    for x, name, dmat in ((hq, "q", dq), (h, "k", dk), (h, "v", dv)):
+        g["w" + name][...] = x.T @ dmat
         g["b" + name][...] = dmat.sum(axis=0)
-        dh[:, : x.shape[1]] += (dmat @ layer["w" + name].T).reshape(x.shape)
+    # dattn is read by now; without dropout it is dhq, which takes the q term in place.
+    dhq += _rows(dq, layer["wq"].T)
+    if queries is keys:
+        dh = dhq
+    else:
+        dh = np.zeros(h.shape)
+        dh[keys.starts] = dhq[: queries.n_real]
+    dh += _rows(dk, layer["wk"].T)
+    dh += _rows(dv, layer["wv"].T)
     return dh
 
 
 def _ffn_forward(h: np.ndarray, layer: dict) -> tuple:
     """W2 . gelu(W1 . h + b1) + b2, and (h, u, cdf, gu)."""
-    u = h @ layer["w1"]
+    u = _rows(h, layer["w1"])
     u += layer["b1"]
     gu, cdf = gelu_and_cdf(u)
-    f = gu @ layer["w2"]
+    f = _rows(gu, layer["w2"])
     f += layer["b2"]
     return f, (h, u, cdf, gu)
 
@@ -440,14 +536,13 @@ def _ffn_forward(h: np.ndarray, layer: dict) -> tuple:
 def _ffn_backward(df: np.ndarray, dh: np.ndarray, saved: tuple, layer: dict, g: dict) -> None:
     """Writes its parameter gradients into ``g`` and adds its input gradient into ``dh``."""
     h, u, cdf, gu = saved
-    d, d_ff = layer["w1"].shape
-    g["w2"][...] = gu.reshape(-1, d_ff).T @ df.reshape(-1, d)
-    g["b2"][...] = df.sum(axis=(0, 1))
-    du = df @ layer["w2"].T
+    g["w2"][...] = gu.T @ df
+    g["b2"][...] = df.sum(axis=0)
+    du = _rows(df, layer["w2"].T)
     du *= gelu_grad(u, cdf)
-    g["w1"][...] = h.reshape(-1, d).T @ du.reshape(-1, d_ff)
-    g["b1"][...] = du.sum(axis=(0, 1))
-    dh += du @ layer["w1"].T
+    g["w1"][...] = h.T @ du
+    g["b1"][...] = du.sum(axis=0)
+    dh += _rows(du, layer["w1"].T)
 
 
 def _add_and_norm(h, branch, drop, gain, bias, eps) -> tuple:
@@ -479,8 +574,9 @@ def forward_with_cache(
 ) -> tuple[np.ndarray, tuple]:
     """Run the encoder on collated arrays; return the logits and a cache.
 
-    The cache always holds the head's inputs, the last layer's [CLS] row
-    and the pooled vector, which is all a head-only backward reads.
+    Each row of ``mask`` must be 1 to T leading ones, as ``collate`` builds
+    it. The cache always holds the head's inputs, the last layer's [CLS]
+    row and the pooled vector, which is all a head-only backward reads.
     ``need_cache`` adds the embedding's arrays and every layer's tuples,
     which the full backward needs. Dropout masks are drawn in a fixed order
     (embedding, then per layer attention / ffn) from a generator seeded
@@ -488,20 +584,26 @@ def forward_with_cache(
     """
     cfg = params.config
     B, T = ids.shape
+    tokens = _Packing(_lengths(ids, mask), T)
+    cls = _Packing(np.ones(B, dtype=np.int64), 1)
     dropping = train_mode and cfg.dropout_rate > 0.0
     if dropping and dropout_seed is None:
         raise DataValidationError("train-mode forward requires an explicit dropout seed")
     rng = np.random.default_rng(dropout_seed) if dropping else None
 
-    def dropout(width: int) -> np.ndarray | None:
-        return None if rng is None else _dropout_mask(rng, cfg, B, width)
+    def dropout(packing: _Packing) -> np.ndarray | None:
+        return None if rng is None else packing.pack(_dropout_mask(rng, cfg, B, packing.grid[1]))
 
     addmask = ((1.0 - mask) * MASK_ADDEND)[:, None, None, :]  # (B,1,1,T)
 
     p, eps = params.tensors, cfg.layer_norm_eps
-    x = p["tok_emb"][ids] + p["pos_emb"][None, :T, :] + p["seg_emb"][0]
+    tok = np.take(ids, tokens.index)
+    x = np.zeros((tokens.rows, cfg.d_model))
+    np.add(np.take(p["tok_emb"], tok, axis=0), np.take(p["pos_emb"], tokens.columns, axis=0),
+           out=x[: tokens.n_real])
+    x[: tokens.n_real] += p["seg_emb"][0]
     h, emb_xhat, emb_inv = _layernorm_forward(x, p["emb_ln_gain"], p["emb_ln_bias"], eps)
-    emb_drop = dropout(T)
+    emb_drop = dropout(tokens)
     if emb_drop is not None:
         h *= emb_drop
 
@@ -509,13 +611,13 @@ def forward_with_cache(
     for i in range(cfg.n_layers):
         layer = _layer(p, i)
         # Only [CLS] of the last layer's output reaches the head, so that
-        # layer computes the queries and all after them for row 0.
-        hq = h[:, :1] if i == cfg.n_layers - 1 else h
-        rows = hq.shape[1]
-        attn, attention = _attention_forward(hq, h, addmask, layer, cfg.n_heads)
-        h1, norm1 = _add_and_norm(hq, attn, dropout(rows), layer["ln1_gain"], layer["ln1_bias"], eps)
+        # layer computes the queries and all after them for [CLS] rows.
+        queries = cls if i == cfg.n_layers - 1 else tokens
+        hq = cls.pad(h[tokens.starts]) if queries is cls else h
+        attn, attention = _attention_forward(hq, queries, h, tokens, addmask, layer, cfg.n_heads)
+        h1, norm1 = _add_and_norm(hq, attn, dropout(queries), layer["ln1_gain"], layer["ln1_bias"], eps)
         f, ffn = _ffn_forward(h1, layer)
-        h, norm2 = _add_and_norm(h1, f, dropout(rows), layer["ln2_gain"], layer["ln2_bias"], eps)
+        h, norm2 = _add_and_norm(h1, f, dropout(queries), layer["ln2_gain"], layer["ln2_bias"], eps)
         if need_cache:
             layers.append((attention, norm1, ffn, norm2))
         # Free this layer's arrays before the next layer allocates its own.
@@ -523,11 +625,12 @@ def forward_with_cache(
 
     # One-row products per batch entry: a 2-D product would switch BLAS
     # kernels with the row count and so round a lone row differently.
-    pooled = np.tanh((h[:, :1, :] @ p["pooler_w"])[:, 0] + p["pooler_b"])
+    h = h[:B, None, :]
+    pooled = np.tanh((h @ p["pooler_w"])[:, 0] + p["pooler_b"])
     logits = (pooled[:, None, :] @ p["classifier_w"].T)[:, 0] + p["classifier_b"]
     if not need_cache:
         return logits, (None, None, (h, pooled))
-    return logits, ((ids, emb_drop, emb_xhat, emb_inv), layers, (h, pooled))
+    return logits, ((tokens, cls, tok, emb_drop, emb_xhat, emb_inv), layers, (h, pooled))
 
 
 def forward(
@@ -563,8 +666,8 @@ def backward_from_logits(
         return grads
     if layers is None:
         raise DataValidationError("a full backward needs a forward run with need_cache=True")
-    ids, emb_drop, emb_xhat, emb_inv = emb
-    dh = (dpooled_pre @ p["pooler_w"].T)[:, None, :]
+    tokens, cls, tok, emb_drop, emb_xhat, emb_inv = emb
+    dh = cls.pad(dpooled_pre @ p["pooler_w"].T)
 
     for i in reversed(range(len(layers))):
         layer, g = _layer(p, i), _layer(grads, i)
@@ -575,13 +678,14 @@ def backward_from_logits(
         dh = _attention_backward(dattn, dh, attention, layer, g)
 
     if emb_drop is not None:
-        dh = dh * emb_drop
+        dh *= emb_drop
     dx, grads["emb_ln_gain"][...], grads["emb_ln_bias"][...] = _layernorm_backward(
         dh, emb_xhat, emb_inv, p["emb_ln_gain"]
     )
-    np.add.at(grads["tok_emb"], ids.reshape(-1), dx.reshape(ids.size, -1))
-    grads["pos_emb"][: ids.shape[1]] = dx.sum(axis=0)
-    grads["seg_emb"][0] = dx.sum(axis=(0, 1))
+    real = dx[: tokens.n_real]
+    np.add.at(grads["tok_emb"], tok, real)
+    np.add.at(grads["pos_emb"], tokens.columns, real)
+    grads["seg_emb"][0] = dx.sum(axis=0)
     return grads
 
 

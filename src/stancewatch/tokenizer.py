@@ -141,6 +141,18 @@ def _merge_sequence(seq: tuple[str, ...], pair: tuple[str, str], merged: str) ->
     return tuple(out)
 
 
+def check_vocab_settings(max_size: int, min_pair_freq: int) -> None:
+    """Reject a budget with no room past the special tokens and a merge
+    threshold below 1, naming the config keys; the floor that depends on the
+    corpus's characters is ``build_vocab``'s own check."""
+    if max_size <= len(SPECIAL_TOKENS):
+        raise DataValidationError(
+            f"vocab_max_size must be > {len(SPECIAL_TOKENS)} (the special tokens), got {max_size}"
+        )
+    if min_pair_freq < 1:
+        raise DataValidationError(f"min_pair_freq must be >= 1, got {min_pair_freq}")
+
+
 def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = 2) -> Vocabulary:
     """Train a WordPiece vocabulary of at most ``max_size`` tokens.
 
@@ -149,6 +161,7 @@ def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = 2) -> 
     the inventory while the budget allows and the best pair occurs at least
     ``min_pair_freq`` times.
     """
+    check_vocab_settings(max_size, min_pair_freq)
     word_freq: Counter[str] = Counter()
     for text in texts:
         word_freq.update(pre_tokenize(text))

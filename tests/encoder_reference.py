@@ -17,13 +17,13 @@ takes any objects with the attributes it reads.
 passes as they were before the layer loop became pairs of forward and
 backward functions: one loop each, talking through a dict of named
 arrays. They call the package's own ops (through ``package.``, since this
-module's op names are taken), so they pin the order of the float
-operations between the ops, not the ops. With ``cls_only`` (the default)
-the last layer computes its queries and all after them for row 0, as the
-package does, and the package must give the same logits and gradient
-bytes. Without it every layer runs at full width, as the package's passes
-did before; the two agree in real arithmetic, since the head reads only
-row 0 of the last layer, so they differ by rounding only.
+module's op names are taken). With ``cls_only`` (the default) the last
+layer computes its queries and all after them for row 0, as the package
+does; the package packs the real rows and makes its row-wise products in
+8-row tiles, where these passes make one product per sequence, so the two
+differ by rounding only. Without ``cls_only`` every layer runs at full
+width, as the package's passes did before; that agrees in real
+arithmetic too, since the head reads only row 0 of the last layer.
 
 ``collate`` is the package's as it was when encodings came padded to
 ``max_len`` with their masks: it takes (ids, mask) pairs, such as

@@ -178,6 +178,29 @@ class TestExitCodes:
         assert "Traceback" not in result.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("labeled_exists", [False, True], ids=["missing-input", "real-input"])
+    @pytest.mark.parametrize("args, message", [
+        (["--set", "min_pair_freq=-5"], "min_pair_freq must be >= 1, got -5"),
+        (["--min-pair-freq", "0"], "min_pair_freq must be >= 1, got 0"),
+        (["--set", "vocab_max_size=0"], "vocab_max_size must be > 4 (the special tokens), got 0"),
+        (["--vocab-max-size", "4"], "vocab_max_size must be > 4 (the special tokens), got 4"),
+    ], ids=["min-pair-freq-negative", "min-pair-freq-zero", "max-size-zero", "max-size-specials-only"])
+    def test_bad_vocab_setting_is_3_before_any_input(self, runner, tmp_path, args, message,
+                                                     labeled_exists):
+        """A vocabulary budget with no room past the special tokens, or a
+        merge threshold below 1, is named before the labeled file is read,
+        whether or not that file exists, and nothing is written."""
+        labeled = tmp_path / "labeled.jsonl"
+        if labeled_exists:
+            write_jsonl(generate_labeled(per_class=8, seed=3), labeled)
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *args])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("offset", ["100000000000000", "153722867280", "6000000", "-1441"])
     def test_utc_offset_beyond_a_day_is_3_before_any_stage(self, runner, tmp_path, offset):
         """An offset no timezone has is rejected before anything is read, not as a traceback."""

@@ -345,6 +345,88 @@ class TestClsOnlyLastLayer:
         np.testing.assert_array_equal(together, alone)
 
 
+def default_size_model():
+    """The default model's sizes (d_model 128, d_ff 512, 2 layers, max_len
+    64), noise on every tensor, and 64 encodings: a lone short one first,
+    then 63 whose lengths span the buckets 8 to 64."""
+    cfg = EncoderConfig(vocab_size=300, d_model=128, n_layers=2, n_heads=4, d_ff=512, max_len=64)
+    params = init_params(cfg, seed=5)
+    rng = np.random.default_rng(7)
+    params.tensors.flat[:] += rng.normal(scale=0.05, size=params.tensors.flat.size)
+    lengths = [5, *rng.integers(1, cfg.max_len + 1, size=63)]
+    encs = [Encoding((2, *(int(i) for i in rng.integers(4, cfg.vocab_size, max(0, n - 2))), 3)[:n])
+            for n in lengths]
+    return cfg, params, encs, rng
+
+
+def bucketed_logits(params, batch, need_cache):
+    """Logits of each encoding, one forward per length bucket, as
+    ``predict_batches`` groups them."""
+    out = np.empty((len(batch), 4))
+    groups: dict[int, list[int]] = {}
+    for i, enc in enumerate(batch):
+        groups.setdefault(bucket_len(enc.n_real, params.config.max_len), []).append(i)
+    for rows in groups.values():
+        ids, mask = collate([batch[i] for i in rows], params.config)
+        out[rows] = forward_with_cache(params, ids, mask, need_cache=need_cache)[0]
+    return out
+
+
+class TestPackedRows:
+    """Row-wise work runs on the real rows only, packed and cut into 8-row
+    tiles, so a row's logits do not depend on its batch and padding is
+    never read."""
+
+    @pytest.mark.parametrize("need_cache", [False, True])
+    def test_exact_batch_size_invariance_at_default_size(self, need_cache):
+        # At d_ff 512 the FFN's down-projection has K = 512, where a single
+        # (n, 512) @ (512, 128) product rounds a row by the row count n.
+        cfg, params, encs, rng = default_size_model()
+        assert {bucket_len(e.n_real, cfg.max_len) for e in encs} == set(range(8, 65, 8))
+        together = bucketed_logits(params, encs, need_cache)
+        assert bucketed_logits(params, encs[:1], need_cache).tobytes() == together[:1].tobytes()
+        full = [Encoding((2, *(int(i) for i in rng.integers(4, cfg.vocab_size, 62)), 3)) for _ in range(8)]
+        unpadded = bucketed_logits(params, full, need_cache)
+        assert unpadded.tobytes() == bucketed_logits(params, encs[1:] + full, need_cache)[-8:].tobytes()
+        for row, enc in enumerate(encs):
+            assert bucketed_logits(params, [enc], need_cache).tobytes() == together[row].tobytes(), row
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("lengths", [[3, 8, 1, 6, 8], [8, 7], [24, 24, 23]])
+    def test_padding_is_never_read(self, train_mode, lengths):
+        """Garbage ids at padded positions, out of the vocabulary too, give
+        byte-identical logits and gradients. The lengths include batches one
+        real position short of filling their grid."""
+        params, _, _ = noisy_model_and_batch(8, 2, 1)
+        cfg = params.config
+        width = bucket_len(max(lengths), cfg.max_len)
+        rng = np.random.default_rng(sum(lengths))
+        mask = (np.arange(width) < np.array(lengths)[:, None]).astype(np.float64)
+        ids = np.where(mask > 0, rng.integers(1, cfg.vocab_size, size=mask.shape), 0)
+        garbage = np.where(mask > 0, ids, rng.choice([-1, 3, cfg.vocab_size, 10**9], size=mask.shape))
+        seed = 4 if train_mode else None
+        dlogits = rng.normal(size=(len(lengths), 4))
+        results = []
+        for batch_ids in (ids, garbage):
+            logits, cache = forward_with_cache(params, batch_ids, mask, train_mode, seed, need_cache=True)
+            results.append((logits, backward_from_logits(params, cache, dlogits)))
+        (logits, grads), (garbage_logits, garbage_grads) = results
+        assert garbage_logits.tobytes() == logits.tobytes()
+        assert garbage_grads.flat.tobytes() == grads.flat.tobytes()
+
+    @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 0, 0, 0], [0, 1, 1, 1], [1, 0.5, 0, 0],
+                                     [1, np.nan, 0, 0]])
+    def test_mask_rows_must_be_leading_ones(self, tiny_params, row):
+        mask = np.array([[1, 1, 0, 0], row], dtype=np.float64)
+        ids = np.full(mask.shape, 5)
+        with pytest.raises(DataValidationError, match="mask row 1 is not 1 to 4 leading ones"):
+            forward_with_cache(tiny_params, ids, mask)
+
+    def test_mask_shape_must_match_ids(self, tiny_params):
+        with pytest.raises(DataValidationError, match="does not match ids"):
+            forward_with_cache(tiny_params, np.full((2, 4), 5), np.ones((2, 3)))
+
+
 class TestHeadOnlyCache:
     """Without ``need_cache`` the cache holds only the head's inputs: enough
     for a head-only backward, and refused by a full one."""

@@ -1,9 +1,9 @@
 """The encoder's elementwise ops and Adam against the whole-array versions
 they replaced (tests/encoder_reference.py): each op returns the same bytes,
 and training and inference give the same bytes with the reference ops
-swapped in. The forward and backward passes give the same bytes as the
-one-loop passes they replaced, and ``collate`` gives the same arrays as the
-one that trimmed encodings padded to ``max_len``."""
+swapped in. The forward and backward passes agree with the one-loop
+passes they replaced to rounding, and ``collate`` gives the same arrays as
+the one that trimmed encodings padded to ``max_len``."""
 
 from dataclasses import replace
 
@@ -196,20 +196,27 @@ pass_cases = pytest.mark.parametrize(
 
 @pass_cases
 def test_passes_match_single_loop_reference(width, train_mode, n_layers, batch):
-    """Logits and every gradient tensor equal the one-loop passes, which run
-    the last layer for [CLS] only, byte for byte, at widths 8, 24 and
-    max_len, with and without dropout; and the cache-free logits equal the
+    """Against the one-loop passes, which run the last layer for [CLS] only
+    but make one product per sequence (one row per sequence at [CLS]) where
+    the package makes 8-row tiles of packed real rows, only rounding moves,
+    at widths 8, 24 and max_len, with and without dropout: logits within
+    1e-14 with the same argmax, every gradient within 1e-14 of the largest
+    gradient value, and ``layer*.bk``, whose gradient is zero in real
+    arithmetic, within 1e-15 absolute. The cache-free logits equal the
     cached ones byte for byte."""
     params, ids, mask, seed, rng = noisy_pass_inputs(width, train_mode, n_layers, batch)
     logits, cache = sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed, need_cache=True)
     ref_logits, ref_cache = reference.forward_with_cache(params, ids, mask, train_mode, seed, True)
-    assert_same_bytes(logits, ref_logits)
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(logits.argmax(axis=1), ref_logits.argmax(axis=1))
     assert_same_bytes(sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed)[0], logits)
     dlogits = rng.normal(size=logits.shape)
     grads = sw_encoder.backward_from_logits(params, cache, dlogits)
     ref_grads = reference.backward_from_logits(params, ref_cache, dlogits)
+    largest = np.abs(ref_grads.flat).max()
     for name in grads:
-        assert_same_bytes(grads[name], ref_grads[name])
+        atol = 1e-15 if name.endswith(".bk") else 1e-14 * largest
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=atol, err_msg=name)
 
 
 @pass_cases

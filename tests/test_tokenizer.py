@@ -1,3 +1,4 @@
+import re
 import unicodedata
 
 import pytest
@@ -62,6 +63,15 @@ class TestBuildVocab:
         assert "ab" not in vocab
         vocab2 = build_vocab(["ab"], max_size=20, min_pair_freq=1)
         assert "ab" in vocab2
+
+    @pytest.mark.parametrize("max_size, min_pair_freq, message", [
+        (4, 2, "vocab_max_size must be > 4 (the special tokens), got 4"),
+        (20, 0, "min_pair_freq must be >= 1, got 0"),
+    ])
+    def test_settings_checked_before_the_corpus(self, max_size, min_pair_freq, message):
+        # An empty corpus would fail too, after them.
+        with pytest.raises(DataValidationError, match=re.escape(message)):
+            build_vocab([], max_size=max_size, min_pair_freq=min_pair_freq)
 
     def test_order_invariant(self):
         texts = ["aşı karşıyım", "aşı oldum bugün", "haberler kötü"]
