@@ -47,8 +47,9 @@ which ``tests/test_blas_tiles.py`` checks of the BLAS library. A single
 (n, k) product would not do: BLAS picks kernels by the row count, and
 rounds a row of a few-row product differently. Attention scores, softmax
 and context stay on the (B, heads, T, T) grid, into which q, k and v are
-scattered with zeros at padded positions; the context is gathered back at
-the real positions. A batch with no padding takes the same path: its
+gathered from the projections' rows and a zero row for padded positions
+(``_Packing.unpack_product``); the context is gathered back at the real
+positions. A batch with no padding takes the same path: its
 packed rows are copies of its grid rows.
 
 Padding is never read. The ids at padded positions are not looked up;
@@ -57,10 +58,12 @@ attention weight; and a padded query row of the grid is never gathered.
 Since the head computes each row as its own one-row product too, a row's
 logits do not depend on how many rows share its batch, only on its
 width: a different width changes the order of float summation in the
-attention grid. A dropout mask row is drawn at the batch's width and the
-generator skips the draws of the positions past it up to ``max_len``, so
-real positions get the same train-mode masks at any width; the masks'
-real positions are then packed like the activations. Attention scores,
+attention grid. Dropout masks are drawn straight into packed rows: a grid
+row's real positions take its first draws and the generator skips the
+draws of the positions past them up to ``max_len``, so a real position
+gets the same train-mode mask at any width and padding costs no draw;
+``tests/encoder_reference.py`` keeps the grid draw as the masks' byte
+oracle. Attention scores,
 softmax and layernorm work in place on their temporaries, taking the
 same float steps as the allocating forms.
 
@@ -390,18 +393,20 @@ def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarra
     return ids, real.astype(np.float64)
 
 
-def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, batch: int, width: int) -> np.ndarray:
-    # Inverted dropout: surviving activations are scaled by 1 / keep. Each
-    # row consumes max_len * d_model draws whatever the width: its first
-    # width * d_model fill the row and the generator skips the rest (PCG64
-    # spends one 64-bit output per float64), so a trimmed batch gets the
-    # full-width masks at its positions.
-    draw = np.empty((batch, width, cfg.d_model))
-    skip = (cfg.max_len - width) * cfg.d_model
-    for row in draw:
-        rng.random(out=row)
-        rng.bit_generator.advance(skip)
-    return np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0)
+def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, packing: "_Packing") -> np.ndarray:
+    """Inverted dropout mask for ``packing``'s rows: surviving activations
+    are scaled by 1 / keep, and the rows past the real ones are 0.
+
+    Each grid row consumes max_len * d_model draws whatever its length: its
+    real positions' draws fill its packed rows and the generator skips the
+    rest (PCG64 spends one 64-bit output per float64), so a real position
+    gets the value it holds in a full-width mask, and padding costs no draw.
+    """
+    draw = np.empty((packing.n_real, cfg.d_model))
+    for start, length in zip(packing.starts.tolist(), packing.lengths.tolist()):
+        rng.random(out=draw[start:start + length])
+        rng.bit_generator.advance((cfg.max_len - length) * cfg.d_model)
+    return packing.pad(np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0))
 
 
 def _lengths(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -431,11 +436,16 @@ class _Packing:
 
     def __init__(self, lengths: np.ndarray, width: int):
         self.grid = (len(lengths), width)
+        self.lengths = lengths
         self.n_real = int(lengths.sum())
         self.rows = -(-self.n_real // BUCKET) * BUCKET
         self.index = np.flatnonzero(np.arange(width) < lengths[:, None])
         self.columns = self.index % width  # each packed row's position in its grid row
         self.starts = np.cumsum(lengths) - lengths  # each grid row's first packed row
+        # Each grid position's packed row; a padded one reads the zero row
+        # that ``unpack_product`` puts after the packed rows.
+        self.inverse = np.full(len(lengths) * width, self.rows)
+        self.inverse[self.index] = np.arange(self.n_real)
 
     def pad(self, real: np.ndarray) -> np.ndarray:
         """The ``n_real`` rows ``real``, followed by zero rows up to ``rows``."""
@@ -452,18 +462,26 @@ class _Packing:
         np.take(flat, self.index, axis=0, out=out[: self.n_real], mode="clip")
         return out
 
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """(rows, features) packed rows -> (B, T, features), zero where padded."""
-        grid = np.zeros((self.grid[0] * self.grid[1], packed.shape[1]))
-        grid[self.index] = packed[: self.n_real]
-        return grid.reshape(*self.grid, -1)
+    def unpack_product(self, x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+        """``_rows(x, w) + bias`` of packed rows ``x`` as a (B, T, m) grid,
+        zero where padded: a gather from the product's rows and one zero row."""
+        out = np.empty((self.rows + 1, w.shape[1]))
+        _rows(x, w, out=out[:-1])
+        if bias is not None:
+            out[:-1] += bias
+        out[-1] = 0.0
+        return np.take(out, self.inverse, axis=0).reshape(*self.grid, -1)
 
 
-def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _rows(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x @ w`` for packed rows, as a stack of BUCKET-row products: numpy
     calls BLAS once per tile, so every call has one shape and a row's bytes
-    do not depend on how many rows there are or where it sits among them."""
-    return (x.reshape(-1, BUCKET, x.shape[1]) @ w).reshape(len(x), w.shape[1])
+    do not depend on how many rows there are or where it sits among them.
+    ``out``, if given, is a C-contiguous (len(x), m) array to write into."""
+    if out is None:
+        out = np.empty((len(x), w.shape[1]))
+    np.matmul(x.reshape(-1, BUCKET, x.shape[1]), w, out=out.reshape(-1, BUCKET, w.shape[1]))
+    return out
 
 
 def _attention_forward(
@@ -474,9 +492,9 @@ def _attention_forward(
     ``queries``) over the packed rows ``h`` (laid out by ``keys``), through
     the output projection, and (hq, queries, h, keys, q, k, v, probs, ctx)
     for the backward. Scores, softmax and context run on the (B, heads, T,
-    T) grid, into which the projections are scattered with zero padding."""
+    T) grid, into which the projections are gathered with zero padding."""
     q, k, v = (
-        packing.unpack(_rows(x, layer["w" + n]) + layer["b" + n])
+        packing.unpack_product(x, layer["w" + n], layer["b" + n])
         .reshape(*packing.grid, n_heads, -1).transpose(0, 2, 1, 3)
         for x, packing, n in ((hq, queries, "q"), (h, keys, "k"), (h, keys, "v"))
     )
@@ -498,7 +516,7 @@ def _attention_backward(dattn: np.ndarray, dhq: np.ndarray, saved: tuple, layer:
     n_heads = q.shape[1]
     g["wo"][...] = ctx.T @ dattn
     g["bo"][...] = dattn.sum(axis=0)
-    dctx = queries.unpack(_rows(dattn, layer["wo"].T))
+    dctx = queries.unpack_product(dattn, layer["wo"].T)
     dctx = dctx.reshape(*queries.grid, n_heads, -1).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.transpose(0, 1, 3, 2)
     dv = probs.transpose(0, 1, 3, 2) @ dctx
@@ -592,7 +610,7 @@ def forward_with_cache(
     rng = np.random.default_rng(dropout_seed) if dropping else None
 
     def dropout(packing: _Packing) -> np.ndarray | None:
-        return None if rng is None else packing.pack(_dropout_mask(rng, cfg, B, packing.grid[1]))
+        return None if rng is None else _dropout_mask(rng, cfg, packing)
 
     addmask = ((1.0 - mask) * MASK_ADDEND)[:, None, None, :]  # (B,1,1,T)
 

@@ -16,14 +16,27 @@ Encoding is greedy longest-match from the left within each pre-token. Case
 is preserved; text is NFC-normalized before pre-tokenization. Pre-tokens
 come from one regex: runs of alphanumeric characters (``str.isalnum``) are
 words, whitespace separates them, and any other character is a word of its
-own. ``encode`` stops matching words once it holds ``max_len - 2`` pieces
-and returns only the real ids, ``[CLS]`` through ``[SEP]``: it adds no
-``[PAD]`` and no attention mask, which ``encoder.collate`` builds for a
-whole batch from the lengths.
-Each vocabulary memoises the piece ids of the words it has matched, bounded
-by ``WORD_CACHE_ENTRIES``; the memo holds only results of a pure function of
-the vocabulary, so it cannot change a result, and it takes no part in
-equality, hashing or ``content_hash``.
+own. ``encode`` returns only the real ids, ``[CLS]`` through ``[SEP]``: it
+adds no ``[PAD]`` and no attention mask, which ``encoder.collate`` builds
+for a whole batch from the lengths.
+
+``encode`` and ``tokenize`` work by whitespace chunk: the NFC text is cut
+with ``str.split()``, and each chunk, the text between two runs of
+whitespace, is looked up in a per-vocabulary memo, ``chunk_ids``, that maps
+it to the piece ids of all its pre-tokens. A chunk that misses the memo
+and is all alphanumeric is one word; any other runs the regex on the chunk
+alone. Chunking cannot change a pre-token: ``str.split()`` and the regex's
+``\\S`` both take whitespace to be ``str.isspace()``, so no pre-token spans
+whitespace, and a chunk's pre-tokens are exactly its share of the whole
+text's. ``encode`` stops once it holds more than ``max_len - 2`` pieces and
+cuts the rest; every chunk gives at least one piece, so it cuts the text
+with ``split(None, max_len - 2)`` and never reaches the unsplit tail.
+
+Behind the chunk memo, a word memo, ``word_ids``, maps each word to its
+piece ids, so an unseen chunk of seen words costs no matching. Both memos
+are bounded by ``WORD_CACHE_ENTRIES`` and hold only results of pure
+functions of the vocabulary, so they cannot change a result, and they take
+no part in equality, hashing or ``content_hash``.
 
 Every character seen during building is seeded into the vocabulary in both
 its word-initial and its continuation form, which guarantees the greedy
@@ -59,6 +72,7 @@ class Vocabulary:
     tokens: tuple[str, ...]
     token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     word_ids: Callable[[str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    chunk_ids: Callable[[str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
@@ -73,8 +87,10 @@ class Vocabulary:
                 raise DataValidationError(f"duplicate token {tok!r} at ids {mapping[tok]} and {i}")
             mapping[tok] = i
         object.__setattr__(self, "token_to_id", mapping)
-        memo = lru_cache(maxsize=WORD_CACHE_ENTRIES)(partial(_greedy_ids, mapping))
-        object.__setattr__(self, "word_ids", memo)
+        memo = lru_cache(maxsize=WORD_CACHE_ENTRIES)
+        word_ids = memo(partial(_greedy_ids, mapping))
+        object.__setattr__(self, "word_ids", word_ids)
+        object.__setattr__(self, "chunk_ids", memo(partial(_chunk_ids, word_ids)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -231,26 +247,39 @@ def _greedy_ids(token_to_id: dict[str, int], word: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def _chunk_ids(word_ids: Callable[[str], tuple[int, ...]], chunk: str) -> tuple[int, ...]:
+    """Piece ids of every pre-token of one whitespace-free chunk."""
+    if chunk.isalnum():
+        return word_ids(chunk)
+    ids: list[int] = []
+    for word in _PRE_TOKEN.findall(chunk):
+        ids += word_ids(word)
+    return tuple(ids)
+
+
 def tokenize(vocab: Vocabulary, text: str) -> list[str]:
     """Full piece sequence for a text, without specials or truncation."""
-    return [vocab.tokens[i] for word in pre_tokenize(text) for i in vocab.word_ids(word)]
+    chunks = unicodedata.normalize("NFC", text).split()
+    return [vocab.tokens[i] for chunk in chunks for i in vocab.chunk_ids(chunk)]
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
     """Encode a text into at most ``max_len`` ids.
 
-    Words are matched only until ``max_len - 2`` pieces are held; pieces
-    beyond that are dropped, then the sequence is wrapped in ``[CLS]`` /
-    ``[SEP]``.
+    Chunks are matched only until more than ``max_len - 2`` pieces are
+    held; pieces beyond that are dropped, then the sequence is wrapped in
+    ``[CLS]`` / ``[SEP]``.
     """
     if max_len < 2:
         raise DataValidationError(f"max_len must be at least 2, got {max_len}")
     budget = max_len - 2
     ids = [CLS_ID]
-    for word in pre_tokenize(text):
+    chunk_ids = vocab.chunk_ids
+    # Each chunk gives at least one piece, so the unsplit tail is never read.
+    for chunk in unicodedata.normalize("NFC", text).split(None, budget):
         if len(ids) > budget:
             break
-        ids.extend(vocab.word_ids(word))
+        ids += chunk_ids(chunk)
     del ids[budget + 1:]
     ids.append(SEP_ID)
     return Encoding(tuple(ids))

@@ -8,7 +8,8 @@ These are GELU with a second erf in its gradient, layernorm through
 computed them before it cached the Gaussian CDF, drew masks at the bucket
 width, worked in place and blocked Adam. They are kept as an oracle: the
 package must return exactly equal arrays and leave a random generator in
-the same state.
+the same state. ``dropout_grid`` is the bucket-width draw that followed,
+kept as the oracle for the package's masks drawn at real positions only.
 
 ``adam_step`` leaves out the package's check of the gradient layout; it
 takes any objects with the attributes it reads.
@@ -17,7 +18,7 @@ takes any objects with the attributes it reads.
 passes as they were before the layer loop became pairs of forward and
 backward functions: one loop each, talking through a dict of named
 arrays. They call the package's own ops (through ``package.``, since this
-module's op names are taken). With ``cls_only`` (the default) the last
+module's op names are taken) and ``dropout_grid``. With ``cls_only`` (the default) the last
 layer computes its queries and all after them for row 0, as the package
 does; the package packs the real rows and makes its row-wise products in
 8-row tiles, where these passes make one product per sequence, so the two
@@ -68,6 +69,19 @@ def _softmax_lastaxis(x):
 def _dropout_mask(rng, cfg, batch, width):
     draw = rng.random((batch, cfg.max_len, cfg.d_model))[:, :width]
     return (draw >= cfg.dropout_rate).astype(np.float64) / (1.0 - cfg.dropout_rate)
+
+
+def dropout_grid(rng, cfg, batch, width):
+    """The package's (batch, width, d_model) masks as it drew them before it
+    drew real positions only: each row fills ``width`` positions and the
+    generator skips the rest up to ``max_len``, padding included. The
+    package's packed masks must equal these, packed."""
+    draw = np.empty((batch, width, cfg.d_model))
+    skip = (cfg.max_len - width) * cfg.d_model
+    for row in draw:
+        rng.random(out=row)
+        rng.bit_generator.advance(skip)
+    return np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0)
 
 
 def adam_step(params, grads, state, config):
@@ -139,7 +153,7 @@ def forward_with_cache(
     )
     emb_drop = None
     if dropping:
-        emb_drop = package._dropout_mask(rng, cfg, B, T)
+        emb_drop = dropout_grid(rng, cfg, B, T)
         h *= emb_drop
 
     cache: dict | None = None
@@ -170,7 +184,7 @@ def forward_with_cache(
         attn += layer["bo"]
         attn_drop = None
         if dropping:
-            attn_drop = package._dropout_mask(rng, cfg, B, rows)
+            attn_drop = dropout_grid(rng, cfg, B, rows)
             attn *= attn_drop
         attn += hq
         h1, ln1_xhat, ln1_inv = package._layernorm_forward(
@@ -183,7 +197,7 @@ def forward_with_cache(
         f += layer["b2"]
         ffn_drop = None
         if dropping:
-            ffn_drop = package._dropout_mask(rng, cfg, B, rows)
+            ffn_drop = dropout_grid(rng, cfg, B, rows)
             f *= ffn_drop
         f += h1
         h, ln2_xhat, ln2_inv = package._layernorm_forward(

@@ -12,6 +12,7 @@ from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
     EncoderConfig,
+    _Packing,
     backward_from_logits,
     bucket_len,
     collate,
@@ -413,6 +414,25 @@ class TestPackedRows:
         (logits, grads), (garbage_logits, garbage_grads) = results
         assert garbage_logits.tobytes() == logits.tobytes()
         assert garbage_grads.flat.tobytes() == grads.flat.tobytes()
+
+    @pytest.mark.parametrize("width, lengths", [(8, [3, 8, 1, 6, 8]), (64, [64] * 4), (8, [8, 7]),
+                                                (1, [1] * 5), (24, [24, 24, 23])])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_unpack_product_matches_scatter(self, width, lengths, bias):
+        """The gather through a zero row gives the bytes of scattering the
+        product's real rows into a zero grid, the form it replaced."""
+        rng = np.random.default_rng(width + len(lengths))
+        packing = _Packing(np.array(lengths), width)
+        x = packing.pad(rng.normal(size=(packing.n_real, 16)))
+        w, b = rng.normal(size=(16, 24)), rng.normal(size=24) if bias else None
+        product = (x.reshape(-1, 8, 16) @ w).reshape(len(x), 24)
+        if bias:
+            product = product + b
+        want = np.zeros((len(lengths) * width, 24))
+        want[packing.index] = product[: packing.n_real]
+        got = packing.unpack_product(x, w, b)
+        assert got.shape == (len(lengths), width, 24)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 0, 0, 0], [0, 1, 1, 1], [1, 0.5, 0, 0],
                                      [1, np.nan, 0, 0]])

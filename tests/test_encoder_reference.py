@@ -21,6 +21,7 @@ from stancewatch.encoder import (
     EncoderConfig,
     _dropout_mask,
     _layernorm_forward,
+    _Packing,
     _softmax_lastaxis,
     collate,
     gelu_and_cdf,
@@ -102,15 +103,23 @@ class TestSoftmax:
 
 
 class TestDropoutMask:
+    """Masks drawn at real positions only, packed, against the grid masks
+    they replaced (``dropout_grid``) and the ``max_len`` draw before those."""
+
     @pytest.mark.parametrize("width", [8, 24, 32])
     @pytest.mark.parametrize("batch", [1, 5])
     def test_masks_and_generator_state_match_reference(self, batch, width):
         cfg = EncoderConfig(vocab_size=16, d_model=16, n_heads=2, max_len=32, dropout_rate=0.1)
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        lengths = np.random.default_rng(batch * width).integers(1, width + 1, batch)
+        lengths[0] = width
+        packing = _Packing(lengths, width)
+        rngs = [np.random.default_rng(7) for _ in range(3)]
         for _ in range(3):
-            assert_same_bytes(_dropout_mask(rng, cfg, batch, width),
-                              reference._dropout_mask(ref_rng, cfg, batch, width))
-        assert rng.random() == ref_rng.random()
+            got = _dropout_mask(rngs[0], cfg, packing)
+            assert_same_bytes(got, packing.pack(reference.dropout_grid(rngs[1], cfg, batch, width)))
+            assert_same_bytes(got, packing.pack(reference._dropout_mask(rngs[2], cfg, batch, width)))
+            assert not got[packing.n_real:].any()
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 
 
 class TestAdam:
@@ -138,8 +147,10 @@ class TestAdam:
 def swap_in_reference(monkeypatch):
     monkeypatch.setattr(sw_encoder, "gelu_and_cdf", lambda x: (reference.gelu(x), None))
     monkeypatch.setattr(sw_encoder, "gelu_grad", lambda x, cdf: reference.gelu_grad(x))
-    for name in ("_layernorm_forward", "_softmax_lastaxis", "_dropout_mask"):
+    for name in ("_layernorm_forward", "_softmax_lastaxis"):
         monkeypatch.setattr(sw_encoder, name, getattr(reference, name))
+    monkeypatch.setattr(sw_encoder, "_dropout_mask", lambda rng, cfg, packing: packing.pack(
+        reference._dropout_mask(rng, cfg, *packing.grid)))
     monkeypatch.setattr(sw_trainer, "adam_step", reference.adam_step)
 
 

@@ -1,8 +1,9 @@
 import re
+import sys
 import unicodedata
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tokenizer_reference as reference
@@ -276,9 +277,60 @@ class TestReferenceOracle:
         assert mismatches == []
 
 
+# Every character str.isspace() takes for whitespace, then punctuation, "_",
+# digits and other numerics, combining marks (the cedilla composes with s
+# and c under NFC) and letters.
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+chunk_texts = st.text(
+    alphabet=WHITESPACE + ".,!?#@'\"-…" + "_" + "0123٣²½Ⅻ" + "\u0301\u0308\u0327" + "aşsçcıbIİé",
+    max_size=60,
+)
+
+
+class TestChunking:
+    """``encode`` and ``tokenize`` cut the text at whitespace and memoise each
+    chunk; the cut must not move a pre-token boundary."""
+
+    def test_every_code_point_alone_and_between_letters(self, monkeypatch):
+        # The reference encodes each text three times; it tokenizes it once.
+        tokenize_once, last = reference.tokenize, {}
+
+        def memo(token_to_id, text):
+            if text not in last:
+                last.clear()
+                last[text] = tokenize_once(token_to_id, text)
+            return last[text]
+
+        monkeypatch.setattr(reference, "tokenize", memo)
+        vocab, token_to_id = ORACLE_VOCAB, ORACLE_VOCAB.token_to_id
+        mismatches = []
+        for c in range(sys.maxunicode + 1):
+            if 0xD800 <= c <= 0xDFFF:
+                continue
+            ch = chr(c)
+            for text in (ch, "a" + ch + "b", "a" + ch * 2 + "b"):
+                for max_len in (2, 3, 8):
+                    ids, _, n_real = reference.encode(token_to_id, text, max_len)
+                    if encode(vocab, text, max_len).ids != ids[:n_real]:
+                        mismatches.append((hex(c), text, max_len))
+        assert mismatches == []
+
+    @settings(max_examples=300)
+    @given(chunk_texts, st.integers(2, 64))
+    @example("a\tb\u00a0c\u3000d\x1ce", 3)
+    @example("a,b a_b 3.5 e\u0301", 64)
+    def test_encode_matches_reference(self, text, max_len):
+        assert tokenize(ORACLE_VOCAB, text) == reference.tokenize(ORACLE_VOCAB.token_to_id, text)
+        assert_matches_reference(ORACLE_VOCAB, text, max_len)
+
+
+def digit_vocab() -> Vocabulary:
+    return toy_vocab("w", "w1", *("##" + d for d in "0123456789"))
+
+
 class TestWordMemo:
     def test_memo_stays_bounded_and_exact(self):
-        vocab = toy_vocab("w", "w1", *("##" + d for d in "0123456789"))
+        vocab = digit_vocab()
         words = [f"w{i}" for i in range(WORD_CACHE_ENTRIES + 100)]
         for i in range(0, len(words), 500):
             tokenize(vocab, " ".join(words[i:i + 500]))
@@ -295,6 +347,43 @@ class TestWordMemo:
         warm, cold = toy_vocab("a", "##b"), toy_vocab("a", "##b")
         encode(warm, "ab ab q", max_len=8)
         assert warm.word_ids.cache_info().currsize == 2
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm.content_hash() == cold.content_hash()
+        assert warm != toy_vocab("a", "##c")
+
+    # Chunks of three words each, so that no chunk is a word, separated by
+    # each whitespace character in turn.
+    def chunks(self, n: int) -> list[str]:
+        return [f"w{i},w{i + 1}" for i in range(n)]
+
+    def joined(self, chunks: list[str]) -> str:
+        return "".join(c + WHITESPACE[i % len(WHITESPACE)] for i, c in enumerate(chunks))
+
+    def test_chunk_memo_stays_bounded_and_exact(self):
+        vocab = digit_vocab()
+        chunks = self.chunks(WORD_CACHE_ENTRIES + 100)
+        for i in range(0, len(chunks), 500):
+            tokenize(vocab, self.joined(chunks[i:i + 500]))
+        info = vocab.chunk_ids.cache_info()
+        # one miss per chunk: every whitespace character cuts
+        assert info.misses == len(chunks)
+        assert info.currsize <= WORD_CACHE_ENTRIES
+        # the earliest chunks were evicted; they and the latest still encode exactly
+        for text in (self.joined(chunks[:40]), self.joined(chunks[-40:])):
+            assert tokenize(vocab, text) == reference.tokenize(vocab.token_to_id, text)
+            for max_len in (2, 3, 8, 64):
+                assert_matches_reference(vocab, text, max_len)
+
+    def test_encode_looks_up_only_the_chunks_it_needs(self):
+        vocab = digit_vocab()
+        # four pieces a chunk (w, ##0, [UNK], w1): the budget of 6 is passed after two
+        encode(vocab, self.joined(self.chunks(50)), max_len=8)
+        assert vocab.chunk_ids.cache_info().misses == 2
+
+    def test_chunk_memo_takes_no_part_in_equality(self):
+        warm, cold = toy_vocab("a", "##b"), toy_vocab("a", "##b")
+        encode(warm, "ab,ab\tq ab,ab", max_len=8)
+        assert warm.chunk_ids.cache_info().currsize == 2
         assert warm == cold and hash(warm) == hash(cold)
         assert warm.content_hash() == cold.content_hash()
         assert warm != toy_vocab("a", "##c")
