@@ -32,6 +32,7 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -179,10 +180,15 @@ class Run:
         params, vocab = self.model_and_vocab()
         with self.manifest.stage("ingest"):
             tweets = self.ingest(corpus, "corpus").tweets
+        stats: dict = {}
         with self.manifest.stage("classify"):
-            classified = classify_corpus(params, vocab, tweets, self.config.classify_batch_size)
+            classified = classify_corpus(params, vocab, tweets, self.config.classify_batch_size, stats)
         with self.manifest.stage("write_classified"):
             write_classified(classified, path)
+        # Run facts that vary with the machine: kept out of the manifest body.
+        self.manifest.timings_s["classify_threads"] = stats["threads"]
+        self.manifest.timings_s["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
         return classified, self.final[path]
 
 

@@ -10,6 +10,8 @@ precision/recall/F1 are defined as 0.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -160,11 +162,30 @@ def check_batch_size(batch_size: int, key: str = "batch_size") -> None:
         raise DataValidationError(f"{key} must be >= 1, got {batch_size}")
 
 
+# A forward goes to the thread pool only when its feed-forward multiply-adds
+# (real tokens x n_layers x d_model x d_ff) reach this many. Below it the
+# forward's time is mostly Python that holds the interpreter lock, and
+# handing it to a thread costs more than the overlap gains.
+POOL_MIN_FFN_MACS = 1 << 23
+
+
+def forward_workers() -> int:
+    """Threads for inference forwards: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _predict_rows(probs: np.ndarray, rows: np.ndarray, params: ModelParams,
+                  ids: np.ndarray, mask: np.ndarray) -> None:
+    logits, _ = forward_with_cache(params, ids, mask)
+    probs[rows] = predict_proba(logits)
+
+
 def predict_batches(
     params: ModelParams,
     vocab: Vocabulary,
     texts: Sequence[str],
     batch_size: int = 64,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Probability matrix (n, 4) from inference-mode batched forwards, in
     input order.
@@ -172,6 +193,19 @@ def predict_batches(
     Each chunk of ``batch_size`` texts runs as one forward per length
     bucket, so every text is computed at its own bucket's width and its row
     depends only on the text, not on the batch size or its neighbours.
+
+    This thread encodes, buckets and collates; the forwards run on a pool
+    of ``forward_workers()`` threads, one per CPU the process may use,
+    opened for the call, with at most two per worker submitted and
+    unfinished. BLAS and ``erf`` release the interpreter lock, so large
+    forwards overlap; a forward below ``POOL_MIN_FFN_MACS`` is mostly
+    Python and runs here instead, and so does every forward when the
+    process may use one CPU only. The workers allocate from glibc's one
+    main arena (``encoder._keep_batch_arrays_in_heap``), so the pool does
+    not raise peak memory. Each forward writes its own rows, so no output
+    byte depends on the pool, the gate or the arena. ``stats``, if given,
+    gets ``"threads"``: the workers used, or 1 when every forward ran on
+    this thread.
 
     Refuses to run when the checkpoint records a vocabulary hash different
     from the one supplied, which would silently skew every token id.
@@ -187,16 +221,34 @@ def predict_batches(
             f"checkpoint vocab_size {params.config.vocab_size} != vocabulary size {len(vocab)}"
         )
     probs = np.empty((len(texts), N_CLASSES), dtype=np.float64)
-    max_len = params.config.max_len
-    for start in range(0, len(texts), batch_size):
-        encs = [encode(vocab, text, max_len) for text in texts[start : start + batch_size]]
-        buckets: dict[int, list[int]] = {}
-        for i, enc in enumerate(encs):
-            buckets.setdefault(bucket_len(enc.n_real, max_len), []).append(i)
-        for rows in buckets.values():
-            ids, mask = collate([encs[i] for i in rows], params.config)
-            logits, _ = forward_with_cache(params, ids, mask)
-            probs[start + np.array(rows)] = predict_proba(logits)
+    cfg = params.config
+    macs_per_token = cfg.n_layers * cfg.d_model * cfg.d_ff
+    workers = forward_workers()
+    threads = 1
+    with ThreadPoolExecutor(workers) as pool:
+        pending: set = set()
+        for start in range(0, len(texts), batch_size):
+            encs = [encode(vocab, text, cfg.max_len) for text in texts[start : start + batch_size]]
+            buckets: dict[int, list[int]] = {}
+            for i, enc in enumerate(encs):
+                buckets.setdefault(bucket_len(enc.n_real, cfg.max_len), []).append(i)
+            for rows in buckets.values():
+                batch = [encs[i] for i in rows]
+                ids, mask = collate(batch, cfg)
+                at = start + np.array(rows)
+                if workers == 1 or sum(e.n_real for e in batch) * macs_per_token < POOL_MIN_FFN_MACS:
+                    _predict_rows(probs, at, params, ids, mask)
+                    continue
+                if len(pending) == 2 * workers:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()
+                pending.add(pool.submit(_predict_rows, probs, at, params, ids, mask))
+                threads = workers
+        for future in pending:
+            future.result()
+    if stats is not None:
+        stats["threads"] = threads
     return probs
 
 

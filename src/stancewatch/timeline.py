@@ -111,9 +111,11 @@ def classify_corpus(
     vocab: Vocabulary,
     tweets: Sequence[Tweet],
     batch_size: int = 64,
+    stats: dict | None = None,
 ) -> Classified:
-    """Inference over the corpus, output order = input order."""
-    probs = predict_batches(params, vocab, [t.text for t in tweets], batch_size)
+    """Inference over the corpus, output order = input order; ``stats`` is
+    ``predict_batches``'s."""
+    probs = predict_batches(params, vocab, [t.text for t in tweets], batch_size, stats)
     created_us = [(t.created_at - EPOCH) // ONE_US for t in tweets]
     return Classified(tuple(t.id for t in tweets), created_us, probs.argmax(axis=1), probs)
 

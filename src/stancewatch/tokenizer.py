@@ -36,7 +36,13 @@ Behind the chunk memo, a word memo, ``word_ids``, maps each word to its
 piece ids, so an unseen chunk of seen words costs no matching. Both memos
 are bounded by ``WORD_CACHE_ENTRIES`` and hold only results of pure
 functions of the vocabulary, so they cannot change a result, and they take
-no part in equality, hashing or ``content_hash``.
+no part in equality, hashing or ``content_hash``. A chunk longer than
+``MEMO_MAX_CHARS`` is matched outside both memos, so no entry is longer
+than that, and ``encode`` matches such a chunk only until its budget is
+full.
+
+Matching is linear in the word's length: no piece is longer than the
+vocabulary's longest token, so each match tries at most that many ends.
 
 Every character seen during building is seeded into the vocabulary in both
 its word-initial and its continuation form, which guarantees the greedy
@@ -61,6 +67,9 @@ SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 CONTINUATION_PREFIX = "##"
 WORD_CACHE_ENTRIES = 1 << 16
+# Chunks longer than this bypass both memos: a tweet's chunks are rarely
+# longer, and it bounds what one memo entry can hold.
+MEMO_MAX_CHARS = 32
 # In CPython's re, \w is str.isalnum() plus "_" and \S is "not str.isspace()".
 _PRE_TOKEN = re.compile(r"[^\W_]+|\S")
 
@@ -71,6 +80,7 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    longest: int = field(init=False, repr=False, compare=False)
     word_ids: Callable[[str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
     chunk_ids: Callable[[str], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
@@ -87,8 +97,12 @@ class Vocabulary:
                 raise DataValidationError(f"duplicate token {tok!r} at ids {mapping[tok]} and {i}")
             mapping[tok] = i
         object.__setattr__(self, "token_to_id", mapping)
+        # A word holds "#" only as the one-character word "#", so a token
+        # that starts with "##" can match only as a continuation piece.
+        longest = max(len(tok.removeprefix(CONTINUATION_PREFIX)) for tok in self.tokens)
+        object.__setattr__(self, "longest", longest)
         memo = lru_cache(maxsize=WORD_CACHE_ENTRIES)
-        word_ids = memo(partial(_greedy_ids, mapping))
+        word_ids = memo(partial(_greedy_ids, mapping, longest))
         object.__setattr__(self, "word_ids", word_ids)
         object.__setattr__(self, "chunk_ids", memo(partial(_chunk_ids, word_ids)))
 
@@ -225,12 +239,25 @@ def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = 2) -> 
     return Vocabulary(tuple(tokens))
 
 
-def _greedy_ids(token_to_id: dict[str, int], word: str) -> tuple[int, ...]:
-    """Greedy longest-match piece ids for one pre-token, or (UNK_ID,) on failure."""
+def _greedy_ids(
+    token_to_id: dict[str, int], longest: int, word: str, limit: int | None = None
+) -> tuple[int, ...]:
+    """Greedy longest-match piece ids for one pre-token, or (UNK_ID,) on failure.
+
+    No piece is longer than ``longest`` characters, ``##`` not counted, so a
+    match tries no end past that. With a ``limit`` the match stops after
+    that many pieces, a prefix of the full result, when no position can
+    fail: when every character of the word has its one-character piece.
+    """
+    if limit is not None and (
+        word[0] not in token_to_id
+        or any(CONTINUATION_PREFIX + c not in token_to_id for c in set(word[1:]))
+    ):
+        limit = None
     ids: list[int] = []
     start = 0
-    while start < len(word):
-        end = len(word)
+    while start < len(word) and len(ids) != limit:
+        end = min(len(word), start + longest)
         found: int | None = None
         while start < end:
             cand = word[start:end]
@@ -257,18 +284,34 @@ def _chunk_ids(word_ids: Callable[[str], tuple[int, ...]], chunk: str) -> tuple[
     return tuple(ids)
 
 
+def _long_chunk_ids(vocab: Vocabulary, chunk: str, limit: int | None = None) -> list[int]:
+    """Piece ids of a chunk longer than ``MEMO_MAX_CHARS``, matched outside
+    both memos; with a ``limit``, only until that many ids are held."""
+    ids: list[int] = []
+    for match in _PRE_TOKEN.finditer(chunk):
+        if limit is None:
+            ids += _greedy_ids(vocab.token_to_id, vocab.longest, match.group())
+        elif len(ids) < limit:
+            ids += _greedy_ids(vocab.token_to_id, vocab.longest, match.group(), limit - len(ids))
+        else:
+            break
+    return ids
+
+
 def tokenize(vocab: Vocabulary, text: str) -> list[str]:
     """Full piece sequence for a text, without specials or truncation."""
-    chunks = unicodedata.normalize("NFC", text).split()
-    return [vocab.tokens[i] for chunk in chunks for i in vocab.chunk_ids(chunk)]
+    ids: list[int] = []
+    for chunk in unicodedata.normalize("NFC", text).split():
+        ids += vocab.chunk_ids(chunk) if len(chunk) <= MEMO_MAX_CHARS else _long_chunk_ids(vocab, chunk)
+    return [vocab.tokens[i] for i in ids]
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
     """Encode a text into at most ``max_len`` ids.
 
     Chunks are matched only until more than ``max_len - 2`` pieces are
-    held; pieces beyond that are dropped, then the sequence is wrapped in
-    ``[CLS]`` / ``[SEP]``.
+    held, a long chunk only up to that count; pieces beyond it are dropped,
+    then the sequence is wrapped in ``[CLS]`` / ``[SEP]``.
     """
     if max_len < 2:
         raise DataValidationError(f"max_len must be at least 2, got {max_len}")
@@ -279,7 +322,10 @@ def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
     for chunk in unicodedata.normalize("NFC", text).split(None, budget):
         if len(ids) > budget:
             break
-        ids += chunk_ids(chunk)
+        if len(chunk) > MEMO_MAX_CHARS:
+            ids += _long_chunk_ids(vocab, chunk, budget + 1 - len(ids))
+        else:
+            ids += chunk_ids(chunk)
     del ids[budget + 1:]
     ids.append(SEP_ID)
     return Encoding(tuple(ids))

@@ -1,6 +1,8 @@
 import datetime as dt
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as reference
+from stancewatch import metrics
 from stancewatch.corpus import Category, LabeledDataset, Tweet
-from stancewatch.encoder import EncoderConfig, bucket_len, init_params
+from stancewatch.encoder import EncoderConfig, bucket_len, collate, forward_with_cache, init_params
 from stancewatch.errors import DataValidationError
 from stancewatch.metrics import (
     ConfusionMatrix,
@@ -22,7 +25,7 @@ from stancewatch.metrics import (
     write_report,
     write_roc_csv,
 )
-from stancewatch.tokenizer import build_vocab, encode
+from stancewatch.tokenizer import SPECIAL_TOKENS, Vocabulary, build_vocab, encode
 
 UTC = dt.timezone.utc
 
@@ -343,3 +346,116 @@ class TestEvaluate:
             (x1 - x0) * (y1 + y0) / 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:])
         )
         assert math.isclose(area, report.auc[0], abs_tol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def default_size_setup():
+    """The default model size (d 128, 2 layers) and texts of every real
+    length from 2 ([CLS] [SEP] alone) to max_len, in a shuffled order."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    vocab = Vocabulary(SPECIAL_TOKENS + tuple(letters))
+    cfg = EncoderConfig(vocab_size=len(vocab), d_model=128, n_layers=2, n_heads=4, max_len=64)
+    params = init_params(cfg, seed=5, vocab_hash=vocab.content_hash())
+    rng = np.random.default_rng(5)
+    texts = [" ".join(rng.choice(list(letters), k)) for k in rng.permutation(np.arange(300) % 66)]
+    assert {encode(vocab, t, 64).n_real for t in texts} == set(range(2, 65))
+    return params, vocab, texts
+
+
+def pooled(monkeypatch, workers: int) -> None:
+    """Send every forward to a pool of ``workers`` threads."""
+    monkeypatch.setattr(metrics, "POOL_MIN_FFN_MACS", 0)
+    monkeypatch.setattr(metrics, "forward_workers", lambda: workers)
+
+
+class TestForwardPool:
+    """predict_batches runs forwards on a thread pool; no byte may depend on it."""
+
+    @pytest.fixture(scope="class")
+    def inline(self, default_size_setup):
+        params, vocab, texts = default_size_setup
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(metrics, "forward_workers", lambda: 1)
+            return {size: predict_batches(params, vocab, texts, size) for size in (1, 7, 64, 257)}
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_pool_gives_the_inline_bytes(self, default_size_setup, inline, monkeypatch, workers):
+        params, vocab, texts = default_size_setup
+        pooled(monkeypatch, workers)
+        for size, expected in inline.items():
+            stats: dict = {}
+            got = predict_batches(params, vocab, texts, size, stats)
+            assert got.tobytes() == expected.tobytes()
+            assert stats == {"threads": workers}
+        assert inline[1].tobytes() == inline[257].tobytes()
+
+    def test_small_forwards_and_one_cpu_run_inline(self, default_size_setup, monkeypatch):
+        params, vocab, texts = default_size_setup
+        seen = set()
+
+        def forward(*args):
+            seen.add(threading.current_thread() is threading.main_thread())
+            return forward_with_cache(*args)
+
+        monkeypatch.setattr(metrics, "forward_with_cache", forward)
+        monkeypatch.setattr(metrics, "forward_workers", lambda: 2)
+        # just above one text of max_len real ids through 2 layers of 128 x 512
+        monkeypatch.setattr(metrics, "POOL_MIN_FFN_MACS", 64 * 2 * 128 * 512 + 1)
+        stats: dict = {}
+        predict_batches(params, vocab, texts, 1, stats)
+        assert seen == {True} and stats == {"threads": 1}
+        seen.clear()
+        predict_batches(params, vocab, texts, 64, stats)
+        assert seen == {True, False} and stats == {"threads": 2}
+        seen.clear()
+        pooled(monkeypatch, 1)
+        predict_batches(params, vocab, texts, 64, stats)
+        assert seen == {True} and stats == {"threads": 1}
+
+    def test_worker_error_reaches_the_caller(self, default_size_setup, monkeypatch):
+        params, vocab, texts = default_size_setup
+        calls = []
+
+        class Boom(RuntimeError):
+            pass
+
+        def forward(*args):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) == 5:
+                raise Boom("forward failed")
+            return forward_with_cache(*args)
+
+        monkeypatch.setattr(metrics, "forward_with_cache", forward)
+        pooled(monkeypatch, 3)
+        threads = threading.active_count()
+        with pytest.raises(Boom, match="forward failed"):
+            predict_batches(params, vocab, texts, 7)
+        assert threading.active_count() == threads
+        assert not any(calls)
+
+    def test_at_most_two_forwards_per_worker_in_flight(self, default_size_setup, monkeypatch):
+        params, vocab, texts = default_size_setup
+        workers, lock = 2, threading.Lock()
+        counts = {"collated": 0, "finished": 0, "most": 0}
+
+        def collate_and_count(*args):
+            # Every batch collated before this one has been submitted or run.
+            with lock:
+                counts["most"] = max(counts["most"], counts["collated"] - counts["finished"])
+                counts["collated"] += 1
+            return collate(*args)
+
+        def slow_forward(*args):
+            time.sleep(0.01)
+            result = forward_with_cache(*args)
+            with lock:
+                counts["finished"] += 1
+            return result
+
+        monkeypatch.setattr(metrics, "collate", collate_and_count)
+        monkeypatch.setattr(metrics, "forward_with_cache", slow_forward)
+        pooled(monkeypatch, workers)
+        predict_batches(params, vocab, texts[:120], 4)
+        assert counts["finished"] == counts["collated"] > 4 * workers
+        # the queue filled past the workers, and never past twice their number
+        assert workers < counts["most"] <= 2 * workers

@@ -15,6 +15,7 @@ from stancewatch.tokenizer import (
     SEP_ID,
     UNK_ID,
     UNK_TOKEN,
+    MEMO_MAX_CHARS,
     WORD_CACHE_ENTRIES,
     Encoding,
     Vocabulary,
@@ -387,3 +388,52 @@ class TestWordMemo:
         assert warm == cold and hash(warm) == hash(cold)
         assert warm.content_hash() == cold.content_hash()
         assert warm != toy_vocab("a", "##c")
+
+
+# Letters ORACLE_VOCAB knows in both forms ("a" and "ı" twice, for its
+# longer pieces) and "z", which it does not know: a long word of them is
+# [UNK] as a whole if a "z" falls anywhere in it.
+long_words = st.text(alphabet="aşbcıklr" + "aız", min_size=MEMO_MAX_CHARS + 1, max_size=160)
+
+
+class TestLongWords:
+    """Long words and chunks: matched in linear time, outside the memos, and
+    by ``encode`` only up to its budget, with the reference's ids."""
+
+    @settings(max_examples=150)
+    @given(long_words, st.sampled_from(["", " ab", ",", "!k,"]))
+    @example("aşı" * 40, "")
+    @example("aşı" * 40 + "z", "")
+    @example("z" + "aşı" * 40, "")
+    @example("ab" * 30, ",ab" * 20)
+    def test_matches_reference(self, word, tail):
+        for text in (word, word + tail, tail + word, f"ab {word}{tail} ab"):
+            assert tokenize(ORACLE_VOCAB, text) == reference.tokenize(ORACLE_VOCAB.token_to_id, text)
+            for max_len in (2, 3, 8, 64):
+                assert_matches_reference(ORACLE_VOCAB, text, max_len)
+
+    def test_piece_missing_only_where_the_match_never_stops(self):
+        # "##b" is missing, but every b follows an a and "ab" is a piece
+        vocab = toy_vocab("a", "##a", "ab", "##ab")
+        for text in ("ab" * 40, "ab" * 40 + "b"):
+            for max_len in (2, 3, 8, 64):
+                assert_matches_reference(vocab, text, max_len)
+        assert encode(vocab, "ab" * 40, max_len=5).ids == (CLS_ID, 6, 7, 7, SEP_ID)
+        assert encode(vocab, "ab" * 40 + "b", max_len=5).ids == (CLS_ID, UNK_ID, SEP_ID)
+
+    @pytest.mark.parametrize("chunk", ["ab" * 30, "ab," * 20])
+    def test_long_chunk_leaves_the_memos_alone(self, chunk):
+        vocab = toy_vocab("a", "##b", ",")
+        encode(vocab, "ab , ab", max_len=64)  # the short chunks around the long one
+        before = (vocab.chunk_ids.cache_info().currsize, vocab.word_ids.cache_info().currsize)
+        for max_len in (3, 64):
+            encode(vocab, f"ab {chunk} ab", max_len)
+        tokenize(vocab, chunk)
+        assert (vocab.chunk_ids.cache_info().currsize, vocab.word_ids.cache_info().currsize) == before
+
+    def test_very_long_word(self):
+        vocab = toy_vocab("a", "##a")
+        word = "a" * 20_000
+        assert encode(vocab, word, max_len=64).ids == (CLS_ID, 4) + (5,) * 61 + (SEP_ID,)
+        assert encode(vocab, word + "q", max_len=64).ids == (CLS_ID, UNK_ID, SEP_ID)
+        assert tokenize(vocab, word) == ["a"] + ["##a"] * 19_999
