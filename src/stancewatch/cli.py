@@ -240,9 +240,11 @@ def cmd_build_vocab(run: Run) -> None:
     check_vocab_settings(run.config.vocab_max_size, run.config.min_pair_freq)
     vocab_path = run.output(run.config.vocab_path, "vocab.txt")
     split = run.labeled_split()
+    stats: dict = {}
     with run.manifest.stage("build_vocab"):
         texts = [t.text for t in split.train.examples]
-        vocab = build_vocab(texts, run.config.vocab_max_size, run.config.min_pair_freq)
+        vocab = build_vocab(texts, run.config.vocab_max_size, run.config.min_pair_freq, stats)
+    run.manifest.results["vocab"] = {"tokens": len(vocab), **stats}
     vocab.save(vocab_path)
     run.say(f"vocabulary: {len(vocab)} tokens (from {len(split.train)} train texts) "
             f"-> {run.final[vocab_path]}")

@@ -2,8 +2,9 @@
 
 Every command writes a manifest describing exactly what it consumed:
 the resolved config, sha256 of each input file, the package version, and
-wall-clock seconds per stage. Data outputs are pure functions of config
-plus inputs; the timing block is the one part that varies between reruns.
+wall-clock seconds per stage. A command may add deterministic facts about
+its run under ``results``. Data outputs are pure functions of config plus
+inputs; the timing block is the one part that varies between reruns.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     package_version: str = __version__
+    results: dict = field(default_factory=dict)
     timings_s: dict[str, float] = field(default_factory=dict)
 
     def add_input(self, name: str, path: str | Path) -> None:
@@ -67,6 +69,7 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "package_version": self.package_version,
+            "results": self.results,
             "timings_s": self.timings_s,
         }
         path = Path(path)

@@ -52,6 +52,7 @@ matcher can always fall back to single characters before emitting ``[UNK]``.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import re
 import unicodedata
 from collections import Counter
@@ -183,13 +184,34 @@ def check_vocab_settings(max_size: int, min_pair_freq: int) -> None:
         raise DataValidationError(f"min_pair_freq must be >= 1, got {min_pair_freq}")
 
 
-def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = 2) -> Vocabulary:
+def build_vocab(
+    texts: Iterable[str], max_size: int, min_pair_freq: int = 2, stats: dict | None = None
+) -> Vocabulary:
     """Train a WordPiece vocabulary of at most ``max_size`` tokens.
 
     The seed inventory is every character seen in the corpus, in both plain
     and ``##``-prefixed form, after the four specials. Merges then extend
     the inventory while the budget allows and the best pair occurs at least
-    ``min_pair_freq`` times.
+    ``min_pair_freq`` times. A merge whose token is already present adds
+    none, but still merges.
+
+    The symbol and pair counts are taken in one pass over the distinct
+    words and then kept across merges: a pair -> words index finds the words
+    that hold the merged pair, and only those are re-merged, each applying
+    the difference between its old and new sequence's counts; a pair whose
+    count reaches 0 is dropped. The best pair comes from a heap keyed by
+    ``(-score, a, b)``. A merge changes the score of every pair that shares
+    a symbol whose count changed, so those are pushed again (through a
+    symbol -> pairs index) and an entry whose key is no longer its pair's
+    key is discarded when it surfaces. Every build gives the same tokens as
+    recounting every pair after every merge.
+
+    The stop rule is unchanged: learning ends at the first best pair below
+    ``min_pair_freq``. A pair of rare symbols often scores highest, so this
+    is known to stop well short of the budget (ROADMAP item 2).
+
+    ``stats``, if given, gets ``"merges"``, the merges made, and ``"stop"``:
+    ``"budget"``, ``"no_pairs"`` or ``"below_min_pair_freq"``.
     """
     check_vocab_settings(max_size, min_pair_freq)
     word_freq: Counter[str] = Counter()
@@ -208,34 +230,96 @@ def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = 2) -> 
 
     tokens: list[str] = list(SPECIAL_TOKENS) + seed
     present = set(tokens)
-    seqs: dict[str, tuple[str, ...]] = {w: _word_symbols(w) for w in word_freq}
+    seqs = [_word_symbols(w) for w in word_freq]
+    freqs = list(word_freq.values())
+    sym_freq: Counter[str] = Counter()
+    pair_freq: Counter[tuple[str, str]] = Counter()
+    pair_words: dict[tuple[str, str], set[int]] = {}
+    for i, seq in enumerate(seqs):
+        for s in seq:
+            sym_freq[s] += freqs[i]
+        for pair in zip(seq, seq[1:]):
+            pair_freq[pair] += freqs[i]
+            pair_words.setdefault(pair, set()).add(i)
+    sym_pairs: dict[str, set[tuple[str, str]]] = {}
+    for pair in pair_freq:
+        sym_pairs.setdefault(pair[0], set()).add(pair)
+        sym_pairs.setdefault(pair[1], set()).add(pair)
 
+    def key(pair: tuple[str, str]) -> tuple[float, str, str]:
+        a, b = pair
+        return (-(pair_freq[pair] / (sym_freq[a] * sym_freq[b])), a, b)
+
+    heap = [key(pair) for pair in pair_freq]
+    heapq.heapify(heap)
+    merges = 0
+    stop = "budget"
     while len(tokens) < max_size:
-        sym_freq: Counter[str] = Counter()
-        pair_freq: Counter[tuple[str, str]] = Counter()
-        for word, f in word_freq.items():
-            seq = seqs[word]
-            for s in seq:
-                sym_freq[s] += f
-            for a, b in zip(seq, seq[1:]):
-                pair_freq[(a, b)] += f
-        if not pair_freq:
+        while heap and (heap[0][1:] not in pair_freq or key(heap[0][1:]) != heap[0]):
+            heapq.heappop(heap)
+        if not heap:
+            stop = "no_pairs"
             break
-
-        def rank(pair: tuple[str, str]) -> tuple[float, str, str]:
-            a, b = pair
-            score = pair_freq[pair] / (sym_freq[a] * sym_freq[b])
-            return (-score, a, b)
-
-        best = min(pair_freq, key=rank)
+        best = heap[0][1:]
         if pair_freq[best] < min_pair_freq:
+            stop = "below_min_pair_freq"
             break
-        merged = best[0] + best[1][len(CONTINUATION_PREFIX):]
+        a, b = best
+        merged = a + b[len(CONTINUATION_PREFIX):]
         if merged not in present:
             tokens.append(merged)
             present.add(merged)
-        seqs = {w: _merge_sequence(seq, best, merged) for w, seq in seqs.items()}
+        merges += 1
 
+        merged_freq = 0
+        pair_delta: Counter[tuple[str, str]] = Counter()
+        for i in pair_words.pop(best):
+            old = seqs[i]
+            new = seqs[i] = _merge_sequence(old, best, merged)
+            f = freqs[i]
+            merged_freq += (len(old) - len(new)) * f
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for pair in old_pairs:
+                pair_delta[pair] -= f
+            for pair in new_pairs:
+                pair_delta[pair] += f
+            for pair in set(new_pairs).difference(old_pairs):
+                pair_words.setdefault(pair, set()).add(i)
+            for pair in set(old_pairs).difference(new_pairs):
+                if pair != best:
+                    pair_words[pair].discard(i)
+
+        sym_freq[a] -= merged_freq
+        sym_freq[b] -= merged_freq
+        sym_freq[merged] += merged_freq
+        rekey: set[tuple[str, str]] = set()
+        for pair, d in pair_delta.items():
+            if not d:
+                continue
+            if pair not in pair_freq:
+                sym_pairs.setdefault(pair[0], set()).add(pair)
+                sym_pairs.setdefault(pair[1], set()).add(pair)
+            pair_freq[pair] += d
+            if pair_freq[pair]:
+                rekey.add(pair)
+            else:
+                del pair_freq[pair]
+                pair_words.pop(pair, None)
+                sym_pairs[pair[0]].discard(pair)
+                sym_pairs[pair[1]].discard(pair)
+        for s in (a, b, merged):
+            rekey.update(sym_pairs.get(s, ()))
+        for pair in rekey:
+            heapq.heappush(heap, key(pair))
+        if len(heap) > 2 * len(pair_freq) + 1024:
+            # Drop the stale entries: one key per live pair.
+            heap = [key(pair) for pair in pair_freq]
+            heapq.heapify(heap)
+
+    if stats is not None:
+        stats["merges"] = merges
+        stats["stop"] = stop
     return Vocabulary(tuple(tokens))
 
 

@@ -13,11 +13,12 @@ from click.testing import CliRunner
 
 from stancewatch import cli
 from stancewatch.cli import main
-from stancewatch.corpus import ingest_jsonl, labeled_subset, split_dataset, write_jsonl
+from stancewatch.corpus import Category, ingest_jsonl, labeled_subset, split_dataset, write_jsonl
 from stancewatch.encoder import init_params, load_checkpoint, save_checkpoint
 from stancewatch.manifest import LOCK_NAME
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.tokenizer import Vocabulary
+from test_tokenizer_golden import corpus as golden_corpus
 
 
 @pytest.fixture
@@ -313,6 +314,25 @@ class TestBuildVocab:
         assert doc["inputs"]["labeled"].startswith("sha256:")
         assert "vocab.txt" in doc["outputs"]
         assert not (out / LOCK_NAME).exists()
+
+    def test_manifest_reports_the_early_stop(self, runner, tmp_path):
+        """The train split holds exactly the golden tokenizer texts. At the
+        default min_pair_freq 2 the first best pair below it ends learning at
+        96 of 400 tokens (ROADMAP item 2), and the manifest body says so."""
+        texts = golden_corpus()[0]
+        # One class: int(0.8 * 188) = 150 train positions, one per text.
+        rows = [replace(t, gold_label=Category(0))
+                for t in generate_labeled(per_class=47, seed=3)]
+        split = split_dataset(labeled_subset(rows), 0.8, seed=13)
+        text_of = dict(zip((t.id for t in split.train.examples), texts, strict=True))
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl([replace(t, text=text_of.get(t.id, t.text)) for t in rows], labeled)
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out),
+                        "--set", "vocab_max_size=400"])
+        doc = json.loads((out / "manifest_build_vocab.json").read_text(encoding="utf-8"))
+        assert doc["results"]["vocab"] == {"tokens": 96, "merges": 2, "stop": "below_min_pair_freq"}
+        assert len(Vocabulary.load(out / "vocab.txt")) == 96
 
     def test_vocab_uses_train_split_only(self, runner, tmp_path):
         """A marker character present only in a test-split text never reaches

@@ -40,6 +40,7 @@ class TestRunManifest:
         assert doc["package_version"] == __version__
         assert doc["inputs"]["labeled"].startswith("sha256:")
         assert doc["outputs"] == ["a_trace.txt", "model.ckpt"]  # sorted basenames
+        assert doc["results"] == {}
         assert "training" in doc["timings_s"]
         assert doc["timings_s"]["training"] >= 0.0
 

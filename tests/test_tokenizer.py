@@ -3,9 +3,10 @@ import sys
 import unicodedata
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import stancewatch.tokenizer as tokenizer
 import tokenizer_reference as reference
 from conftest import padded
 from stancewatch.errors import DataValidationError, InputPathError
@@ -16,6 +17,7 @@ from stancewatch.tokenizer import (
     UNK_ID,
     UNK_TOKEN,
     MEMO_MAX_CHARS,
+    SPECIAL_TOKENS,
     WORD_CACHE_ENTRIES,
     Encoding,
     Vocabulary,
@@ -24,6 +26,7 @@ from stancewatch.tokenizer import (
     pre_tokenize,
     tokenize,
 )
+from test_tokenizer_golden import corpus as golden_corpus
 
 
 class TestPreTokenize:
@@ -99,6 +102,69 @@ class TestBuildVocab:
         texts = ["ab cd ce fd"] * 4
         vocab = build_vocab(texts, max_size=4 + 12 + 1)
         assert vocab.tokens[-1] == "ab"
+
+    @pytest.mark.parametrize("texts, max_size, min_pair_freq, merges, stop", [
+        (["aa aa aa"], 6, 2, 0, "budget"),
+        (["aa aa aa"], 7, 2, 1, "budget"),
+        (["ab"], 20, 1, 1, "no_pairs"),
+        (["ab"], 20, 2, 0, "below_min_pair_freq"),
+    ])
+    def test_stats_report_merges_and_stop(self, texts, max_size, min_pair_freq, merges, stop):
+        stats = {}
+        build_vocab(texts, max_size, min_pair_freq, stats)
+        assert stats == {"merges": merges, "stop": stop}
+
+
+# Small alphabets, so that words repeat, pairs overlap (##a ##a ##a) and
+# punctuation and one-character words occur.
+vocab_corpora = st.sampled_from(("ab", "abc", "ab,.#", "aşı!")).flatmap(
+    lambda alphabet: st.lists(st.text(alphabet=alphabet + " ", max_size=24), min_size=1, max_size=6)
+)
+
+
+class TestIncrementalPairCounts:
+    """``build_vocab`` keeps its pair counts across merges; it must give
+    exactly the tokens of the learner that recounts every pair after every
+    merge (tests/tokenizer_reference.py)."""
+
+    @settings(max_examples=200)
+    @given(vocab_corpora, st.integers(0, 150), st.integers(1, 3))
+    @example(["aaaa aaa aa a"], 150, 1)
+    @example(["a , b . #"], 0, 1)
+    @example(["abab abab ab ba"], 3, 2)
+    def test_matches_recount_reference(self, texts, extra, min_pair_freq):
+        # From the seed floor (no merge fits) to past exhaustion.
+        chars = {c for text in texts for word in reference.pre_tokenize(text) for c in word}
+        assume(chars)
+        max_size = len(SPECIAL_TOKENS) + 2 * len(chars) + extra
+        assert (build_vocab(texts, max_size, min_pair_freq).tokens
+                == reference.build_vocab(texts, max_size, min_pair_freq))
+
+    @pytest.mark.parametrize("min_pair_freq, size, stop", [(1, 400, "budget"),
+                                                           (2, 96, "below_min_pair_freq")])
+    def test_golden_texts_match_reference(self, min_pair_freq, size, stop):
+        texts = golden_corpus()[0]
+        stats = {}
+        tokens = build_vocab(texts, 400, min_pair_freq, stats).tokens
+        assert tokens == reference.build_vocab(texts, 400, min_pair_freq)
+        assert (len(tokens), stats["stop"]) == (size, stop)
+
+    def test_a_merge_rewrites_only_the_words_that_hold_its_pair(self, monkeypatch):
+        # Recounting the whole corpus rewrites every distinct word at every
+        # merge: 306 merges x 607 words = 185,742 calls here.
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return merge(*args)
+
+        merge = tokenizer._merge_sequence
+        monkeypatch.setattr(tokenizer, "_merge_sequence", counted)
+        texts = golden_corpus()[0]
+        build_vocab(texts, 400, 1)
+        distinct = len({word for text in texts for word in pre_tokenize(text)})
+        assert distinct == 607
+        assert len(calls) < 2 * distinct
 
 
 class TestVocabularyIO:
