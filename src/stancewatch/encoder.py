@@ -19,7 +19,8 @@ adds its input gradient into the residual's in place.
 
 GELU uses the exact Gaussian CDF form, x * 0.5 * (1 + erf(x / sqrt(2))),
 with one erf per value: a training forward keeps the CDF for the backward
-pass, whose GELU derivative then needs only the density's exp. Dropout
+pass, whose GELU derivative then needs only the density's exp, and whose
+GELU output is recomputed from it with one multiply instead of kept. Dropout
 (embedding output, attention output, feed-forward output) runs only in
 train mode, with seeded masks, so inference and gradient checks are
 deterministic. The additive mask constant is -1e9 rather than -inf so no
@@ -551,19 +552,23 @@ def _attention_backward(dattn: np.ndarray, dhq: np.ndarray, saved: tuple, layer:
 
 
 def _ffn_forward(h: np.ndarray, layer: dict) -> tuple:
-    """W2 . gelu(W1 . h + b1) + b2, and (h, u, cdf, gu)."""
+    """W2 . gelu(W1 . h + b1) + b2, and (h, u, cdf) for the backward.
+
+    The GELU output gu = u * cdf is not kept: the backward recomputes it
+    with the one multiply ``gelu_and_cdf`` makes, so it gets the same bytes
+    and a training cache holds one hidden-width array fewer per layer."""
     u = _rows(h, layer["w1"])
     u += layer["b1"]
     gu, cdf = gelu_and_cdf(u)
     f = _rows(gu, layer["w2"])
     f += layer["b2"]
-    return f, (h, u, cdf, gu)
+    return f, (h, u, cdf)
 
 
 def _ffn_backward(df: np.ndarray, dh: np.ndarray, saved: tuple, layer: dict, g: dict) -> None:
     """Writes its parameter gradients into ``g`` and adds its input gradient into ``dh``."""
-    h, u, cdf, gu = saved
-    g["w2"][...] = gu.T @ df
+    h, u, cdf = saved
+    g["w2"][...] = (u * cdf).T @ df
     g["b2"][...] = df.sum(axis=0)
     du = _rows(df, layer["w2"].T)
     du *= gelu_grad(u, cdf)
@@ -673,14 +678,22 @@ def forward(
 
 
 def backward_from_logits(
-    params: ModelParams, cache: tuple, dlogits: np.ndarray, head_only: bool = False
+    params: ModelParams, cache: tuple, dlogits: np.ndarray, head_only: bool = False,
+    out: TensorBuffer | None = None,
 ) -> TensorBuffer:
     """Exact gradients of every parameter tensor given d(loss)/d(logits),
     in the parameters' buffer layout. ``head_only`` stops after the pooler
     and classifier, leaving the encoder's gradients zero; any other
-    backward needs the cache of a forward run with ``need_cache``."""
+    backward needs the cache of a forward run with ``need_cache``.
+
+    The gradients go into ``out`` if given, else into a fresh zero buffer.
+    Every tensor is overwritten except the embedding tables, which are sums
+    over positions and are zeroed before them, so a buffer that held an
+    earlier backward's gradients gets the same bytes as a fresh one; a
+    head-only backward writes only the head, and leaves the rest as it
+    was."""
     p = params.tensors
-    grads = p.zeros_like()
+    grads = p.zeros_like() if out is None else out
     emb, layers, (h, pooled) = cache
 
     grads["classifier_w"][...] = dlogits.T @ pooled
@@ -710,6 +723,8 @@ def backward_from_logits(
         dh, emb_xhat, emb_inv, p["emb_ln_gain"]
     )
     real = dx[: tokens.n_real]
+    for name in ("tok_emb", "pos_emb", "seg_emb"):
+        grads[name][...] = 0.0
     np.add.at(grads["tok_emb"], tok, real)
     np.add.at(grads["pos_emb"], tokens.columns, real)
     grads["seg_emb"][0] = dx.sum(axis=0)

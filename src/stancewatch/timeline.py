@@ -43,6 +43,9 @@ US_PER_DAY = 24 * 60 * US_PER_MINUTE
 # The days since EPOCH that datetime.date can hold: the years 1-9999.
 DATE_DAYS = range((dt.date.min - EPOCH.date()).days, (dt.date.max - EPOCH.date()).days + 1)
 MAX_UTC_OFFSET_MINUTES = 24 * 60
+# Rows per block of write_classified and read_classified: the ids aside,
+# only one block's rows are ever Python objects, whatever the file's length.
+CLASSIFIED_BLOCK_ROWS = 4096
 
 
 class ClassifiedTweet(NamedTuple):
@@ -116,7 +119,8 @@ def classify_corpus(
     """Inference over the corpus, output order = input order; ``stats`` is
     ``predict_batches``'s."""
     probs = predict_batches(params, vocab, [t.text for t in tweets], batch_size, stats)
-    created_us = [(t.created_at - EPOCH) // ONE_US for t in tweets]
+    created_us = np.fromiter(((t.created_at - EPOCH) // ONE_US for t in tweets), dtype=np.int64,
+                             count=len(tweets))
     return Classified(tuple(t.id for t in tweets), created_us, probs.argmax(axis=1), probs)
 
 
@@ -312,16 +316,20 @@ def write_classified(classified: Classified, path: str | Path) -> int:
     ensure_ascii=False)``, built from the sorted key order directly: the id
     through ``json.dumps``, the finite probabilities through ``float.__repr__``
     as json writes them, and the timestamp, which needs no escaping, as is.
+    The columns become Python lists ``CLASSIFIED_BLOCK_ROWS`` rows at a
+    time, so writing adds the memory of one block, not of the whole result.
     """
-    columns = (classified.ids, classified.created_us.tolist(), classified.predicted.tolist(),
-               classified.proba.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for tid, us, predicted, (p0, p1, p2, p3) in zip(*columns):
-            fh.write(
-                f'{{"created_at": "{format_timestamp(EPOCH + us * ONE_US)}", '
-                f'"id": {json.dumps(tid, ensure_ascii=False)}, "predicted": {predicted}, '
-                f'"proba": [{p0!r}, {p1!r}, {p2!r}, {p3!r}]}}\n'
-            )
+        for lo in range(0, len(classified), CLASSIFIED_BLOCK_ROWS):
+            rows = slice(lo, lo + CLASSIFIED_BLOCK_ROWS)
+            columns = (classified.ids[rows], classified.created_us[rows].tolist(),
+                       classified.predicted[rows].tolist(), classified.proba[rows].tolist())
+            for tid, us, predicted, (p0, p1, p2, p3) in zip(*columns):
+                fh.write(
+                    f'{{"created_at": "{format_timestamp(EPOCH + us * ONE_US)}", '
+                    f'"id": {json.dumps(tid, ensure_ascii=False)}, "predicted": {predicted}, '
+                    f'"proba": [{p0!r}, {p1!r}, {p2!r}, {p3!r}]}}\n'
+                )
     return len(classified)
 
 
@@ -344,9 +352,29 @@ def _parse_classified_line(line: str) -> tuple[str, int, int, list[float]]:
 
 
 def read_classified(path: str | Path) -> Classified:
-    """Read classified.jsonl back; every rejection names ``path:line``."""
-    lines: dict[str, int] = {}  # tweet id -> line number, in file order
-    created_us, predicted, proba = [], [], []
+    """Read classified.jsonl back; every rejection names ``path:line``.
+
+    Records are parsed ``CLASSIFIED_BLOCK_ROWS`` at a time into one block
+    of Python lists, which becomes numpy arrays, each record's line number
+    among them, before the next block starts; each column's blocks are
+    concatenated once, at the end, and dropped as soon as it is whole. The
+    ids are the keys of an insertion-ordered dict, which is both the id
+    column and the duplicate check; the line of an id's first copy is looked
+    up only when a second turns up.
+    """
+    ids: dict[str, None] = {}
+    blocks: tuple[list[np.ndarray], ...] = ([], [], [], [])  # each column's closed blocks
+    lines, created_us, predicted, proba = open_block = [], [], [], []  # proba flattened
+
+    def close_block() -> None:
+        for arrays, column, dtype in zip(blocks, open_block, (np.int64, np.int64, np.int8, np.float64)):
+            arrays.append(np.array(column, dtype=dtype))
+            column.clear()
+
+    def line_of(tid: str) -> int:
+        line_nos = np.concatenate(blocks[0] + [np.array(lines, dtype=np.int64)])
+        return int(line_nos[list(ids).index(tid)])
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -354,21 +382,30 @@ def read_classified(path: str | Path) -> Classified:
                     continue
                 try:
                     tid, us, pred, row = _parse_classified_line(line)
-                    if tid in lines:
-                        raise ValueError(f"duplicate id {tid!r}, first at line {lines[tid]}")
+                    if tid in ids:
+                        raise ValueError(f"duplicate id {tid!r}, first at line {line_of(tid)}")
                 except (ValueError, OverflowError) as exc:
                     raise DataValidationError(f"{path}:{line_no}: bad classified record: {exc}")
-                lines[tid] = line_no
+                ids[tid] = None
+                lines.append(line_no)
                 created_us.append(us)
-                predicted.append(pred)
-                proba.append(row)
+                # Any class id outside 0-3 fails Classified's argmax check, as -1 does in int8.
+                predicted.append(pred if 0 <= pred <= 3 else -1)
+                proba += row
+                if len(lines) == CLASSIFIED_BLOCK_ROWS:
+                    close_block()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputPathError(f"cannot read classified file: {path}: {exc}")
-    ids = tuple(lines)
+    close_block()
+    columns = []
+    for arrays in blocks:
+        columns.append(np.concatenate(arrays))
+        arrays.clear()
+    line_nos, created, predicted_class, flat_proba = columns
     try:
-        return Classified(ids, created_us, predicted, np.reshape(proba, (-1, 4)))
+        return Classified(tuple(ids), created, predicted_class, flat_proba.reshape(-1, 4))
     except BadRow as exc:
-        raise DataValidationError(f"{path}:{lines[ids[exc.row]]}: {exc}")
+        raise DataValidationError(f"{path}:{line_nos[exc.row]}: {exc}")
 
 
 def write_timeline_csv(series: TimelineSeries, path: str | Path) -> None:

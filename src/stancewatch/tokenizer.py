@@ -29,8 +29,11 @@ alone. Chunking cannot change a pre-token: ``str.split()`` and the regex's
 ``\\S`` both take whitespace to be ``str.isspace()``, so no pre-token spans
 whitespace, and a chunk's pre-tokens are exactly its share of the whole
 text's. ``encode`` stops once it holds more than ``max_len - 2`` pieces and
-cuts the rest; every chunk gives at least one piece, so it cuts the text
-with ``split(None, max_len - 2)`` and never reaches the unsplit tail.
+cuts the rest. It splits the text a few chunks at a time: every chunk gives
+at least one piece and most give several, so each step splits off
+``open // SPLIT_STEP_DIVISOR + 1`` chunks, ``open`` being the pieces still
+free, and leaves the rest unsplit; a long tweet splits little past the
+chunks it keeps.
 
 Behind the chunk memo, a word memo, ``word_ids``, maps each word to its
 piece ids, so an unseen chunk of seen words costs no matching. Both memos
@@ -71,6 +74,10 @@ WORD_CACHE_ENTRIES = 1 << 16
 # Chunks longer than this bypass both memos: a tweet's chunks are rarely
 # longer, and it bounds what one memo entry can hold.
 MEMO_MAX_CHARS = 32
+# encode splits open // SPLIT_STEP_DIVISOR + 1 chunks per step, ``open``
+# being the pieces its budget has free. Any value gives the same ids; 4 was
+# the fastest of 1-8 on long tweets, whose chunks give about 4.7 pieces.
+SPLIT_STEP_DIVISOR = 4
 # In CPython's re, \w is str.isalnum() plus "_" and \S is "not str.isspace()".
 _PRE_TOKEN = re.compile(r"[^\W_]+|\S")
 
@@ -395,21 +402,30 @@ def encode(vocab: Vocabulary, text: str, max_len: int) -> Encoding:
 
     Chunks are matched only until more than ``max_len - 2`` pieces are
     held, a long chunk only up to that count; pieces beyond it are dropped,
-    then the sequence is wrapped in ``[CLS]`` / ``[SEP]``.
+    then the sequence is wrapped in ``[CLS]`` / ``[SEP]``. The text is
+    split a step of chunks at a time, each step sized by the pieces still
+    free, so the chunks past the budget are mostly never split off.
     """
     if max_len < 2:
         raise DataValidationError(f"max_len must be at least 2, got {max_len}")
     budget = max_len - 2
     ids = [CLS_ID]
     chunk_ids = vocab.chunk_ids
-    # Each chunk gives at least one piece, so the unsplit tail is never read.
-    for chunk in unicodedata.normalize("NFC", text).split(None, budget):
-        if len(ids) > budget:
+    rest = unicodedata.normalize("NFC", text)
+    while len(ids) <= budget:
+        step = (budget + 1 - len(ids)) // SPLIT_STEP_DIVISOR + 1
+        chunks = rest.split(None, step)
+        # More than ``step`` parts means the last is the unsplit rest.
+        rest = chunks.pop() if len(chunks) > step else None
+        for chunk in chunks:
+            if len(ids) > budget:
+                break
+            if len(chunk) > MEMO_MAX_CHARS:
+                ids += _long_chunk_ids(vocab, chunk, budget + 1 - len(ids))
+            else:
+                ids += chunk_ids(chunk)
+        if rest is None:
             break
-        if len(chunk) > MEMO_MAX_CHARS:
-            ids += _long_chunk_ids(vocab, chunk, budget + 1 - len(ids))
-        else:
-            ids += chunk_ids(chunk)
     del ids[budget + 1:]
     ids.append(SEP_ID)
     return Encoding(tuple(ids))

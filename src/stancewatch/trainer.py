@@ -140,17 +140,19 @@ def _step(
     train_mode: bool,
     dropout_seed: int | np.random.SeedSequence | None,
     head_only: bool = False,
+    grads: TensorBuffer | None = None,
 ) -> tuple[float, np.ndarray, TensorBuffer]:
     """collate -> forward with cache -> loss and dlogits -> backward, then
     check that loss and gradients are finite. Returns (loss, logits, grads);
     with ``head_only`` the forward keeps no layer's activations, the
-    backward stops at the head and the encoder's gradients stay zero."""
+    backward stops at the head and the encoder's gradients stay zero. The
+    gradients overwrite ``grads`` if given (``backward_from_logits``)."""
     ids, mask = collate(batch, params.config)
     logits, cache = forward_with_cache(
         params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=not head_only
     )
     loss, dlogits = _loss_and_dlogits(logits, labels, weights)
-    grads = backward_from_logits(params, cache, dlogits, head_only)
+    grads = backward_from_logits(params, cache, dlogits, head_only, out=grads)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
     grads.check_finite("non-finite gradient")
@@ -243,7 +245,10 @@ def train(
     model_config: EncoderConfig,
     train_config: TrainConfig,
 ) -> TrainTrace:
-    """Fine-tune a freshly initialized model on the split's train half."""
+    """Fine-tune a freshly initialized model on the split's train half.
+
+    Every step's backward writes into one gradient buffer, allocated once,
+    so a step never holds two."""
     tweets: Sequence[Tweet] = split.train.examples
     if not tweets:
         raise DataValidationError("train set is empty")
@@ -253,6 +258,9 @@ def train(
 
     params = init_params(model_config, train_config.init_seed, vocab.content_hash())
     state = AdamState.for_params(params)
+    grads = params.tensors.zeros_like()
+    # Head-only training updates, and so reads, only the head's tail of it.
+    update = grads.tail(HEAD_START) if train_config.head_only else grads
 
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
@@ -265,16 +273,14 @@ def train(
             batch = [encodings[i] for i in take]
             batch_labels = labels[take]
             try:
-                loss, logits, grads = _step(
+                loss, logits, _ = _step(
                     params, batch, batch_labels, train_config.class_weights, train_mode=True,
                     dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
-                    head_only=train_config.head_only,
+                    head_only=train_config.head_only, grads=grads,
                 )
             except NumericalError as exc:
                 raise NumericalError(f"{exc} at epoch {epoch} batch {step}") from None
-            if train_config.head_only:
-                grads = grads.tail(HEAD_START)
-            adam_step(params, grads, state, train_config)
+            adam_step(params, update, state, train_config)
             loss_sum += loss * len(take)
             hit += int((logits.argmax(axis=1) == batch_labels).sum())
         epoch_losses.append(loss_sum / n)

@@ -46,6 +46,10 @@ def gelu(x):
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+def gelu_cdf(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
 def gelu_grad(x):
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

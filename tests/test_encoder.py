@@ -126,6 +126,19 @@ class TestInit:
         assert grads.spec == tiny_params.tensors.spec
         assert all(np.shares_memory(g, grads.flat) for g in grads.values())
 
+    def test_reused_gradient_buffer_matches_a_fresh_one(self, tiny_config, tiny_params):
+        """A backward into a buffer that holds another batch's gradients gives
+        a fresh buffer's bytes: the embedding sums start from zero again."""
+        rng = np.random.default_rng(3)
+        batches = [collate(random_encodings(rng, n, tiny_config), tiny_config) for n in (5, 2)]
+        dlogits = rng.normal(size=(5, 4))
+        reused = tiny_params.tensors.zeros_like()
+        for ids, mask in batches:
+            _, cache = forward_with_cache(tiny_params, ids, mask, True, 1, need_cache=True)
+            fresh = backward_from_logits(tiny_params, cache, dlogits[: len(ids)])
+            assert backward_from_logits(tiny_params, cache, dlogits[: len(ids)], out=reused) is reused
+            assert reused.flat.tobytes() == fresh.flat.tobytes()
+
     def test_tail_is_a_slice_of_the_buffer(self, tiny_params):
         tail = tiny_params.tensors.tail("pooler_w")
         assert list(tail) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]

@@ -145,7 +145,8 @@ class TestAdam:
 
 
 def swap_in_reference(monkeypatch):
-    monkeypatch.setattr(sw_encoder, "gelu_and_cdf", lambda x: (reference.gelu(x), None))
+    # The feed-forward backward recomputes GELU as u * cdf, so the CDF goes along.
+    monkeypatch.setattr(sw_encoder, "gelu_and_cdf", lambda x: (reference.gelu(x), reference.gelu_cdf(x)))
     monkeypatch.setattr(sw_encoder, "gelu_grad", lambda x, cdf: reference.gelu_grad(x))
     for name in ("_layernorm_forward", "_softmax_lastaxis"):
         monkeypatch.setattr(sw_encoder, name, getattr(reference, name))

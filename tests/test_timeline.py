@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stancewatch.timeline as sw_timeline
 import timeline_reference as reference
 from conftest import random_encodings
 from stancewatch.corpus import Category, Tweet, format_timestamp
@@ -482,6 +483,65 @@ class TestAgainstLoopReference:
         # Python floats, so peaks.json rounds them the way round() does
         for p in report.local_maxima:
             assert type(p.share) is float and type(p.prominence) is float
+
+
+BLOCK = 4  # CLASSIFIED_BLOCK_ROWS in TestClassifiedBlocks
+
+
+class TestClassifiedBlocks:
+    """classified.jsonl written and read BLOCK rows at a time, at and around
+    block boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sw_timeline, "CLASSIFIED_BLOCK_ROWS", BLOCK)
+
+    def rows(self, n):
+        proba = np.random.default_rng(n).dirichlet(np.ones(4), size=n)
+        ids = tuple(f"ş{i}" if i % 3 else f'"{i}"' for i in range(n))
+        return Classified(ids, -10**9 + 86_400_000_000 // 7 * np.arange(n), proba.argmax(axis=1), proba)
+
+    def records(self, rows):
+        return [{"id": tid, "created_at": format_timestamp(EPOCH + int(us) * ONE_US),
+                 "predicted": int(pred), "proba": row.tolist()}
+                for tid, us, pred, row in zip(rows.ids, rows.created_us, rows.predicted, rows.proba)]
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_write_and_read_back(self, tmp_path, n):
+        rows = self.rows(n)
+        p = tmp_path / "classified.jsonl"
+        assert write_classified(rows, p) == n
+        want = "".join(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n" for rec in self.records(rows))
+        assert p.read_bytes() == want.encode("utf-8")
+        back = read_classified(p)
+        assert back.ids == rows.ids
+        for column in ("created_us", "predicted", "proba"):
+            got, expected = getattr(back, column), getattr(rows, column)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), column
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda rec: dict(rec, id=5), "bad classified record: id must be a non-empty string"),
+        (lambda rec: dict(rec, id="ş1"), "bad classified record: duplicate id 'ş1', first at line 3"),
+        (lambda rec: dict(rec, id="ş8"), "bad classified record: duplicate id 'ş8', first at line 10"),
+        (lambda rec: dict(rec, predicted=(rec["predicted"] + 1) % 4),
+         "tweet ş10: predicted class is not the argmax of"),
+        # 256 more wraps to the argmax in int8; 2**70 fits no numpy integer
+        (lambda rec: dict(rec, predicted=rec["predicted"] + 256),
+         "tweet ş10: predicted class is not the argmax of"),
+        (lambda rec: dict(rec, predicted=2**70), "tweet ş10: predicted class is not the argmax of"),
+    ], ids=["malformed", "duplicate-of-earlier-block", "duplicate-in-same-block", "not-argmax",
+            "wraps-to-argmax", "beyond-int64"])
+    def test_error_in_a_later_block_names_its_line(self, tmp_path, change, message):
+        """Row 10 sits in the third block, with row 8; a blank line before
+        row 1 puts them on lines 12 and 10, and row 1, in the first block,
+        on line 3."""
+        recs = self.records(self.rows(2 * BLOCK + 3))
+        recs[10] = change(recs[10])
+        lines = [json.dumps(rec, sort_keys=True, ensure_ascii=False) for rec in recs]
+        p = tmp_path / "classified.jsonl"
+        p.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}:12: {re.escape(message)}"):
+            read_classified(p)
 
 
 class TestPersistence:

@@ -288,7 +288,7 @@ class TestTrain:
         monkeypatch.setattr(sw_trainer, "forward_with_cache",
                             lambda *args, **kw: forward_with_cache(*args, **{**kw, "need_cache": True}))
         monkeypatch.setattr(sw_trainer, "backward_from_logits",
-                            lambda p, c, d, head_only=False: backward_from_logits(p, c, d))
+                            lambda p, c, d, head_only=False, out=None: backward_from_logits(p, c, d, out=out))
         whole = train(self.split, self.vocab, cfg, tc)
         assert early.epoch_losses == whole.epoch_losses
         assert early.params.tensors.flat.tobytes() == whole.params.tensors.flat.tobytes()
