@@ -142,6 +142,13 @@ def _canonicalize(obj: dict) -> dict:
     return rec
 
 
+# A \ud800-\udfff escape without its partner decodes to a lone surrogate,
+# which no UTF-8 output file can hold. Only a line that holds such an
+# escape is searched for one after decoding.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _open_text(path: Path):
     if path.suffix == ".gz":
         return gzip.open(path, "rt", encoding="utf-8")
@@ -203,6 +210,12 @@ def ingest_jsonl(path: str | Path) -> IngestResult:
                     rejects.append(
                         RejectedRecord(line_no, "record is not an object", raw=line.rstrip("\n"))
                     )
+                    continue
+                # Only an escape can put a surrogate into a line read as UTF-8.
+                if ("\\u" in line and _SURROGATE_ESCAPE.search(line)
+                        and _LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False))):
+                    reason = "record holds a lone UTF-16 surrogate escape"
+                    rejects.append(RejectedRecord(line_no, reason, raw=line.rstrip("\n")))
                     continue
                 rec = _canonicalize(obj)
                 try:

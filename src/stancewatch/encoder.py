@@ -105,6 +105,7 @@ MASK_ADDEND = -1e9
 BUCKET = 8
 INIT_STD = 0.02
 INIT_CLIP_SIGMAS = 2.0
+HEAD_START = "pooler_w"  # the head: the tail of the parameter buffer from this tensor on
 
 CHECKPOINT_MAGIC = b"SWCKPT"
 CHECKPOINT_VERSION = 1
@@ -678,22 +679,23 @@ def forward(
 
 
 def backward_from_logits(
-    params: ModelParams, cache: tuple, dlogits: np.ndarray, head_only: bool = False,
-    out: TensorBuffer | None = None,
+    params: ModelParams, cache: tuple, dlogits: np.ndarray, out: TensorBuffer | None = None
 ) -> TensorBuffer:
-    """Exact gradients of every parameter tensor given d(loss)/d(logits),
-    in the parameters' buffer layout. ``head_only`` stops after the pooler
-    and classifier, leaving the encoder's gradients zero; any other
-    backward needs the cache of a forward run with ``need_cache``.
+    """Exact gradients, given d(loss)/d(logits), of every parameter tensor
+    that ``out`` holds, or of every one in a fresh buffer without ``out``.
 
-    The gradients go into ``out`` if given, else into a fresh zero buffer.
-    Every tensor is overwritten except the embedding tables, which are sums
-    over positions and are zeroed before them, so a buffer that held an
-    earlier backward's gradients gets the same bytes as a fresh one; a
-    head-only backward writes only the head, and leaves the rest as it
-    was."""
+    ``out`` holds the parameters' whole layout or the head's tail of it
+    (``tail(HEAD_START)``); any other layout is refused. A head-sized buffer
+    stops the backward after the pooler and classifier, which reads only
+    the head's part of the cache; a whole one needs the cache of a forward
+    run with ``need_cache``. Every tensor is overwritten, the embedding
+    tables, sums over positions, zeroed first, so a reused buffer gets the
+    same bytes as a fresh one."""
     p = params.tensors
     grads = p.zeros_like() if out is None else out
+    whole = grads.spec == p.spec
+    if not whole and grads.spec != p.tail(HEAD_START).spec:
+        raise DataValidationError("gradient buffer must hold the whole layout or the head's tail")
     emb, layers, (h, pooled) = cache
 
     grads["classifier_w"][...] = dlogits.T @ pooled
@@ -702,7 +704,7 @@ def backward_from_logits(
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
     grads["pooler_w"][...] = h[:, 0, :].T @ dpooled_pre
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
-    if head_only:
+    if not whole:
         return grads
     if layers is None:
         raise DataValidationError("a full backward needs a forward run with need_cache=True")

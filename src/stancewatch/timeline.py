@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,8 +44,8 @@ US_PER_DAY = 24 * 60 * US_PER_MINUTE
 # The days since EPOCH that datetime.date can hold: the years 1-9999.
 DATE_DAYS = range((dt.date.min - EPOCH.date()).days, (dt.date.max - EPOCH.date()).days + 1)
 MAX_UTC_OFFSET_MINUTES = 24 * 60
-# Rows per block of write_classified and read_classified: the ids aside,
-# only one block's rows are ever Python objects, whatever the file's length.
+# Rows per block of write_classified: the ids aside, only one block's rows
+# are ever Python objects, whatever the length of the result.
 CLASSIFIED_BLOCK_ROWS = 4096
 
 
@@ -354,27 +355,15 @@ def _parse_classified_line(line: str) -> tuple[str, int, int, list[float]]:
 def read_classified(path: str | Path) -> Classified:
     """Read classified.jsonl back; every rejection names ``path:line``.
 
-    Records are parsed ``CLASSIFIED_BLOCK_ROWS`` at a time into one block
-    of Python lists, which becomes numpy arrays, each record's line number
-    among them, before the next block starts; each column's blocks are
-    concatenated once, at the end, and dropped as soon as it is whole. The
-    ids are the keys of an insertion-ordered dict, which is both the id
-    column and the duplicate check; the line of an id's first copy is looked
-    up only when a second turns up.
+    Each record is parsed straight into growing typed columns (``array``
+    buffers of line numbers, microseconds, class ids and flattened
+    probabilities), which ``Classified`` receives as numpy views of the
+    same memory (``np.frombuffer``). The ids are the keys of an insertion-ordered dict, which
+    is both the id column and the duplicate check; the line of an id's
+    first copy is looked up only when a second turns up.
     """
     ids: dict[str, None] = {}
-    blocks: tuple[list[np.ndarray], ...] = ([], [], [], [])  # each column's closed blocks
-    lines, created_us, predicted, proba = open_block = [], [], [], []  # proba flattened
-
-    def close_block() -> None:
-        for arrays, column, dtype in zip(blocks, open_block, (np.int64, np.int64, np.int8, np.float64)):
-            arrays.append(np.array(column, dtype=dtype))
-            column.clear()
-
-    def line_of(tid: str) -> int:
-        line_nos = np.concatenate(blocks[0] + [np.array(lines, dtype=np.int64)])
-        return int(line_nos[list(ids).index(tid)])
-
+    lines, created_us, predicted, proba = array("q"), array("q"), array("b"), array("d")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -383,7 +372,7 @@ def read_classified(path: str | Path) -> Classified:
                 try:
                     tid, us, pred, row = _parse_classified_line(line)
                     if tid in ids:
-                        raise ValueError(f"duplicate id {tid!r}, first at line {line_of(tid)}")
+                        raise ValueError(f"duplicate id {tid!r}, first at line {lines[list(ids).index(tid)]}")
                 except (ValueError, OverflowError) as exc:
                     raise DataValidationError(f"{path}:{line_no}: bad classified record: {exc}")
                 ids[tid] = None
@@ -391,21 +380,15 @@ def read_classified(path: str | Path) -> Classified:
                 created_us.append(us)
                 # Any class id outside 0-3 fails Classified's argmax check, as -1 does in int8.
                 predicted.append(pred if 0 <= pred <= 3 else -1)
-                proba += row
-                if len(lines) == CLASSIFIED_BLOCK_ROWS:
-                    close_block()
+                proba.fromlist(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputPathError(f"cannot read classified file: {path}: {exc}")
-    close_block()
-    columns = []
-    for arrays in blocks:
-        columns.append(np.concatenate(arrays))
-        arrays.clear()
-    line_nos, created, predicted_class, flat_proba = columns
+    columns = (np.frombuffer(created_us, dtype=np.int64), np.frombuffer(predicted, dtype=np.int8),
+               np.frombuffer(proba, dtype=np.float64).reshape(-1, 4))
     try:
-        return Classified(tuple(ids), created, predicted_class, flat_proba.reshape(-1, 4))
+        return Classified(tuple(ids), *columns)
     except BadRow as exc:
-        raise DataValidationError(f"{path}:{line_nos[exc.row]}: {exc}")
+        raise DataValidationError(f"{path}:{lines[exc.row]}: {exc}")
 
 
 def write_timeline_csv(series: TimelineSeries, path: str | Path) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import DatasetSplit, Tweet
 from .encoder import (
+    HEAD_START,
     EncoderConfig,
     ModelParams,
     TensorBuffer,
@@ -32,10 +33,6 @@ from .encoder import (
 )
 from .errors import DataValidationError, NumericalError
 from .tokenizer import Encoding, Vocabulary, encode
-
-# First tensor of the classification head; the head is the tail of the
-# parameter buffer from here on.
-HEAD_START = "pooler_w"
 
 # Values per block of the Adam update: each block's slices of the gradient,
 # the parameters, both moments and two scratch arrays stay in cache while
@@ -139,20 +136,20 @@ def _step(
     weights: Sequence[float] | None,
     train_mode: bool,
     dropout_seed: int | np.random.SeedSequence | None,
-    head_only: bool = False,
     grads: TensorBuffer | None = None,
 ) -> tuple[float, np.ndarray, TensorBuffer]:
     """collate -> forward with cache -> loss and dlogits -> backward, then
-    check that loss and gradients are finite. Returns (loss, logits, grads);
-    with ``head_only`` the forward keeps no layer's activations, the
-    backward stops at the head and the encoder's gradients stay zero. The
-    gradients overwrite ``grads`` if given (``backward_from_logits``)."""
+    check that loss and gradients are finite. Returns (loss, logits, grads).
+    The gradients overwrite ``grads`` if given, else a fresh whole buffer;
+    one of the head's tail stops the backward at the head
+    (``backward_from_logits``), so the forward keeps no layer's activations."""
+    need_cache = grads is None or grads.spec == params.tensors.spec
     ids, mask = collate(batch, params.config)
     logits, cache = forward_with_cache(
-        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=not head_only
+        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=need_cache
     )
     loss, dlogits = _loss_and_dlogits(logits, labels, weights)
-    grads = backward_from_logits(params, cache, dlogits, head_only, out=grads)
+    grads = backward_from_logits(params, cache, dlogits, out=grads)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
     grads.check_finite("non-finite gradient")
@@ -248,7 +245,7 @@ def train(
     """Fine-tune a freshly initialized model on the split's train half.
 
     Every step's backward writes into one gradient buffer, allocated once,
-    so a step never holds two."""
+    so a step never holds two; head-only training's covers the head alone."""
     tweets: Sequence[Tweet] = split.train.examples
     if not tweets:
         raise DataValidationError("train set is empty")
@@ -258,9 +255,8 @@ def train(
 
     params = init_params(model_config, train_config.init_seed, vocab.content_hash())
     state = AdamState.for_params(params)
-    grads = params.tensors.zeros_like()
-    # Head-only training updates, and so reads, only the head's tail of it.
-    update = grads.tail(HEAD_START) if train_config.head_only else grads
+    layout = params.tensors.tail(HEAD_START) if train_config.head_only else params.tensors
+    grads = layout.zeros_like()
 
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
@@ -276,11 +272,11 @@ def train(
                 loss, logits, _ = _step(
                     params, batch, batch_labels, train_config.class_weights, train_mode=True,
                     dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
-                    head_only=train_config.head_only, grads=grads,
+                    grads=grads,
                 )
             except NumericalError as exc:
                 raise NumericalError(f"{exc} at epoch {epoch} batch {step}") from None
-            adam_step(params, update, state, train_config)
+            adam_step(params, grads, state, train_config)
             loss_sum += loss * len(take)
             hit += int((logits.argmax(axis=1) == batch_labels).sum())
         epoch_losses.append(loss_sum / n)

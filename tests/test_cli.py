@@ -405,6 +405,27 @@ class TestBuildVocab:
         assert stamp in rejects[0]["reason"]
 
 
+    def test_lone_surrogate_escapes_are_rejected_as_written(self, runner, tmp_path):
+        """A lone surrogate fits no UTF-8 output, so its record is rejected
+        whatever else it holds and reported by its raw line; a paired escape
+        is a character like any other."""
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=3), labeled)
+        stamp = '"created_at": "2021-08-01T00:00:00Z"'
+        lines = [f'{{"id": "s1", {stamp}, "text": "aşı \\udc00", "label": 0}}',
+                 f'{{"id": "s2", {stamp}, "text": "aşı \\uDC00", "label": 9}}',
+                 f'{{"id": "s3", {stamp}, "text": "aşı \\ud83d\\ude00", "label": 1}}']
+        with labeled.open("a", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
+        rejects = [json.loads(line) for line in
+                   (out / "rejects_labeled.jsonl").read_text(encoding="utf-8").splitlines()]
+        reason = "record holds a lone UTF-16 surrogate escape"
+        assert rejects == [{"line": 33, "raw": lines[0], "reason": reason},
+                           {"line": 34, "raw": lines[1], "reason": reason}]
+
+
 class TestTrain:
     def test_outputs(self, workspace):
         out = workspace["out"]
@@ -569,6 +590,19 @@ class TestClassifyAndTimeline:
         assert (out2 / "timeline.csv").is_file()
         doc = json.loads((out2 / "manifest_timeline.json").read_text(encoding="utf-8"))
         assert "classified" in doc["inputs"]
+
+    def test_lone_surrogate_id_is_rejected(self, runner, workspace, tmp_path):
+        """An id no UTF-8 classified.jsonl could hold goes to the rejects
+        file as its raw line, and the other records are classified."""
+        corpus = tmp_path / "surrogate.jsonl"
+        bad = '{"id": "a\\ud800", "created_at": "2021-08-01T00:00:00Z", "text": "aşı haber"}'
+        corpus.write_text(workspace["corpus"].read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+        out = workspace["out"]
+        run_ok(runner, ["classify", "--corpus", str(corpus), "--out", str(out), "--quiet", *FAST_TRAIN])
+        rejects = (out / "rejects_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in rejects] == [
+            {"line": 181, "raw": bad, "reason": "record holds a lone UTF-16 surrogate escape"}]
+        assert len((out / "classified.jsonl").read_text(encoding="utf-8").splitlines()) == 180
 
     def test_single_day_corpus_degenerate(self, runner, workspace, tmp_path):
         corpus = tmp_path / "one_day.jsonl"

@@ -2,6 +2,7 @@ import json
 import math
 import platform
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from conftest import padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
+    HEAD_START,
     EncoderConfig,
+    TensorBuffer,
     _Packing,
     backward_from_logits,
     bucket_len,
@@ -462,7 +465,7 @@ class TestPackedRows:
 
 class TestHeadOnlyCache:
     """Without ``need_cache`` the cache holds only the head's inputs: enough
-    for a head-only backward, and refused by a full one."""
+    for a backward into a head-sized buffer, and refused by a full one."""
 
     def test_head_only_backward_needs_no_layer_cache(self, tiny_config, tiny_params):
         ids, mask = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
@@ -471,11 +474,28 @@ class TestHeadOnlyCache:
         _, head_cache = forward_with_cache(tiny_params, ids, mask, True, 2)
         assert head_cache[:2] == (None, None)
         assert [a.shape for a in head_cache[2]] == [(3, 1, 8), (3, 8)]
-        want = backward_from_logits(tiny_params, full_cache, dlogits, head_only=True)
-        got = backward_from_logits(tiny_params, head_cache, dlogits, head_only=True)
+        head = tiny_params.tensors.tail(HEAD_START)
+        want = backward_from_logits(tiny_params, full_cache, dlogits, out=head.zeros_like())
+        got = backward_from_logits(tiny_params, head_cache, dlogits, out=head.zeros_like())
+        assert got.spec == head.spec
         assert got.flat.tobytes() == want.flat.tobytes()
         with pytest.raises(DataValidationError, match="need_cache"):
             backward_from_logits(tiny_params, head_cache, dlogits)
+
+    @pytest.mark.parametrize("layout", [
+        lambda params: params.tensors.tail("classifier_w").spec,
+        lambda params: params.tensors.tail("layer0.wq").spec,
+        lambda params: params.tensors.tail("pos_emb").spec,
+        lambda params: params.tensors.spec[:-1],
+        lambda params: tensor_shapes(replace(params.config, vocab_size=params.config.vocab_size + 1)),
+    ], ids=["classifier", "from-a-layer", "from-pos-emb", "truncated", "other-model"])
+    def test_other_buffer_layouts_are_refused(self, tiny_config, tiny_params, layout):
+        ids, mask = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
+        _, cache = forward_with_cache(tiny_params, ids, mask, need_cache=True)
+        out = TensorBuffer(layout(tiny_params))
+        with pytest.raises(DataValidationError, match="whole layout or the head's tail"):
+            backward_from_logits(tiny_params, cache, np.ones((3, 4)), out=out)
+        assert not out.flat.any()
 
 
 class TestPredictProba:

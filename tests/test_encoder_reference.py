@@ -18,6 +18,7 @@ import stancewatch.encoder as sw_encoder
 import stancewatch.trainer as sw_trainer
 from stancewatch.corpus import labeled_subset, split_dataset
 from stancewatch.encoder import (
+    HEAD_START,
     EncoderConfig,
     _dropout_mask,
     _layernorm_forward,
@@ -32,7 +33,7 @@ from stancewatch.encoder import (
 from stancewatch.metrics import predict_batches
 from stancewatch.synth import generate_labeled
 from stancewatch.tokenizer import build_vocab, encode
-from stancewatch.trainer import ADAM_BLOCK, HEAD_START, AdamState, TrainConfig, adam_step, train
+from stancewatch.trainer import ADAM_BLOCK, AdamState, TrainConfig, adam_step, train
 
 
 def assert_same_bytes(got, want):

@@ -1,5 +1,5 @@
 """Memory guards: what training, a training forward and the classified
-writer hold at once.
+writer and reader hold at once.
 
 tracemalloc counts numpy's data allocations, and those counts repeat
 exactly from run to run, so these tests compare traced peaks and take no
@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 
 import stancewatch.timeline as sw_timeline
+import stancewatch.trainer as sw_trainer
 from stancewatch.encoder import EncoderConfig, collate, forward_with_cache, init_params, tensor_shapes
-from stancewatch.timeline import EPOCH, ONE_US, Classified, write_classified
+from stancewatch.timeline import EPOCH, ONE_US, Classified, read_classified, write_classified
 from stancewatch.tokenizer import encode
 from stancewatch.trainer import TrainConfig, train
 from test_trainer import toy_split, toy_vocab
@@ -54,6 +55,55 @@ def test_write_classified_peak_does_not_grow_with_blocks(tmp_path, monkeypatch):
     # One block's rows as Python lists take about 15 KB; writing every row
     # from whole-column lists would add 28 of those.
     assert peak_many < peak_few + 15_000, (peak_few, peak_many)
+
+
+def test_read_classified_holds_each_column_once(tmp_path, monkeypatch):
+    """Until ``Classified`` is built, the reader never holds more than it
+    hands over: each column grows in place, with no block of Python rows
+    and no second copy joined from blocks (which held 24 bytes a row more
+    at these 20,000 rows)."""
+    rows = 20_000
+    path = tmp_path / "classified.jsonl"
+    write_classified(classified_rows(rows), path)
+    handed_over = []
+
+    def build(*columns):
+        handed_over.append(tracemalloc.get_traced_memory())
+        return Classified(*columns)
+
+    monkeypatch.setattr(sw_timeline, "Classified", build)
+    traced_peak(read_classified, path)
+    (current, peak), = handed_over
+    # Less than an int8 column: a byte a row.
+    assert peak - current < rows, (current, peak)
+
+
+def test_head_only_training_holds_no_whole_gradient_buffer(monkeypatch):
+    """At every Adam step, head-only training holds the parameters and
+    Adam's two moments, each of the whole layout, and gradients for the
+    head alone; a large vocabulary makes a whole-layout gradient buffer
+    show."""
+    split = toy_split()
+    vocab = toy_vocab(split)
+    cfg = EncoderConfig(vocab_size=20_000, d_model=16, n_layers=1, n_heads=2, max_len=12)
+    buffer_bytes = 8 * sum(int(np.prod(shape)) for _, shape in tensor_shapes(cfg))
+    tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True)
+    train(split, vocab, cfg, tc)  # fills the vocabulary's memos
+    held = []
+    adam_step = sw_trainer.adam_step
+
+    def traced_adam_step(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        adam_step(*args)
+
+    monkeypatch.setattr(sw_trainer, "adam_step", traced_adam_step)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        train(split, vocab, cfg, tc)
+    finally:
+        tracemalloc.stop()
+    assert max(held) - before < 3 * buffer_bytes + buffer_bytes // 2, (max(held) - before, buffer_bytes)
 
 
 def test_training_holds_one_gradient_buffer():

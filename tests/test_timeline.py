@@ -489,8 +489,9 @@ BLOCK = 4  # CLASSIFIED_BLOCK_ROWS in TestClassifiedBlocks
 
 
 class TestClassifiedBlocks:
-    """classified.jsonl written and read BLOCK rows at a time, at and around
-    block boundaries."""
+    """classified.jsonl written BLOCK rows at a time, at and around block
+    boundaries, and read back into typed columns; the reader names the
+    line of an error wherever the writer's blocks fall."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):

@@ -9,6 +9,7 @@ import stancewatch.trainer as sw_trainer
 from conftest import TINY, random_encodings
 from stancewatch.corpus import Category, DatasetSplit, LabeledDataset, Tweet
 from stancewatch.encoder import (
+    HEAD_START,
     EncoderConfig,
     backward_from_logits,
     collate,
@@ -18,7 +19,6 @@ from stancewatch.encoder import (
 from stancewatch.errors import DataValidationError, NumericalError
 from stancewatch.tokenizer import build_vocab, encode
 from stancewatch.trainer import (
-    HEAD_START,
     AdamState,
     TrainConfig,
     adam_step,
@@ -268,8 +268,8 @@ class TestTrain:
             assert not np.array_equal(arr, fresh.tensors[name]), name
 
     def test_head_only_backward_stops_at_the_head(self, monkeypatch):
-        """The backward's early return gives the full backward's head gradients
-        byte for byte, so a head-only run, whose forward keeps no layer's
+        """A head-sized buffer gets the full backward's head gradients byte
+        for byte, so a head-only run, whose forward keeps no layer's
         activations, trains the same bytes as one that keeps them all, runs
         the whole backward and keeps only the head's part."""
         cfg = replace(self.model_cfg, n_layers=2)
@@ -279,16 +279,20 @@ class TestTrain:
         _, cache = forward_with_cache(params, ids, mask, True, 4, need_cache=True)
         dlogits = np.random.default_rng(0).normal(size=(len(encs), 4))
         full = backward_from_logits(params, cache, dlogits)
-        head = backward_from_logits(params, cache, dlogits, head_only=True)
-        assert head.tail(HEAD_START).flat.tobytes() == full.tail(HEAD_START).flat.tobytes()
-        assert not head.flat[: head.flat.size - head.tail(HEAD_START).flat.size].any()
+        head = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
+        assert list(head) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
+        assert head.flat.tobytes() == full.tail(HEAD_START).flat.tobytes()
 
         tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
         early = train(self.split, self.vocab, cfg, tc)
+
+        def whole_then_head(p, c, d, out):
+            out.flat[:] = backward_from_logits(p, c, d).tail(HEAD_START).flat
+            return out
+
         monkeypatch.setattr(sw_trainer, "forward_with_cache",
                             lambda *args, **kw: forward_with_cache(*args, **{**kw, "need_cache": True}))
-        monkeypatch.setattr(sw_trainer, "backward_from_logits",
-                            lambda p, c, d, head_only=False, out=None: backward_from_logits(p, c, d, out=out))
+        monkeypatch.setattr(sw_trainer, "backward_from_logits", whole_then_head)
         whole = train(self.split, self.vocab, cfg, tc)
         assert early.epoch_losses == whole.epoch_losses
         assert early.params.tensors.flat.tobytes() == whole.params.tensors.flat.tobytes()
