@@ -79,7 +79,8 @@ position wide, and the skip to ``max_len`` gives [CLS] the values a
 full-width mask holds.
 
 All arithmetic is float64 in memory. The parameters live in one buffer
-whose named views follow ``tensor_shapes``; a checkpoint is a metadata
+whose named views follow ``tensor_shapes`` and are grouped by layer once
+(``TensorBuffer.layers``) for both passes; a checkpoint is a metadata
 header followed by that buffer as little-endian float32.
 """
 
@@ -191,9 +192,10 @@ class TensorBuffer(Mapping[str, np.ndarray]):
     """Named, reshaped views onto one contiguous float64 buffer.
 
     ``spec`` is an ordered list of (name, shape); each tensor sits in
-    ``flat`` right after the one before it. Parameters, gradients and the
-    Adam moments share this layout, so whole-model arithmetic is arithmetic
-    on ``flat`` and a tail of the spec is a tail slice of the buffer.
+    ``flat`` right after the one before it. Gradients hold the parameters'
+    layout or a tail of it, and Adam's moments the gradients', so arithmetic
+    on the model is arithmetic on ``flat``. ``layers[i]`` holds layer i's
+    views by their name inside it ("wq", "b1", ...); a head's tail has none.
     """
 
     def __init__(self, spec: Sequence[tuple[str, tuple[int, ...]]], flat: np.ndarray | None = None):
@@ -204,10 +206,15 @@ class TensorBuffer(Mapping[str, np.ndarray]):
         if self.flat.shape != (total,):
             raise DataValidationError(f"buffer of shape {self.flat.shape} does not hold {total} values")
         self._views: dict[str, np.ndarray] = {}
+        layers: dict[str, dict[str, np.ndarray]] = {}
         start = 0
         for (name, shape), size in zip(self.spec, sizes):
-            self._views[name] = self.flat[start : start + size].reshape(shape)
+            self._views[name] = view = self.flat[start : start + size].reshape(shape)
             start += size
+            layer, dot, key = name.partition(".")
+            if dot:
+                layers.setdefault(layer, {})[key] = view
+        self.layers = list(layers.values())
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -244,50 +251,57 @@ class ModelParams:
     init_seed: int | None = None
 
 
-def tensor_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """The documented fixed tensor order of the parameter buffer, which
-    checkpoints, gradients and Adam state share."""
+def _layout(config: EncoderConfig) -> tuple[list, list, list]:
+    """The shapes of the embedding's tensors, of one encoder layer's (by
+    their name inside the layer) and of the head's, each in buffer order."""
     d, dff = config.d_model, config.d_ff
-    shapes: list[tuple[str, tuple[int, ...]]] = [
+    embedding = [
         ("tok_emb", (config.vocab_size, d)),
         ("pos_emb", (config.max_len, d)),
         ("seg_emb", (2, d)),
         ("emb_ln_gain", (d,)),
         ("emb_ln_bias", (d,)),
     ]
-    for i in range(config.n_layers):
-        prefix = f"layer{i}."
-        shapes += [
-            (prefix + "wq", (d, d)),
-            (prefix + "bq", (d,)),
-            (prefix + "wk", (d, d)),
-            (prefix + "bk", (d,)),
-            (prefix + "wv", (d, d)),
-            (prefix + "bv", (d,)),
-            (prefix + "wo", (d, d)),
-            (prefix + "bo", (d,)),
-            (prefix + "ln1_gain", (d,)),
-            (prefix + "ln1_bias", (d,)),
-            (prefix + "w1", (d, dff)),
-            (prefix + "b1", (dff,)),
-            (prefix + "w2", (dff, d)),
-            (prefix + "b2", (d,)),
-            (prefix + "ln2_gain", (d,)),
-            (prefix + "ln2_bias", (d,)),
-        ]
-    shapes += [
+    layer = [
+        ("wq", (d, d)),
+        ("bq", (d,)),
+        ("wk", (d, d)),
+        ("bk", (d,)),
+        ("wv", (d, d)),
+        ("bv", (d,)),
+        ("wo", (d, d)),
+        ("bo", (d,)),
+        ("ln1_gain", (d,)),
+        ("ln1_bias", (d,)),
+        ("w1", (d, dff)),
+        ("b1", (dff,)),
+        ("w2", (dff, d)),
+        ("b2", (d,)),
+        ("ln2_gain", (d,)),
+        ("ln2_bias", (d,)),
+    ]
+    head = [
         ("pooler_w", (d, d)),
         ("pooler_b", (d,)),
         ("classifier_w", (config.n_classes, d)),
         ("classifier_b", (config.n_classes,)),
     ]
-    return shapes
+    return embedding, layer, head
 
 
-def _layer(tensors: Mapping[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
-    """Layer i's tensors keyed by their name inside the layer ("wq", "b1", ...)."""
-    prefix = f"layer{i}."
-    return {name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)}
+def tensor_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The documented fixed tensor order of the parameter buffer, which
+    checkpoints and gradients share: the embedding's tensors, then each
+    layer's as ``layer{i}.<name>``, then the head's."""
+    embedding, layer, head = _layout(config)
+    layers = [(f"layer{i}.{name}", shape) for i in range(config.n_layers) for name, shape in layer]
+    return embedding + layers + head
+
+
+def _value_count(config: EncoderConfig) -> int:
+    """How many values ``tensor_shapes(config)`` lays out, without listing each layer's."""
+    embedding, layer, head = (sum(math.prod(shape) for _, shape in part) for part in _layout(config))
+    return embedding + config.n_layers * layer + head
 
 
 def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -641,8 +655,7 @@ def forward_with_cache(
         h *= emb_drop
 
     layers = []
-    for i in range(cfg.n_layers):
-        layer = _layer(p, i)
+    for i, layer in enumerate(p.layers):
         # Only [CLS] of the last layer's output reaches the head, so that
         # layer computes the queries and all after them for [CLS] rows.
         queries = cls if i == cfg.n_layers - 1 else tokens
@@ -711,9 +724,8 @@ def backward_from_logits(
     tokens, cls, tok, emb_drop, emb_xhat, emb_inv = emb
     dh = cls.pad(dpooled_pre @ p["pooler_w"].T)
 
-    for i in reversed(range(len(layers))):
-        layer, g = _layer(p, i), _layer(grads, i)
-        attention, norm1, ffn, norm2 = layers[i]
+    for layer, g, saved in zip(reversed(p.layers), reversed(grads.layers), reversed(layers)):
+        attention, norm1, ffn, norm2 = saved
         dh1, df = _add_and_norm_backward(dh, norm2, layer["ln2_gain"], g["ln2_gain"], g["ln2_bias"])
         _ffn_backward(df, dh1, ffn, layer, g)
         dh, dattn = _add_and_norm_backward(dh1, norm1, layer["ln1_gain"], g["ln1_gain"], g["ln1_bias"])
@@ -787,8 +799,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if not isinstance(vocab_hash, (str, type(None))) or not isinstance(init_seed, (int, type(None))):
         raise DataValidationError("checkpoint vocab_hash must be a string and init_seed an integer")
 
-    spec = tensor_shapes(config)
-    count = sum(math.prod(shape) for _, shape in spec)
+    # Counted before the layout is listed: a header may claim any number of layers.
+    count = _value_count(config)
     if len(blob) - off < 4 * count:
         raise DataValidationError(
             f"checkpoint truncated: {4 * count} bytes of tensors expected, {len(blob) - off} present"
@@ -796,6 +808,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if len(blob) - off > 4 * count:
         raise DataValidationError(f"checkpoint has {len(blob) - off - 4 * count} unexpected trailing bytes")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off).astype(np.float64)
-    tensors = TensorBuffer(spec, flat)
+    tensors = TensorBuffer(tensor_shapes(config), flat)
     tensors.check_finite(f"checkpoint {p} holds a non-finite weight")
     return ModelParams(config, tensors, vocab_hash=vocab_hash, init_seed=init_seed)

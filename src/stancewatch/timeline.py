@@ -207,14 +207,16 @@ def check_peak_parameters(
 
 def smooth_shares(shares: DayShares, window: int) -> DayShares:
     """Centered moving average with an odd window, shrinking at the edges.
-    Empty flags pass through untouched."""
+    Empty flags pass through untouched. From 2n - 1 on, every day's window
+    holds all n days, so a wider window is computed as that one."""
     check_peak_parameters(smoothing_window=window)
-    n, half = len(shares), window // 2
+    n = len(shares)
+    half = min(window // 2, max(n - 1, 0))
     padded = np.pad(shares.percent, half)
     # Summing the shifted copies in window order adds each day's window left to
     # right, one value after another like a per-day running total; the zero
     # padding adds nothing.
-    total = sum(padded[k:k + n] for k in range(window))
+    total = sum(padded[k:k + n] for k in range(2 * half + 1))
     day = np.arange(n)
     count = np.minimum(day + half + 1, n) - np.maximum(day - half, 0)
     return DayShares(shares.start, total / count, shares.empty)

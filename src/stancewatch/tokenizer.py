@@ -215,7 +215,8 @@ def build_vocab(
 
     The stop rule is unchanged: learning ends at the first best pair below
     ``min_pair_freq``. A pair of rare symbols often scores highest, so this
-    is known to stop well short of the budget (ROADMAP item 2).
+    is known to stop well short of the budget (see the ROADMAP item on
+    vocabulary learning that fills its budget).
 
     ``stats``, if given, gets ``"merges"``, the merges made, and ``"stop"``:
     ``"budget"``, ``"no_pairs"`` or ``"below_min_pair_freq"``.

@@ -173,15 +173,13 @@ def gradients(
     return _step(params, batch, labels, weights, train_mode, dropout_seed)[2]
 
 
-@dataclass
 class AdamState:
-    t: int
-    m: TensorBuffer
-    v: TensorBuffer
+    """Adam's step count and two moments, in the layout of the gradient
+    buffer it is built for: a frozen tensor has no gradient and no moments."""
 
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(t=0, m=params.tensors.zeros_like(), v=params.tensors.zeros_like())
+    def __init__(self, grads: TensorBuffer):
+        self.t = 0
+        self.m, self.v = grads.zeros_like(), grads.zeros_like()
 
 
 def adam_step(
@@ -190,19 +188,21 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place. ``grads`` covers either the
-    whole parameter layout or a tail of it (``TensorBuffer.tail``); only
-    that tail of the buffer and of the moments moves, which is how the
-    encoder stays frozen in head-only training."""
+    """One bias-corrected Adam update, in place. ``grads`` covers the whole
+    parameter layout or a tail of it (``TensorBuffer.tail``), and only that
+    tail moves, which keeps the encoder frozen in head-only training; the
+    moments hold ``grads``' layout. Any other layout is refused unwritten."""
     k = len(params.tensors.spec) - len(grads.spec)
     if k < 0 or grads.spec != params.tensors.spec[k:]:
         raise DataValidationError("gradient names and shapes do not match the parameter layout")
+    if state.m.spec != grads.spec or state.v.spec != grads.spec:
+        raise DataValidationError("Adam moments do not match the gradient layout")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    lo = params.tensors.flat.size - grads.flat.size
-    g, theta, m, v = grads.flat, params.tensors.flat[lo:], state.m.flat[lo:], state.v.flat[lo:]
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    theta = params.tensors.flat[params.tensors.flat.size - g.size :]
     # The whole-buffer update (m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     # theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps)), one block at a time with
     # the same operations in the same order, so every value rounds as before.
@@ -254,9 +254,9 @@ def train(
     n = len(encodings)
 
     params = init_params(model_config, train_config.init_seed, vocab.content_hash())
-    state = AdamState.for_params(params)
     layout = params.tensors.tail(HEAD_START) if train_config.head_only else params.tensors
     grads = layout.zeros_like()
+    state = AdamState(grads)
 
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []

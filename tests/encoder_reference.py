@@ -11,8 +11,9 @@ package must return exactly equal arrays and leave a random generator in
 the same state. ``dropout_grid`` is the bucket-width draw that followed,
 kept as the oracle for the package's masks drawn at real positions only.
 
-``adam_step`` leaves out the package's check of the gradient layout; it
-takes any objects with the attributes it reads.
+``adam_step`` leaves out the package's checks of the gradient and moment
+layouts; it takes any objects with the attributes it reads, moments of the
+gradients' size, and moves the tail of the parameters they cover.
 
 ``forward_with_cache`` and ``backward_from_logits`` are the package's
 passes as they were before the layer loop became pairs of forward and
@@ -93,8 +94,8 @@ def adam_step(params, grads, state, config):
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    lo = params.tensors.flat.size - grads.flat.size
-    g, theta, m, v = grads.flat, params.tensors.flat[lo:], state.m.flat[lo:], state.v.flat[lo:]
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    theta = params.tensors.flat[params.tensors.flat.size - g.size :]
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -172,7 +173,7 @@ def forward_with_cache(
 
     scale = 1.0 / np.sqrt(cfg.d_head)
     for i in range(cfg.n_layers):
-        layer = package._layer(p, i)
+        layer = p.layers[i]
         h_in = h
         rows = 1 if cls_only and i == cfg.n_layers - 1 else T
         hq = h[:, :rows]
@@ -257,7 +258,7 @@ def backward_from_logits(
 
     scale = 1.0 / np.sqrt(cfg.d_head)
     for i in range(cfg.n_layers - 1, -1, -1):
-        layer, g = package._layer(p, i), package._layer(grads, i)
+        layer, g = p.layers[i], grads.layers[i]
         lc = cache["layers"][i]
         rows = lc["q"].shape[2]
 

@@ -171,7 +171,7 @@ def test_metrics_hand_cases():
         for name, t in params.tensors.items():
             grads[name][...] = rng.normal(size=t.shape)
         before = {name: t.copy() for name, t in params.tensors.items()}
-        adam_step(params, grads, AdamState.for_params(params), train_config)
+        adam_step(params, grads, AdamState(grads), train_config)
         # at t=1 the bias corrections cancel: step = lr * g / (|g| + eps)
         for name, tensor in params.tensors.items():
             g = grads[name]

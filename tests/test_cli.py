@@ -318,7 +318,8 @@ class TestBuildVocab:
     def test_manifest_reports_the_early_stop(self, runner, tmp_path):
         """The train split holds exactly the golden tokenizer texts. At the
         default min_pair_freq 2 the first best pair below it ends learning at
-        96 of 400 tokens (ROADMAP item 2), and the manifest body says so."""
+        96 of 400 tokens (the ROADMAP item on vocabulary learning that fills
+        its budget), and the manifest body says so."""
         texts = golden_corpus()[0]
         # One class: int(0.8 * 188) = 150 train positions, one per text.
         rows = [replace(t, gold_label=Category(0))
@@ -639,6 +640,18 @@ class TestBadModelInputs:
 
     def test_short_checkpoint_is_3(self, runner, workspace):
         (workspace["out"] / "model.ckpt").write_bytes(b"SWCKPT\x01\x00")
+        result = self.classify(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert "truncated" in result.output
+
+    def test_checkpoint_claiming_many_layers_is_3(self, runner, workspace):
+        ckpt = workspace["out"] / "model.ckpt"
+        blob = ckpt.read_bytes()
+        hlen = struct.unpack_from("<I", blob, 10)[0]
+        header = json.loads(blob[14 : 14 + hlen])
+        header["config"]["n_layers"] = 10**9
+        raw = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(b"SWCKPT" + struct.pack("<II", 1, len(raw)) + raw + bytes(200))
         result = self.classify(runner, workspace)
         assert result.exit_code == 3, result.output
         assert "truncated" in result.output

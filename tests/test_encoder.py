@@ -2,7 +2,8 @@ import json
 import math
 import platform
 import struct
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,31 @@ class TestInit:
             fresh = backward_from_logits(tiny_params, cache, dlogits[: len(ids)])
             assert backward_from_logits(tiny_params, cache, dlogits[: len(ids)], out=reused) is reused
             assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_layer_views_write_through_to_the_buffer(self, tiny_config):
+        """Each layer's views are the named views themselves, for parameters,
+        gradients and a ``zeros_like`` copy, so a write through one shows
+        in ``flat``; the head's tail has no layer."""
+        config = replace(tiny_config, n_layers=2)
+        params = init_params(config, seed=7)
+        ids, mask = collate(random_encodings(np.random.default_rng(0), 2, config), config)
+        _, cache = forward_with_cache(params, ids, mask, need_cache=True)
+        grads = backward_from_logits(params, cache, np.ones((2, 4)))
+        for buffer in (params.tensors, grads, params.tensors.zeros_like()):
+            assert len(buffer.layers) == config.n_layers
+            for i, layer in enumerate(buffer.layers):
+                assert list(layer) == ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                                       "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2",
+                                       "ln2_gain", "ln2_bias"], i
+                for name, arr in layer.items():
+                    assert arr is buffer[f"layer{i}.{name}"]
+                    arr[...] = i + 2.0
+                    assert (buffer[f"layer{i}.{name}"] == i + 2.0).all()
+            starts = [list(buffer).index(f"layer{i}.wq") for i in range(config.n_layers)]
+            offsets = np.cumsum([0] + [arr.size for arr in buffer.values()])
+            for i, start in enumerate(starts):
+                assert (buffer.flat[offsets[start]:offsets[start + 16]] == i + 2.0).all()
+        assert params.tensors.tail(HEAD_START).layers == []
 
     def test_tail_is_a_slice_of_the_buffer(self, tiny_params):
         tail = tiny_params.tensors.tail("pooler_w")
@@ -626,6 +652,22 @@ class TestCheckpoint:
         with pytest.raises(NumericalError, match="float32 in tensor pooler_w"):
             save_checkpoint(params, p)
         assert not p.exists()
+
+    def test_header_claiming_many_layers_is_refused_before_listing_them(self, tiny_config, tmp_path):
+        """The byte count comes from one layer's shapes times ``n_layers``:
+        10**9 layers are refused as truncated without a spec entry built
+        for any of them."""
+        header = json.dumps({"config": {**asdict(tiny_config), "n_layers": 10**9}}).encode("utf-8")
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header + bytes(200))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataValidationError, match="truncated"):
+                load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_short_file(self, tmp_path):
         p = tmp_path / "m.ckpt"

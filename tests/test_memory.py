@@ -79,10 +79,10 @@ def test_read_classified_holds_each_column_once(tmp_path, monkeypatch):
 
 
 def test_head_only_training_holds_no_whole_gradient_buffer(monkeypatch):
-    """At every Adam step, head-only training holds the parameters and
-    Adam's two moments, each of the whole layout, and gradients for the
-    head alone; a large vocabulary makes a whole-layout gradient buffer
-    show."""
+    """At every Adam step, head-only training holds the parameters, of the
+    whole layout, and gradients and Adam's two moments for the head alone; a
+    large vocabulary makes any other whole-layout buffer show. Whole-layout
+    moments held 3.01 buffers here."""
     split = toy_split()
     vocab = toy_vocab(split)
     cfg = EncoderConfig(vocab_size=20_000, d_model=16, n_layers=1, n_heads=2, max_len=12)
@@ -103,7 +103,7 @@ def test_head_only_training_holds_no_whole_gradient_buffer(monkeypatch):
         train(split, vocab, cfg, tc)
     finally:
         tracemalloc.stop()
-    assert max(held) - before < 3 * buffer_bytes + buffer_bytes // 2, (max(held) - before, buffer_bytes)
+    assert max(held) - before < buffer_bytes + buffer_bytes // 2, (max(held) - before, buffer_bytes)
 
 
 def test_training_holds_one_gradient_buffer():

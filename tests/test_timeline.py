@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -307,6 +308,21 @@ class TestSmooth:
         s = shares_from([1, 0, 3], empty_at=(1,))
         sm = smooth_shares(s, 3)
         assert sm.empty.tolist() == [False, True, False]
+
+    def test_window_wider_than_twice_the_series_is_its_mean(self):
+        """From 2n - 1 on, every day's window holds all n days, so a window
+        of 10**9 + 1 costs what 2n - 1 does and gives its bytes."""
+        s = shares_from([3, 1, 4, 1, 5, 9, 2, 6])
+        want = smooth_shares(s, 2 * len(s) - 1).percent
+        tracemalloc.start()
+        try:
+            got = smooth_shares(s, 10**9 + 1).percent
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.full(len(s), s.percent.mean()).tobytes()
+        assert peak < 1 << 16, peak
 
 
 class TestDetectPeaks:

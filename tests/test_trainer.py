@@ -113,19 +113,21 @@ class TestAdam:
         # with m=v=0 and g constant, the first update is exactly
         # -lr * g / (|g| + eps); for g=0.5, lr=5e-6: -5e-6 * 0.5/(0.5 + 1e-8)
         cfg = TrainConfig(learning_rate=5e-6)
-        state = AdamState.for_params(tiny_params)
+        grads = head_grads(tiny_params, 0.5)
+        state = AdamState(grads)
         before = tiny_params.tensors["classifier_b"].copy()
-        adam_step(tiny_params, head_grads(tiny_params, 0.5), state, cfg)
+        adam_step(tiny_params, grads, state, cfg)
         want = before - 5e-6 * 0.5 / (0.5 + 1e-8)
         np.testing.assert_allclose(tiny_params.tensors["classifier_b"], want, rtol=0, atol=1e-12)
 
     def test_eps_outside_sqrt(self, tiny_params):
         # tiny gradient separates the two eps placements by orders of magnitude
         cfg = TrainConfig(learning_rate=1.0, adam_eps=1e-8)
-        state = AdamState.for_params(tiny_params)
         g = 1e-12
+        grads = head_grads(tiny_params, g)
+        state = AdamState(grads)
         before = tiny_params.tensors["classifier_b"].copy()
-        adam_step(tiny_params, head_grads(tiny_params, g), state, cfg)
+        adam_step(tiny_params, grads, state, cfg)
         step = before[0] - tiny_params.tensors["classifier_b"][0]
         outside = 1.0 * g / (g + 1e-8)  # sqrt(g^2) = g
         inside = 1.0 * g / math.sqrt(g * g + 1e-8)
@@ -134,7 +136,7 @@ class TestAdam:
 
     def test_bias_correction_sequence(self, tiny_params):
         cfg = TrainConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, adam_eps=1e-8)
-        state = AdamState.for_params(tiny_params)
+        state = AdamState(head_grads(tiny_params, 0.0))
         theta = float(tiny_params.tensors["classifier_b"][0])
         m = v = 0.0
         for t, g in enumerate([0.3, -0.2, 0.7], start=1):
@@ -147,22 +149,38 @@ class TestAdam:
         assert abs(float(tiny_params.tensors["classifier_b"][0]) - theta) < 1e-12
 
     def test_absent_grads_leave_tensor_alone(self, tiny_params):
+        """Moments exist for the gradients' tail alone: the tensors before it
+        keep their bytes, and no moment is kept for them."""
         cfg = TrainConfig(learning_rate=0.5)
-        state = AdamState.for_params(tiny_params)
+        grads = head_grads(tiny_params, 1.0)
+        state = AdamState(grads)
         before = tiny_params.tensors.flat.copy()
-        adam_step(tiny_params, head_grads(tiny_params, 1.0), state, cfg)
+        adam_step(tiny_params, grads, state, cfg)
         k = before.size - 4
-        np.testing.assert_array_equal(tiny_params.tensors.flat[:k], before[:k])
-        np.testing.assert_array_equal(state.m.flat[:k], 0.0)
-        assert tiny_params.tensors["classifier_b"].any()
+        assert tiny_params.tensors.flat[:k].tobytes() == before[:k].tobytes()
+        assert state.m.spec == state.v.spec == grads.spec == [("classifier_b", (4,))]
+        assert state.m.flat.all() and state.v.flat.all()
+        assert (tiny_params.tensors["classifier_b"] != before[k:]).all()
+
+    @pytest.mark.parametrize("moments", [
+        lambda params: params.tensors,
+        lambda params: params.tensors.tail("classifier_w"),
+    ], ids=["whole-layout", "one-tensor-more"])
+    def test_moments_of_another_layout_rejected(self, tiny_params, moments):
+        state = AdamState(moments(tiny_params))
+        grads = head_grads(tiny_params, 1.0)
+        before = tiny_params.tensors.flat.copy()
+        with pytest.raises(DataValidationError, match="moments"):
+            adam_step(tiny_params, grads, state, TrainConfig(learning_rate=0.5))
+        assert state.t == 0
+        assert not state.m.flat.any() and not state.v.flat.any()
+        assert tiny_params.tensors.flat.tobytes() == before.tobytes()
 
     def test_shape_mismatch_rejected(self, tiny_params):
-        state = AdamState.for_params(tiny_params)
         wider = init_params(replace(tiny_params.config, d_model=10), seed=0)
-        with pytest.raises(DataValidationError, match="shape"):
-            adam_step(tiny_params, wider.tensors.tail("classifier_w"), state, TrainConfig())
-        with pytest.raises(DataValidationError, match="shape"):
-            adam_step(tiny_params, wider.tensors, state, TrainConfig())
+        for grads in (wider.tensors.tail("classifier_w"), wider.tensors):
+            with pytest.raises(DataValidationError, match="shape"):
+                adam_step(tiny_params, grads, AdamState(grads), TrainConfig())
 
 
 class TestGradients:
