@@ -54,8 +54,9 @@ positions. A batch with no padding takes the same path: its
 packed rows are copies of its grid rows.
 
 Padding is never read. The ids at padded positions are not looked up;
-exp(-1e9) is exactly 0.0 in float64, so a padded key gets exactly zero
-attention weight; and a padded query row of the grid is never gathered.
+exp(-1e9) is exactly 0.0 in float64 and in float32, so a padded key gets
+exactly zero attention weight; and a padded query row of the grid is never
+gathered.
 Since the head computes each row as its own one-row product too, a row's
 logits do not depend on how many rows share its batch, only on its
 width: a different width changes the order of float summation in the
@@ -78,10 +79,17 @@ gradient of exactly zero. That layer's dropout masks are drawn one
 position wide, and the skip to ``max_len`` gives [CLS] the values a
 full-width mask holds.
 
-All arithmetic is float64 in memory. The parameters live in one buffer
-whose named views follow ``tensor_shapes`` and are grouped by layer once
-(``TensorBuffer.layers``) for both passes; a checkpoint is a metadata
-header followed by that buffer as little-endian float32.
+The parameters live in one buffer whose named views follow
+``tensor_shapes`` and are grouped by layer once (``TensorBuffer.layers``)
+for both passes; a checkpoint is a metadata header followed by that buffer
+as little-endian float32. The buffer is float64 in memory, and training,
+its gradients and the backward are float64. A forward computes in the
+buffer's dtype: every array it allocates takes that dtype and every
+constant is a Python float, since under NumPy 2 a ``np.float64`` scalar
+would promote a float32 array to float64. Inference runs on a float32
+cast of the buffer, the values a checkpoint stores
+(``metrics.predict_batches``); ``predict_proba`` takes the softmax of its
+logits in float64.
 """
 
 from __future__ import annotations
@@ -189,7 +197,8 @@ class EncoderConfig:
 
 
 class TensorBuffer(Mapping[str, np.ndarray]):
-    """Named, reshaped views onto one contiguous float64 buffer.
+    """Named, reshaped views onto one contiguous buffer: float64, or the
+    float32 cast that inference runs on (``astype``).
 
     ``spec`` is an ordered list of (name, shape); each tensor sits in
     ``flat`` right after the one before it. Gradients hold the parameters'
@@ -232,6 +241,12 @@ class TensorBuffer(Mapping[str, np.ndarray]):
         """Tensor ``name`` and every one after it, as views of the same memory."""
         rest = self.spec[list(self._views).index(name) :]
         return TensorBuffer(rest, self.flat[self.flat.size - sum(math.prod(s) for _, s in rest) :])
+
+    def astype(self, dtype) -> "TensorBuffer":
+        """The same layout holding these values cast to ``dtype``; one beyond
+        its range becomes an infinity, without a warning."""
+        with np.errstate(over="ignore"):
+            return TensorBuffer(self.spec, self.flat.astype(dtype))
 
     def check_finite(self, what: str) -> None:
         """Raise NumericalError naming the first tensor that holds a NaN or an infinity."""
@@ -333,7 +348,7 @@ def gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU(x) = x * Phi(x) and the Gaussian CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2))
     it scales by, from one erf per value. Scaling by 0.5 is exact, so x * Phi(x)
     rounds as x * 0.5 * (1 + erf(...)) does."""
-    cdf = erf(x / np.sqrt(2.0))
+    cdf = erf(x / math.sqrt(2.0))
     cdf += 1.0
     cdf *= 0.5
     return x * cdf, cdf
@@ -343,7 +358,7 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """Phi(x) + x * phi(x). ``cdf`` is Phi(x) as ``gelu_and_cdf`` returned it,
     so only the pdf's exp is computed here."""
     pdf = np.exp(-0.5 * x * x)
-    pdf /= np.sqrt(2.0 * np.pi)
+    pdf /= math.sqrt(2.0 * math.pi)
     pdf *= x
     pdf += cdf
     return pdf
@@ -474,14 +489,14 @@ class _Packing:
 
     def pad(self, real: np.ndarray) -> np.ndarray:
         """The ``n_real`` rows ``real``, followed by zero rows up to ``rows``."""
-        out = np.zeros((self.rows, real.shape[1]))
+        out = np.zeros((self.rows, real.shape[1]), dtype=real.dtype)
         out[: len(real)] = real
         return out
 
     def pack(self, grid: np.ndarray) -> np.ndarray:
         """(B, T, ...) grid values -> (rows, features) packed rows."""
         flat = grid.reshape(self.grid[0] * self.grid[1], -1)
-        out = np.zeros((self.rows, flat.shape[1]))
+        out = np.zeros((self.rows, flat.shape[1]), dtype=grid.dtype)
         # mode="clip" lets take write straight into ``out``; with the default
         # "raise" it buffers the whole result first (the index is in range).
         np.take(flat, self.index, axis=0, out=out[: self.n_real], mode="clip")
@@ -490,7 +505,7 @@ class _Packing:
     def unpack_product(self, x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """``_rows(x, w) + bias`` of packed rows ``x`` as a (B, T, m) grid,
         zero where padded: a gather from the product's rows and one zero row."""
-        out = np.empty((self.rows + 1, w.shape[1]))
+        out = np.empty((self.rows + 1, w.shape[1]), dtype=x.dtype)
         _rows(x, w, out=out[:-1])
         if bias is not None:
             out[:-1] += bias
@@ -504,7 +519,7 @@ def _rows(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.nda
     do not depend on how many rows there are or where it sits among them.
     ``out``, if given, is a C-contiguous (len(x), m) array to write into."""
     if out is None:
-        out = np.empty((len(x), w.shape[1]))
+        out = np.empty((len(x), w.shape[1]), dtype=x.dtype)
     np.matmul(x.reshape(-1, BUCKET, x.shape[1]), w, out=out.reshape(-1, BUCKET, w.shape[1]))
     return out
 
@@ -524,7 +539,7 @@ def _attention_forward(
         for x, packing, n in ((hq, queries, "q"), (h, keys, "k"), (h, keys, "v"))
     )
     scores = q @ k.transpose(0, 1, 3, 2)
-    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores *= 1.0 / math.sqrt(q.shape[-1])
     scores += addmask
     probs = _softmax_lastaxis(scores)
     ctx = queries.pack((probs @ v).transpose(0, 2, 1, 3))
@@ -546,7 +561,7 @@ def _attention_backward(dattn: np.ndarray, dhq: np.ndarray, saved: tuple, layer:
     dprobs = dctx @ v.transpose(0, 1, 3, 2)
     dv = probs.transpose(0, 1, 3, 2) @ dctx
     dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
     dq = dscores @ k * scale
     dk = dscores.transpose(0, 1, 3, 2) @ q * scale
     dq, dk, dv = (packing.pack(grad.transpose(0, 2, 1, 3))
@@ -641,11 +656,11 @@ def forward_with_cache(
     def dropout(packing: _Packing) -> np.ndarray | None:
         return None if rng is None else _dropout_mask(rng, cfg, packing)
 
-    addmask = ((1.0 - mask) * MASK_ADDEND)[:, None, None, :]  # (B,1,1,T)
-
     p, eps = params.tensors, cfg.layer_norm_eps
+    dtype = p.flat.dtype
+    addmask = ((1.0 - mask) * MASK_ADDEND).astype(dtype, copy=False)[:, None, None, :]  # (B,1,1,T)
     tok = np.take(ids, tokens.index)
-    x = np.zeros((tokens.rows, cfg.d_model))
+    x = np.zeros((tokens.rows, cfg.d_model), dtype=dtype)
     np.add(np.take(p["tok_emb"], tok, axis=0), np.take(p["pos_emb"], tokens.columns, axis=0),
            out=x[: tokens.n_real])
     x[: tokens.n_real] += p["seg_emb"][0]
@@ -755,8 +770,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write magic, version, JSON metadata header, then the parameter
     buffer as little-endian float32. A weight that is not finite in float32
     raises NumericalError before the file is opened."""
-    with np.errstate(over="ignore"):
-        stored = TensorBuffer(params.tensors.spec, params.tensors.flat.astype("<f4"))
+    stored = params.tensors.astype("<f4")
     stored.check_finite("the checkpoint would hold a weight that is not finite in float32")
     meta = {"config": asdict(params.config), "vocab_hash": params.vocab_hash,
             "init_seed": params.init_seed}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import CATEGORY_SLUGS, LabeledDataset
 from .encoder import ModelParams, bucket_len, collate, forward_with_cache, predict_proba
-from .errors import DataValidationError
+from .errors import DataValidationError, NumericalError
 from .tokenizer import Vocabulary, encode
 
 N_CLASSES = 4
@@ -176,8 +176,11 @@ def forward_workers() -> int:
 
 def _predict_rows(probs: np.ndarray, rows: np.ndarray, params: ModelParams,
                   ids: np.ndarray, mask: np.ndarray) -> None:
-    logits, _ = forward_with_cache(params, ids, mask)
-    probs[rows] = predict_proba(logits)
+    # An overflow ends as a NaN or an infinity in ``probs``, which
+    # predict_batches reports; a warning from a worker thread would say less.
+    with np.errstate(all="ignore"):
+        logits, _ = forward_with_cache(params, ids, mask)
+        probs[rows] = predict_proba(logits)
 
 
 def predict_batches(
@@ -189,6 +192,13 @@ def predict_batches(
 ) -> np.ndarray:
     """Probability matrix (n, 4) from inference-mode batched forwards, in
     input order.
+
+    The forwards run in float32, on the parameters cast once per call to
+    the values ``save_checkpoint`` stores, so trained parameters in memory
+    and their reloaded checkpoint give the same bytes. Each row's softmax
+    is taken in float64. A row that is not finite, such as a float32
+    overflow inside the encoder gives, raises NumericalError naming the
+    first such input, after every forward has run.
 
     Each chunk of ``batch_size`` texts runs as one forward per length
     bucket, so every text is computed at its own bucket's width and its row
@@ -222,6 +232,7 @@ def predict_batches(
         )
     probs = np.empty((len(texts), N_CLASSES), dtype=np.float64)
     cfg = params.config
+    params = replace(params, tensors=params.tensors.astype(np.float32))
     macs_per_token = cfg.n_layers * cfg.d_model * cfg.d_ff
     workers = forward_workers()
     threads = 1
@@ -247,6 +258,10 @@ def predict_batches(
                 threads = workers
         for future in pending:
             future.result()
+    if not np.isfinite(probs).all():
+        first = int(np.flatnonzero(~np.isfinite(probs).all(axis=1))[0])
+        raise NumericalError(f"inference gave non-finite class probabilities for input {first} "
+                             f"(counting from 0) of {len(texts)}")
     if stats is not None:
         stats["threads"] = threads
     return probs

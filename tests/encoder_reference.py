@@ -36,6 +36,8 @@ ids itself and must return the same bytes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -44,16 +46,16 @@ from stancewatch.encoder import ModelParams, TensorBuffer
 
 
 def gelu(x):
-    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def gelu_cdf(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def gelu_grad(x):
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
 

@@ -14,6 +14,7 @@ import datetime as dt
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,12 @@ from scalar_reference import forward_scalar
 
 from stancewatch.cli import main
 from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
-from stancewatch.encoder import EncoderConfig, forward, forward_with_cache, init_params
+from stancewatch.encoder import EncoderConfig, forward, forward_with_cache, init_params, predict_proba
 from stancewatch.manifest import RunManifest
-from stancewatch.metrics import auc, confusion, evaluate, prf, roc_points
+from stancewatch.metrics import auc, confusion, evaluate, predict_batches, prf, roc_points
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.timeline import aggregate_daily, classify_corpus, detect_peaks, share
-from stancewatch.tokenizer import build_vocab
+from stancewatch.tokenizer import build_vocab, encode
 from stancewatch.trainer import AdamState, TrainConfig, adam_step, cross_entropy, gradients, train
 
 
@@ -110,6 +111,54 @@ def test_forward_oracle():
                 np.testing.assert_allclose(twin[0], logits[row], rtol=0, atol=1e-6)
                 cases += 1
         assert cases >= 100
+
+
+# Float32 inference's bound on a class probability's distance from float64.
+F32_PROBA_BOUND = 1e-5
+
+
+def float64_proba(params, vocab, texts) -> np.ndarray:
+    """Probabilities from float64 forwards on ``params`` as they are, 64 texts a batch."""
+    encs = [encode(vocab, text, params.config.max_len) for text in texts]
+    return np.vstack([predict_proba(forward(params, encs[i : i + 64])) for i in range(0, len(encs), 64)])
+
+
+def test_float32_inference_oracle():
+    """Inference runs in float32 on the weights a checkpoint stores; its
+    probabilities stay within F32_PROBA_BOUND of float64 arithmetic, and it
+    predicts the same classes on the acceptance corpora."""
+    with criterion("float32 probabilities match the scalar reference to 1e-5 on 100 fuzz cases"):
+        config = EncoderConfig(vocab_size=40, d_model=32, n_layers=2, n_heads=4, max_len=24)
+        worst = 0.0
+        for seed in range(10):
+            params = init_params(config, seed)
+            rng = np.random.default_rng(2000 + seed)
+            # noise moves the logits apart, so the probabilities are not all near 1/4
+            params.tensors.flat[:] += rng.normal(scale=0.3, size=params.tensors.flat.size)
+            f32 = replace(params, tensors=params.tensors.astype(np.float32))
+            stored = {name: arr.astype(np.float64).tolist() for name, arr in f32.tensors.items()}
+            batch = random_encodings(rng, 10, config)
+            got = predict_proba(forward(f32, batch))
+            for row, enc in enumerate(batch):
+                ids, mask = padded(enc, config.max_len)
+                want = predict_proba(np.array([forward_scalar(stored, scalar_config(config),
+                                                              list(ids), list(mask))]))[0]
+                worst = max(worst, float(np.abs(got[row] - want).max()))
+                assert got[row].argmax() == want.argmax()
+        assert worst <= F32_PROBA_BOUND, worst  # about 5e-7 on OpenBLAS
+
+    with criterion("float32 inference predicts the float64 classes on the acceptance corpora"):
+        labeled = LabeledDataset(tuple(generate_labeled(per_class=100, seed=31)))
+        split = split_dataset(labeled, 0.8, seed=5)
+        vocab = build_vocab([t.text for t in split.train.examples], max_size=256)
+        trace = train(split, vocab, EncoderConfig(vocab_size=len(vocab)),
+                      TrainConfig(learning_rate=1e-3, epochs=25, batch_size=16))
+        corpus = generate_corpus(days=30, per_day=500, seed=77, spike_days=(20, 28))
+        for texts in ([t.text for t in split.test.examples], [t.text for t in corpus]):
+            got = predict_batches(trace.params, vocab, texts, 64)
+            want = float64_proba(trace.params, vocab, texts)
+            np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+            assert np.abs(got - want).max() <= F32_PROBA_BOUND
 
 
 def pairwise_auc(scores, golds) -> float:

@@ -3,6 +3,7 @@ import gzip
 import json
 import os
 import struct
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import replace
@@ -637,6 +638,31 @@ class TestBadModelInputs:
         assert result.exit_code == 4, result.output
         assert "classifier_b" in result.output
         assert not (workspace["out"] / "classified.jsonl").exists()
+
+    @pytest.mark.parametrize("command, output", [("classify", "classified.jsonl"),
+                                                 ("evaluate", "eval_report.json")])
+    def test_float32_overflow_in_inference_is_4(self, runner, workspace, command, output):
+        """Layer-norm gains of 1e30 are finite weights whose activations
+        overflow float32: the run ends with exit 4, without a warning or a
+        traceback, and writes no results."""
+        ckpt = workspace["out"] / "model.ckpt"
+        params = load_checkpoint(ckpt)
+        for name, arr in params.tensors.items():
+            if name.endswith("_gain"):
+                arr[...] = 1e30
+        save_checkpoint(params, ckpt)
+        inputs = ["--corpus", str(workspace["corpus"])] if command == "classify" else [
+            "--labeled", str(workspace["labeled"])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [command, *inputs, "--out", str(workspace["out"]),
+                                          "--quiet", *FAST_TRAIN])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: inference gave non-finite class probabilities "
+                                        "for input 0 (counting from 0)"), result.output
+        assert "Traceback" not in result.output and "Warning" not in result.output
+        assert not (workspace["out"] / output).exists()
+        assert not list(workspace["out"].glob(f"manifest_{command}.json"))
 
     def test_short_checkpoint_is_3(self, runner, workspace):
         (workspace["out"] / "model.ckpt").write_bytes(b"SWCKPT\x01\x00")

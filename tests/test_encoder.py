@@ -524,6 +524,30 @@ class TestHeadOnlyCache:
         assert not out.flat.any()
 
 
+def float_arrays(obj, path="cache"):
+    """(path, array) for every floating-point array in a nested cache tuple."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from float_arrays(item, f"{path}[{i}]")
+
+
+class TestFloat32Forward:
+    """A forward on float32 parameters computes in float32 throughout."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_creates_no_float64_array(self, n_layers):
+        params, ids, mask = noisy_model_and_batch(24, n_layers, 5)
+        f32 = replace(params, tensors=params.tensors.astype(np.float32))
+        logits, cache = forward_with_cache(f32, ids, mask, need_cache=True)
+        assert logits.dtype == np.float32
+        arrays = list(float_arrays(cache))
+        assert len(arrays) > 10 * n_layers
+        assert [path for path, arr in arrays if arr.dtype != np.float32] == []
+
+
 class TestPredictProba:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)

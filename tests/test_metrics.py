@@ -3,6 +3,8 @@ import json
 import math
 import threading
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,18 @@ from hypothesis import strategies as st
 
 import metrics_reference as reference
 from stancewatch import metrics
-from stancewatch.corpus import Category, LabeledDataset, Tweet
-from stancewatch.encoder import EncoderConfig, bucket_len, collate, forward_with_cache, init_params
-from stancewatch.errors import DataValidationError
+from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
+from stancewatch.encoder import (
+    EncoderConfig,
+    bucket_len,
+    collate,
+    forward,
+    forward_with_cache,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from stancewatch.errors import DataValidationError, NumericalError
 from stancewatch.metrics import (
     ConfusionMatrix,
     auc,
@@ -25,7 +36,9 @@ from stancewatch.metrics import (
     write_report,
     write_roc_csv,
 )
+from stancewatch.synth import generate_labeled
 from stancewatch.tokenizer import SPECIAL_TOKENS, Vocabulary, build_vocab, encode
+from stancewatch.trainer import TrainConfig, train
 
 UTC = dt.timezone.utc
 
@@ -459,3 +472,51 @@ class TestForwardPool:
         assert counts["finished"] == counts["collated"] > 4 * workers
         # the queue filled past the workers, and never past twice their number
         assert workers < counts["most"] <= 2 * workers
+
+
+class TestFloat32Inference:
+    """predict_batches runs its forwards on the float32 weights a checkpoint
+    stores, and refuses rows that are not finite."""
+
+    def test_trained_params_and_their_checkpoint_give_the_same_bytes(self, tmp_path):
+        split = split_dataset(LabeledDataset(tuple(generate_labeled(per_class=10, seed=3))), 0.7, 1)
+        vocab = build_vocab([t.text for t in split.train.examples], 300)
+        cfg = EncoderConfig(vocab_size=len(vocab), d_model=32, n_layers=2, n_heads=4, max_len=24)
+        trace = train(split, vocab, cfg, TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8))
+        save_checkpoint(trace.params, tmp_path / "model.ckpt")
+        back = load_checkpoint(tmp_path / "model.ckpt")
+        # Training moved the weights off the float32 grid, so only the cast makes them equal.
+        assert not np.array_equal(trace.params.tensors.flat, back.tensors.flat)
+        texts = [t.text for t in split.test.examples]
+        in_memory = predict_batches(trace.params, vocab, texts, 5)
+        assert in_memory.tobytes() == predict_batches(back, vocab, texts, 5).tobytes()
+        assert trace.params.tensors.flat.dtype == np.float64
+
+    def test_first_non_finite_row_is_named(self, eval_setup, monkeypatch):
+        params, vocab, testset = eval_setup
+        calls = []
+
+        def nan_in_calls_5_and_7(*args):
+            calls.append(None)
+            logits, cache = forward_with_cache(*args)
+            return (logits * np.nan if len(calls) in (5, 7) else logits), cache
+
+        monkeypatch.setattr(metrics, "forward_with_cache", nan_in_calls_5_and_7)
+        texts = [t.text for t in testset.examples]
+        with pytest.raises(NumericalError, match=r"input 4 \(counting from 0\) of 8"):
+            predict_batches(params, vocab, texts, 1)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_float32_overflow_raises_without_a_warning(self, default_size_setup, monkeypatch, workers):
+        params, vocab, texts = default_size_setup
+        big = replace(params, tensors=params.tensors.astype(np.float64))
+        big.tensors["emb_ln_gain"][...] = 1e30
+        with np.errstate(all="ignore"):
+            # float64 holds this model's activations; float32 overflows them
+            assert np.isfinite(forward(big, [encode(vocab, texts[0], 64)])).all()
+        pooled(monkeypatch, workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"non-finite class probabilities for input 0 "):
+                predict_batches(big, vocab, texts[:20], 7)
