@@ -165,7 +165,8 @@ def check_batch_size(batch_size: int, key: str = "batch_size") -> None:
 # A forward goes to the thread pool only when its feed-forward multiply-adds
 # (real tokens x n_layers x d_model x d_ff) reach this many. Below it the
 # forward's time is mostly Python that holds the interpreter lock, and
-# handing it to a thread costs more than the overlap gains.
+# handing it to a thread costs more than the overlap gains. Measured for
+# float32 forwards; the table is in CHANGES.md.
 POOL_MIN_FFN_MACS = 1 << 23
 
 

@@ -1,17 +1,18 @@
 """Write BENCH_<workload>.json: the benchmark's end-to-end numbers on several
 seeds, with their spread, and one traced run's per-layer numbers.
 
-    python3 tools/bench_trajectory.py                       # every workload, seeds 1-5
-    python3 tools/bench_trajectory.py --workload classify-short --seeds 11 12 13 14 15
+    python3 tools/bench_trajectory.py                            # every workload
+    python3 tools/bench_trajectory.py --workload classify-short  # one of them
 
-For each workload this runs ``perfbench/run.py --trace 0`` once per seed,
-one process at a time, then ``--trace 1`` once on the first seed, and
-reads the result files those runs leave in ``.perfbench/results/``. On
-classify-short, whose forwards run on a thread pool as wide as the CPUs
-the process may use, it repeats the untraced runs under ``taskset -c 0``
-(one CPU, so the pool stays idle and the spread narrows) and reports them
-as a row of their own. ``perfbench`` is run as it is; nothing in it
-changes.
+For each workload this runs ``perfbench/run.py --trace 0`` once per seed
+in ``SEEDS``, one process at a time, at the benchmark's own run length
+(``spec.RUN_SECONDS``), so every file compares with every other; then
+``--trace 1`` once on the first seed, and reads the result files those
+runs leave in ``.perfbench/results/``. On classify-short, whose forwards
+run on a thread pool as wide as the CPUs the process may use, it repeats
+the untraced runs under ``taskset -c 0`` (one CPU, so the pool stays idle
+and the spread narrows) and reports them as a row of their own.
+``perfbench`` is run as it is; nothing in it changes.
 
 Each file holds, per end-to-end metric, the median, the quartiles and
 their distance (IQR), and every run's value in seed order; the seeds, the
@@ -37,12 +38,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import spec  # noqa: E402
 
 PINNED_WORKLOADS = ("classify-short",)
+SEEDS = (1, 2, 3, 4, 5)
 
 
-def run(workload: str, seed: int, seconds: int, trace: int, pin: bool) -> dict:
+def run(workload: str, seed: int, trace: int, pin: bool) -> dict:
     """One perfbench process; the result file it writes."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(spec.RUN_SECONDS), "--trace", str(trace)]
     if pin:
         cmd = ["taskset", "-c", "0", *cmd]
     path = ROOT / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
@@ -76,22 +78,22 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=False).stdout.strip()
 
 
-def bench(workload: str, seeds: list[int], seconds: int) -> dict:
-    runs = [run(workload, seed, seconds, 0, pin=False) for seed in seeds]
+def bench(workload: str) -> dict:
+    runs = [run(workload, seed, 0, pin=False) for seed in SEEDS]
     doc = {
         "workload": workload,
         "why": spec.WORKLOADS[workload],
         "commit": git("rev-parse", "HEAD") or None,
         "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
-        "seeds": seeds,
-        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "seconds": spec.RUN_SECONDS,
         "environment": runs[0]["environment"],
         **summary(runs),
     }
     if workload in PINNED_WORKLOADS:
-        doc["taskset_cpu0"] = summary([run(workload, seed, seconds, 0, pin=True) for seed in seeds])
-    traced = run(workload, seeds[0], seconds, 1, pin=False)
-    doc["traced"] = {"seed": seeds[0], "correct": traced["correct"], "failed": traced["failed"],
+        doc["taskset_cpu0"] = summary([run(workload, seed, 0, pin=True) for seed in SEEDS])
+    traced = run(workload, SEEDS[0], 1, pin=False)
+    doc["traced"] = {"seed": SEEDS[0], "correct": traced["correct"], "failed": traced["failed"],
                      "per_layer": traced["metrics"]}
     return doc
 
@@ -100,16 +102,12 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", action="append", choices=list(spec.WORKLOADS),
                    help="repeat for several; default every workload")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--seconds", type=int, default=spec.RUN_SECONDS)
     args = p.parse_args(argv)
-    if len(args.seeds) < 5:
-        p.error("give at least 5 seeds: fewer make no spread worth quoting")
     if any(w in PINNED_WORKLOADS for w in args.workload or spec.WORKLOADS) and not shutil.which("taskset"):
         p.error("taskset is needed for the one-CPU row of classify-short")
     status = 0
     for workload in args.workload or spec.WORKLOADS:
-        doc = bench(workload, args.seeds, args.seconds)
+        doc = bench(workload)
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         tps = doc["end_to_end"].get("tweets_per_s", {})
