@@ -31,9 +31,9 @@ first tensor to differ in byte comparisons between two correct versions.
 
 An encoding holds only its real ids; ``collate`` alone pads, with
 ``[PAD]`` to ``bucket_len`` of a batch's longest member (the smallest
-multiple of ``BUCKET`` that holds it, capped at ``max_len``), and builds
-the mask from the lengths. ``forward_with_cache`` takes masks of that form
-only, each row 1 to T leading ones.
+multiple of ``BUCKET`` that holds it, capped at ``max_len``), and returns
+each row's real length with the ids: the one form of a batch's real
+positions, from which ``forward_with_cache`` builds its packing and mask.
 
 Row-wise work runs on the real tokens only. The real positions of the
 (B, T) batch are packed, in row-major order, into an (n, d) array whose n
@@ -410,9 +410,9 @@ def bucket_len(n_real: int, max_len: int) -> int:
 
 
 def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pad encodings with ``[PAD]`` into (ids, mask) arrays as wide as the
-    bucket of the longest member, checking that each holds 1..max_len ids
-    and that every id is in the vocabulary."""
+    """Pad encodings with ``[PAD]`` into (B, T) int64 ids as wide as the bucket
+    of the longest member, and return them with the rows' int64 lengths,
+    checking that each holds 1..max_len ids and every id is in the vocabulary."""
     if not batch:
         raise DataValidationError("empty batch")
     n_real = np.fromiter((len(enc.ids) for enc in batch), dtype=np.int64, count=len(batch))
@@ -430,7 +430,7 @@ def collate(batch: Sequence[Encoding], config: EncoderConfig) -> tuple[np.ndarra
         raise DataValidationError(
             f"token id {lo if lo < 0 else hi} out of range for vocab_size {config.vocab_size}"
         )
-    return ids, real.astype(np.float64)
+    return ids, n_real
 
 
 def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, packing: "_Packing") -> np.ndarray:
@@ -449,21 +449,6 @@ def _dropout_mask(rng: np.random.Generator, cfg: EncoderConfig, packing: "_Packi
     return packing.pad(np.where(draw >= cfg.dropout_rate, 1.0 / (1.0 - cfg.dropout_rate), 0.0))
 
 
-def _lengths(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Each row's real length, after checking that ``mask`` matches ``ids``
-    in shape and that each of its rows is 1 to T leading ones, the only
-    masks ``collate`` builds: packing reads [CLS] at each row's first
-    position."""
-    if mask.shape != ids.shape or ids.ndim != 2:
-        raise DataValidationError(f"mask of shape {mask.shape} does not match ids of shape {ids.shape}")
-    lengths = mask.sum(axis=1)
-    leading = np.arange(ids.shape[1]) < lengths[:, None]
-    if not np.array_equal(mask, leading) or lengths.min() < 1:
-        bad = np.flatnonzero((mask != leading).any(axis=1) | (lengths < 1))[0]
-        raise DataValidationError(f"mask row {bad} is not 1 to {ids.shape[1]} leading ones")
-    return lengths.astype(np.int64)
-
-
 class _Packing:
     """Where the real positions of a (B, width) grid sit among packed rows,
     given each grid row's real length.
@@ -479,7 +464,8 @@ class _Packing:
         self.lengths = lengths
         self.n_real = int(lengths.sum())
         self.rows = -(-self.n_real // BUCKET) * BUCKET
-        self.index = np.flatnonzero(np.arange(width) < lengths[:, None])
+        self.real = np.arange(width) < lengths[:, None]  # (B, width), True at real positions
+        self.index = np.flatnonzero(self.real)
         self.columns = self.index % width  # each packed row's position in its grid row
         self.starts = np.cumsum(lengths) - lengths  # each grid row's first packed row
         # Each grid position's packed row; a padded one reads the zero row
@@ -629,14 +615,14 @@ def _add_and_norm_backward(dy, saved, gain, dgain, dbias) -> tuple[np.ndarray, n
 def forward_with_cache(
     params: ModelParams,
     ids: np.ndarray,
-    mask: np.ndarray,
+    lengths: np.ndarray,
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
     need_cache: bool = False,
 ) -> tuple[np.ndarray, tuple]:
     """Run the encoder on collated arrays; return the logits and a cache.
 
-    Each row of ``mask`` must be 1 to T leading ones, as ``collate`` builds
+    ``lengths`` is each row's real length, 1 to T, as ``collate`` returns
     it. The cache always holds the head's inputs, the last layer's [CLS]
     row and the pooled vector, which is all a head-only backward reads.
     ``need_cache`` adds the embedding's arrays and every layer's tuples,
@@ -646,7 +632,11 @@ def forward_with_cache(
     """
     cfg = params.config
     B, T = ids.shape
-    tokens = _Packing(_lengths(ids, mask), T)
+    if (not B or lengths.shape != (B,) or lengths.dtype.kind not in "iu"
+            or lengths.min() < 1 or lengths.max() > T):
+        raise DataValidationError(f"lengths must hold one integer from 1 to {T} for each row of ids "
+                                  f"of shape {ids.shape}, and B >= 1")
+    tokens = _Packing(lengths, T)
     cls = _Packing(np.ones(B, dtype=np.int64), 1)
     dropping = train_mode and cfg.dropout_rate > 0.0
     if dropping and dropout_seed is None:
@@ -658,7 +648,7 @@ def forward_with_cache(
 
     p, eps = params.tensors, cfg.layer_norm_eps
     dtype = p.flat.dtype
-    addmask = ((1.0 - mask) * MASK_ADDEND).astype(dtype, copy=False)[:, None, None, :]  # (B,1,1,T)
+    addmask = np.where(tokens.real, 0.0, MASK_ADDEND).astype(dtype, copy=False)[:, None, None, :]
     tok = np.take(ids, tokens.index)
     x = np.zeros((tokens.rows, cfg.d_model), dtype=dtype)
     np.add(np.take(p["tok_emb"], tok, axis=0), np.take(p["pos_emb"], tokens.columns, axis=0),
@@ -701,8 +691,8 @@ def forward(
     dropout_seed: int | np.random.SeedSequence | None = None,
 ) -> np.ndarray:
     """Class scores for a batch of encodings, shape (batch, 4)."""
-    ids, mask = collate(batch, params.config)
-    logits, _ = forward_with_cache(params, ids, mask, train_mode, dropout_seed)
+    ids, lengths = collate(batch, params.config)
+    logits, _ = forward_with_cache(params, ids, lengths, train_mode, dropout_seed)
     return logits
 
 

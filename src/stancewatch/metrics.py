@@ -176,11 +176,11 @@ def forward_workers() -> int:
 
 
 def _predict_rows(probs: np.ndarray, rows: np.ndarray, params: ModelParams,
-                  ids: np.ndarray, mask: np.ndarray) -> None:
+                  ids: np.ndarray, lengths: np.ndarray) -> None:
     # An overflow ends as a NaN or an infinity in ``probs``, which
     # predict_batches reports; a warning from a worker thread would say less.
     with np.errstate(all="ignore"):
-        logits, _ = forward_with_cache(params, ids, mask)
+        logits, _ = forward_with_cache(params, ids, lengths)
         probs[rows] = predict_proba(logits)
 
 
@@ -246,16 +246,16 @@ def predict_batches(
                 buckets.setdefault(bucket_len(enc.n_real, cfg.max_len), []).append(i)
             for rows in buckets.values():
                 batch = [encs[i] for i in rows]
-                ids, mask = collate(batch, cfg)
+                ids, lengths = collate(batch, cfg)
                 at = start + np.array(rows)
                 if workers == 1 or sum(e.n_real for e in batch) * macs_per_token < POOL_MIN_FFN_MACS:
-                    _predict_rows(probs, at, params, ids, mask)
+                    _predict_rows(probs, at, params, ids, lengths)
                     continue
                 if len(pending) == 2 * workers:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
                         future.result()
-                pending.add(pool.submit(_predict_rows, probs, at, params, ids, mask))
+                pending.add(pool.submit(_predict_rows, probs, at, params, ids, lengths))
                 threads = workers
         for future in pending:
             future.result()

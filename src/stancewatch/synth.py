@@ -109,13 +109,17 @@ def generate_corpus(
     if days < 1 or per_day < 1:
         raise DataValidationError(f"days and per_day must be >= 1, got {days}/{per_day}")
     shares = tuple(float(s) for s in base_shares)
-    if len(shares) != 4 or any(s < 0 for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
+    # "not <=" rather than ">": a NaN or an infinite share makes the sum NaN or infinite, and fails
+    if len(shares) != 4 or any(s < 0 for s in shares) or not abs(sum(shares) - 1.0) <= 1e-9:
         raise DataValidationError(f"base_shares must be 4 non-negative values summing to 1, got {shares}")
     if not 0.0 < spike_anti_share < 1.0:
         raise DataValidationError(f"spike_anti_share must be in (0, 1), got {spike_anti_share}")
     for d in spike_days:
         if not 0 <= d < days:
             raise DataValidationError(f"spike day {d} outside 0..{days - 1}")
+    if spike_days and shares[Category.ANTI_VACCINE] >= 1.0:
+        raise DataValidationError(f"base anti-vaccine share {shares[Category.ANTI_VACCINE]} leaves no "
+                                  "other category to shrink on a spike day")
     _check_span(start_date, days, utc_offset_minutes)
 
     rng = random.Random(seed)

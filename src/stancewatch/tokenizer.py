@@ -17,8 +17,8 @@ is preserved; text is NFC-normalized before pre-tokenization. Pre-tokens
 come from one regex: runs of alphanumeric characters (``str.isalnum``) are
 words, whitespace separates them, and any other character is a word of its
 own. ``encode`` returns only the real ids, ``[CLS]`` through ``[SEP]``: it
-adds no ``[PAD]`` and no attention mask, which ``encoder.collate`` builds
-for a whole batch from the lengths.
+adds no ``[PAD]``: ``encoder.collate`` pads a whole batch and returns its
+rows' lengths, from which the encoder builds its attention mask.
 
 ``encode`` and ``tokenize`` work by whitespace chunk: the NFC text is cut
 with ``str.split()``, and each chunk, the text between two runs of

@@ -144,9 +144,9 @@ def _step(
     one of the head's tail stops the backward at the head
     (``backward_from_logits``), so the forward keeps no layer's activations."""
     need_cache = grads is None or grads.spec == params.tensors.spec
-    ids, mask = collate(batch, params.config)
+    ids, lengths = collate(batch, params.config)
     logits, cache = forward_with_cache(
-        params, ids, mask, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=need_cache
+        params, ids, lengths, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=need_cache
     )
     loss, dlogits = _loss_and_dlogits(logits, labels, weights)
     grads = backward_from_logits(params, cache, dlogits, out=grads)

@@ -75,6 +75,12 @@ def random_encodings(rng: np.random.Generator, n: int, config: EncoderConfig) ->
     return out
 
 
+def leading_ones(lengths, width: int) -> np.ndarray:
+    """The float 0/1 attention mask of rows ``width`` wide holding ``lengths``
+    real positions each, the form the oracles take."""
+    return (np.arange(width) < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
 def padded(enc: Encoding, max_len: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``enc`` as ``max_len`` ids with a [PAD] tail, and its 0/1 attention mask."""
     pad = max_len - enc.n_real

@@ -103,11 +103,11 @@ def test_forward_oracle():
                 want = forward_scalar(tensors, scalar_config(config), list(ids), list(mask))
                 np.testing.assert_allclose(logits[row], want, rtol=0, atol=1e-10)
 
-                # padding invariance: garbage token ids under mask 0 must not
+                # padding invariance: garbage token ids past the real length must not
                 # move the logits
                 tail = rng.integers(4, config.vocab_size, config.max_len - enc.n_real)
                 twin_ids = np.array([enc.ids + tuple(int(x) for x in tail)])
-                twin, _ = forward_with_cache(params, twin_ids, np.array([mask], dtype=np.float64))
+                twin, _ = forward_with_cache(params, twin_ids, np.array([enc.n_real]))
                 np.testing.assert_allclose(twin[0], logits[row], rtol=0, atol=1e-6)
                 cases += 1
         assert cases >= 100

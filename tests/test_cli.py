@@ -789,6 +789,18 @@ class TestGenSynthetic:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("shares, message", [
+        ("0.3,0.3,0.4,nan", "base_shares must be 4 non-negative values summing to 1"),
+        ("0,0,1,0", "base anti-vaccine share 1.0 leaves no other category"),
+    ], ids=["nan", "anti-share-1"])
+    def test_share_vector_the_draw_cannot_take_is_3(self, runner, tmp_path, shares, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["gen-synthetic", "--days", "3", "--per-day", "5", "--spike-days",
+                                      "1", "--base-shares", shares, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"error: {message}") and result.output.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("offset", ["100000000000000", "6000000"])
     def test_utc_offset_beyond_a_day_is_3(self, runner, tmp_path, offset):
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import encoder_reference
-from conftest import padded, random_encodings
+from conftest import leading_ones, padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
@@ -31,7 +31,7 @@ from stancewatch.encoder import (
     tensor_shapes,
 )
 from stancewatch.errors import DataValidationError, InputPathError, NumericalError
-from stancewatch.tokenizer import Encoding
+from stancewatch.tokenizer import PAD_ID, Encoding
 
 
 def tensors_as_lists(params):
@@ -124,8 +124,8 @@ class TestInit:
         assert start == flat.size
         # gradients use the same layout
         rng = np.random.default_rng(0)
-        ids, mask = collate(random_encodings(rng, 2, tiny_config), tiny_config)
-        _, cache = forward_with_cache(tiny_params, ids, mask, need_cache=True)
+        ids, lengths = collate(random_encodings(rng, 2, tiny_config), tiny_config)
+        _, cache = forward_with_cache(tiny_params, ids, lengths, need_cache=True)
         grads = backward_from_logits(tiny_params, cache, np.ones((2, 4)))
         assert grads.spec == tiny_params.tensors.spec
         assert all(np.shares_memory(g, grads.flat) for g in grads.values())
@@ -137,8 +137,8 @@ class TestInit:
         batches = [collate(random_encodings(rng, n, tiny_config), tiny_config) for n in (5, 2)]
         dlogits = rng.normal(size=(5, 4))
         reused = tiny_params.tensors.zeros_like()
-        for ids, mask in batches:
-            _, cache = forward_with_cache(tiny_params, ids, mask, True, 1, need_cache=True)
+        for ids, lengths in batches:
+            _, cache = forward_with_cache(tiny_params, ids, lengths, True, 1, need_cache=True)
             fresh = backward_from_logits(tiny_params, cache, dlogits[: len(ids)])
             assert backward_from_logits(tiny_params, cache, dlogits[: len(ids)], out=reused) is reused
             assert reused.flat.tobytes() == fresh.flat.tobytes()
@@ -149,8 +149,8 @@ class TestInit:
         in ``flat``; the head's tail has no layer."""
         config = replace(tiny_config, n_layers=2)
         params = init_params(config, seed=7)
-        ids, mask = collate(random_encodings(np.random.default_rng(0), 2, config), config)
-        _, cache = forward_with_cache(params, ids, mask, need_cache=True)
+        ids, lengths = collate(random_encodings(np.random.default_rng(0), 2, config), config)
+        _, cache = forward_with_cache(params, ids, lengths, need_cache=True)
         grads = backward_from_logits(params, cache, np.ones((2, 4)))
         for buffer in (params.tensors, grads, params.tensors.zeros_like()):
             assert len(buffer.layers) == config.n_layers
@@ -195,19 +195,34 @@ class TestCollate:
         for size in (1, 2, 5):
             for start in range(0, len(encs), size):
                 batch = encs[start : start + size]
-                ids, mask = collate(batch, cfg)
+                ids, lengths = collate(batch, cfg)
                 width = bucket_len(max(e.n_real for e in batch), cfg.max_len)
-                assert ids.shape == mask.shape == (len(batch), width)
+                assert ids.shape == (len(batch), width)
+                np.testing.assert_array_equal(lengths, [e.n_real for e in batch])
                 full = [padded(e, cfg.max_len) for e in batch]
                 np.testing.assert_array_equal(ids, [e_ids[:width] for e_ids, _ in full])
-                np.testing.assert_array_equal(mask, [e_mask[:width] for _, e_mask in full])
+                np.testing.assert_array_equal(leading_ones(lengths, width),
+                                              [e_mask[:width] for _, e_mask in full])
 
     def test_shapes_and_dtypes(self, tiny_config):
         rng = np.random.default_rng(0)
         batch = random_encodings(rng, 3, tiny_config)
-        ids, mask = collate(batch, tiny_config)
-        assert ids.shape == (3, 8) and mask.shape == (3, 8)
-        assert ids.dtype == np.int64 and mask.dtype == np.float64
+        ids, lengths = collate(batch, tiny_config)
+        assert ids.shape == (3, 8) and lengths.shape == (3,)
+        assert ids.dtype == lengths.dtype == np.int64
+
+    def test_lengths_are_the_real_token_counts(self):
+        """Each row's length is its encoding's ``n_real``, as int64, and the
+        lengths sum to the batch's real tokens: the count a tracer reads as
+        the real-token share of a forward."""
+        cfg = EncoderConfig(vocab_size=16, d_model=8, n_layers=1, n_heads=2, max_len=40)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            batch = random_encodings(rng, int(rng.integers(1, 12)), cfg)
+            ids, lengths = collate(batch, cfg)
+            assert lengths.dtype == np.int64
+            assert lengths.tolist() == [enc.n_real for enc in batch]
+            assert lengths.sum() == sum(len(enc.ids) for enc in batch) == (ids != PAD_ID).sum()
 
     def test_wrong_length_rejected(self, tiny_config):
         longest = Encoding((2,) + (4,) * (tiny_config.max_len - 2) + (3,))
@@ -274,9 +289,9 @@ class TestForward:
 
     def test_padding_does_not_leak(self, tiny_config, tiny_params):
         base = (2, 5, 9, 3)
-        mask = np.array([[1, 1, 1, 1, 0, 0, 0, 0]], dtype=np.float64)
-        la, _ = forward_with_cache(tiny_params, np.array([base + (0, 0, 0, 0)]), mask)
-        lb, _ = forward_with_cache(tiny_params, np.array([base + (7, 11, 4, 6)]), mask)
+        lengths = np.array([4])
+        la, _ = forward_with_cache(tiny_params, np.array([base + (0, 0, 0, 0)]), lengths)
+        lb, _ = forward_with_cache(tiny_params, np.array([base + (7, 11, 4, 6)]), lengths)
         np.testing.assert_allclose(la, lb, rtol=0, atol=1e-6)
         np.testing.assert_array_equal(forward(tiny_params, [Encoding(base)]), la)
 
@@ -292,13 +307,12 @@ class TestForward:
         params = init_params(cfg, seed=7)
         batch = random_encodings(np.random.default_rng(6), 40, cfg)
         batch = [enc for enc in batch if enc.n_real <= 12][:5]
-        ids, mask = collate(batch, cfg)
+        ids, lengths = collate(batch, cfg)
         assert ids.shape[1] == 16
         full_ids = np.array([padded(enc, cfg.max_len)[0] for enc in batch])
-        full_mask = np.array([padded(enc, cfg.max_len)[1] for enc in batch], dtype=np.float64)
         for seed in (1, 2, 3):
-            trimmed, _ = forward_with_cache(params, ids, mask, train_mode=True, dropout_seed=seed)
-            full, _ = forward_with_cache(params, full_ids, full_mask, train_mode=True, dropout_seed=seed)
+            trimmed, _ = forward_with_cache(params, ids, lengths, train_mode=True, dropout_seed=seed)
+            full, _ = forward_with_cache(params, full_ids, lengths, train_mode=True, dropout_seed=seed)
             np.testing.assert_allclose(trimmed, full, rtol=0, atol=1e-12)
 
     def test_train_mode_needs_seed(self, tiny_config, tiny_params):
@@ -334,17 +348,17 @@ class TestForward:
 
 
 def noisy_model_and_batch(width, n_layers, batch):
-    """Parameters with noise on every tensor, and (ids, mask) of ``batch``
+    """Parameters with noise on every tensor, and (ids, lengths) of ``batch``
     rows ``width`` wide whose real lengths reach into the last 8 positions."""
     cfg = EncoderConfig(vocab_size=40, d_model=32, n_layers=n_layers, n_heads=4, max_len=64)
     params = init_params(cfg, seed=11)
     rng = np.random.default_rng(width + 10 * n_layers + 100 * batch)
     params.tensors.flat[:] += rng.normal(scale=0.05, size=params.tensors.flat.size)
     ids = rng.integers(1, cfg.vocab_size, size=(batch, width))
-    mask = np.ones((batch, width))
-    for row, n_real in enumerate(rng.integers(max(1, width - 7), width + 1, size=batch)):
-        ids[row, n_real:], mask[row, n_real:] = 0, 0.0
-    return params, ids, mask
+    lengths = rng.integers(max(1, width - 7), width + 1, size=batch)
+    for row, n_real in enumerate(lengths):
+        ids[row, n_real:] = 0
+    return params, ids, lengths
 
 
 class TestClsOnlyLastLayer:
@@ -356,9 +370,9 @@ class TestClsOnlyLastLayer:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("width", [8, 24, 64])
     def test_matches_cached_pass(self, width, n_layers, batch):
-        params, ids, mask = noisy_model_and_batch(width, n_layers, batch)
-        cached, _ = forward_with_cache(params, ids, mask, need_cache=True)
-        cls_only, cache = forward_with_cache(params, ids, mask)
+        params, ids, lengths = noisy_model_and_batch(width, n_layers, batch)
+        cached, _ = forward_with_cache(params, ids, lengths, need_cache=True)
+        cls_only, cache = forward_with_cache(params, ids, lengths)
         assert cache[:2] == (None, None)
         assert cls_only.tobytes() == cached.tobytes()
 
@@ -368,22 +382,22 @@ class TestClsOnlyLastLayer:
         # The last layer's masks are drawn one position wide; each row then
         # skips to max_len, so [CLS] gets the values the full-width masks hold
         # and the logits match a full-width last layer's to rounding.
-        params, ids, mask = noisy_model_and_batch(width, n_layers, 5)
+        params, ids, lengths = noisy_model_and_batch(width, n_layers, 5)
         for seed in (1, 2):
-            cached, _ = forward_with_cache(params, ids, mask, True, seed, need_cache=True)
-            cls_only, _ = forward_with_cache(params, ids, mask, True, seed)
+            cached, _ = forward_with_cache(params, ids, lengths, True, seed, need_cache=True)
+            cls_only, _ = forward_with_cache(params, ids, lengths, True, seed)
             assert cls_only.tobytes() == cached.tobytes()
-            full_width, _ = encoder_reference.forward_with_cache(params, ids, mask, True, seed,
-                                                                 cls_only=False)
+            full_width, _ = encoder_reference.forward_with_cache(
+                params, ids, leading_ones(lengths, width), True, seed, cls_only=False)
             np.testing.assert_allclose(cls_only, full_width, rtol=0, atol=1e-14)
-        other, _ = forward_with_cache(params, ids, mask, True, 3)
+        other, _ = forward_with_cache(params, ids, lengths, True, 3)
         assert not np.allclose(other, cached, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("n_layers", [2, 3])
     def test_exact_batch_size_invariance(self, n_layers):
-        params, ids, mask = noisy_model_and_batch(64, n_layers, 6)
-        together, _ = forward_with_cache(params, ids, mask)
-        alone = np.vstack([forward_with_cache(params, ids[r : r + 1], mask[r : r + 1])[0]
+        params, ids, lengths = noisy_model_and_batch(64, n_layers, 6)
+        together, _ = forward_with_cache(params, ids, lengths)
+        alone = np.vstack([forward_with_cache(params, ids[r : r + 1], lengths[r : r + 1])[0]
                            for r in range(len(ids))])
         np.testing.assert_array_equal(together, alone)
 
@@ -410,8 +424,8 @@ def bucketed_logits(params, batch, need_cache):
     for i, enc in enumerate(batch):
         groups.setdefault(bucket_len(enc.n_real, params.config.max_len), []).append(i)
     for rows in groups.values():
-        ids, mask = collate([batch[i] for i in rows], params.config)
-        out[rows] = forward_with_cache(params, ids, mask, need_cache=need_cache)[0]
+        ids, lengths = collate([batch[i] for i in rows], params.config)
+        out[rows] = forward_with_cache(params, ids, lengths, need_cache=need_cache)[0]
     return out
 
 
@@ -444,14 +458,15 @@ class TestPackedRows:
         cfg = params.config
         width = bucket_len(max(lengths), cfg.max_len)
         rng = np.random.default_rng(sum(lengths))
-        mask = (np.arange(width) < np.array(lengths)[:, None]).astype(np.float64)
-        ids = np.where(mask > 0, rng.integers(1, cfg.vocab_size, size=mask.shape), 0)
-        garbage = np.where(mask > 0, ids, rng.choice([-1, 3, cfg.vocab_size, 10**9], size=mask.shape))
+        real = np.arange(width) < np.array(lengths)[:, None]
+        ids = np.where(real, rng.integers(1, cfg.vocab_size, size=real.shape), 0)
+        garbage = np.where(real, ids, rng.choice([-1, 3, cfg.vocab_size, 10**9], size=real.shape))
         seed = 4 if train_mode else None
         dlogits = rng.normal(size=(len(lengths), 4))
         results = []
         for batch_ids in (ids, garbage):
-            logits, cache = forward_with_cache(params, batch_ids, mask, train_mode, seed, need_cache=True)
+            logits, cache = forward_with_cache(params, batch_ids, np.array(lengths), train_mode, seed,
+                                               need_cache=True)
             results.append((logits, backward_from_logits(params, cache, dlogits)))
         (logits, grads), (garbage_logits, garbage_grads) = results
         assert garbage_logits.tobytes() == logits.tobytes()
@@ -476,17 +491,17 @@ class TestPackedRows:
         assert got.shape == (len(lengths), width, 24)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 0, 0, 0], [0, 1, 1, 1], [1, 0.5, 0, 0],
-                                     [1, np.nan, 0, 0]])
-    def test_mask_rows_must_be_leading_ones(self, tiny_params, row):
-        mask = np.array([[1, 1, 0, 0], row], dtype=np.float64)
-        ids = np.full(mask.shape, 5)
-        with pytest.raises(DataValidationError, match="mask row 1 is not 1 to 4 leading ones"):
-            forward_with_cache(tiny_params, ids, mask)
-
-    def test_mask_shape_must_match_ids(self, tiny_params):
-        with pytest.raises(DataValidationError, match="does not match ids"):
-            forward_with_cache(tiny_params, np.full((2, 4), 5), np.ones((2, 3)))
+    @pytest.mark.parametrize("ids_shape, lengths", [
+        ((2, 4), np.array([[2, 3]])),
+        ((2, 4), np.array([2])),
+        ((2, 4), np.array([2, 0])),
+        ((2, 4), np.array([2, 5])),
+        ((2, 4), np.array([2.0, 3.0])),
+        ((0, 4), np.array([], dtype=np.int64)),
+    ], ids=["wrong-shape", "too-few", "zero", "past-T", "float", "empty-batch"])
+    def test_lengths_must_be_one_to_T_per_row(self, tiny_params, ids_shape, lengths):
+        with pytest.raises(DataValidationError, match="lengths must hold one integer from 1 to 4"):
+            forward_with_cache(tiny_params, np.full(ids_shape, 5), lengths)
 
 
 class TestHeadOnlyCache:
@@ -494,10 +509,10 @@ class TestHeadOnlyCache:
     for a backward into a head-sized buffer, and refused by a full one."""
 
     def test_head_only_backward_needs_no_layer_cache(self, tiny_config, tiny_params):
-        ids, mask = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
+        ids, lengths = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
         dlogits = np.random.default_rng(1).normal(size=(3, 4))
-        _, full_cache = forward_with_cache(tiny_params, ids, mask, True, 2, need_cache=True)
-        _, head_cache = forward_with_cache(tiny_params, ids, mask, True, 2)
+        _, full_cache = forward_with_cache(tiny_params, ids, lengths, True, 2, need_cache=True)
+        _, head_cache = forward_with_cache(tiny_params, ids, lengths, True, 2)
         assert head_cache[:2] == (None, None)
         assert [a.shape for a in head_cache[2]] == [(3, 1, 8), (3, 8)]
         head = tiny_params.tensors.tail(HEAD_START)
@@ -516,8 +531,8 @@ class TestHeadOnlyCache:
         lambda params: tensor_shapes(replace(params.config, vocab_size=params.config.vocab_size + 1)),
     ], ids=["classifier", "from-a-layer", "from-pos-emb", "truncated", "other-model"])
     def test_other_buffer_layouts_are_refused(self, tiny_config, tiny_params, layout):
-        ids, mask = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
-        _, cache = forward_with_cache(tiny_params, ids, mask, need_cache=True)
+        ids, lengths = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
+        _, cache = forward_with_cache(tiny_params, ids, lengths, need_cache=True)
         out = TensorBuffer(layout(tiny_params))
         with pytest.raises(DataValidationError, match="whole layout or the head's tail"):
             backward_from_logits(tiny_params, cache, np.ones((3, 4)), out=out)
@@ -539,9 +554,9 @@ class TestFloat32Forward:
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_creates_no_float64_array(self, n_layers):
-        params, ids, mask = noisy_model_and_batch(24, n_layers, 5)
+        params, ids, lengths = noisy_model_and_batch(24, n_layers, 5)
         f32 = replace(params, tensors=params.tensors.astype(np.float32))
-        logits, cache = forward_with_cache(f32, ids, mask, need_cache=True)
+        logits, cache = forward_with_cache(f32, ids, lengths, need_cache=True)
         assert logits.dtype == np.float32
         arrays = list(float_arrays(cache))
         assert len(arrays) > 10 * n_layers

@@ -2,8 +2,9 @@
 they replaced (tests/encoder_reference.py): each op returns the same bytes,
 and training and inference give the same bytes with the reference ops
 swapped in. The forward and backward passes agree with the one-loop
-passes they replaced to rounding, and ``collate`` gives the same arrays as
-the one that trimmed encodings padded to ``max_len``."""
+passes they replaced to rounding, and ``collate`` gives the ids, and the
+lengths of the masks, of the one that trimmed encodings padded to
+``max_len``."""
 
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import encoder_reference as reference
-from conftest import padded, random_encodings
+from conftest import leading_ones, padded, random_encodings
 import stancewatch.encoder as sw_encoder
 import stancewatch.trainer as sw_trainer
 from stancewatch.corpus import labeled_subset, split_dataset
@@ -186,7 +187,7 @@ def test_training_and_inference_match_reference_ops(monkeypatch, head_only):
 
 
 def noisy_pass_inputs(width, train_mode, n_layers, batch):
-    """Parameters with noise on every tensor, (ids, mask) of ``batch`` rows
+    """Parameters with noise on every tensor, (ids, lengths) of ``batch`` rows
     ``width`` wide whose real lengths reach into the last 8 positions, the
     dropout seed and the generator for d(loss)/d(logits)."""
     cfg = EncoderConfig(vocab_size=40, d_model=32, n_layers=n_layers, n_heads=4, max_len=32,
@@ -195,10 +196,10 @@ def noisy_pass_inputs(width, train_mode, n_layers, batch):
     rng = np.random.default_rng(width + 100 * batch)
     params.tensors.flat[:] += rng.normal(scale=0.05, size=params.tensors.flat.size)
     ids = rng.integers(1, cfg.vocab_size, size=(batch, width))
-    mask = np.ones((batch, width))
-    for row, n_real in enumerate(rng.integers(max(1, width - 7), width + 1, size=batch)):
-        ids[row, n_real:], mask[row, n_real:] = 0, 0.0
-    return params, ids, mask, 5 if train_mode else None, rng
+    lengths = rng.integers(max(1, width - 7), width + 1, size=batch)
+    for row, n_real in enumerate(lengths):
+        ids[row, n_real:] = 0
+    return params, ids, lengths, 5 if train_mode else None, rng
 
 
 pass_cases = pytest.mark.parametrize(
@@ -217,12 +218,13 @@ def test_passes_match_single_loop_reference(width, train_mode, n_layers, batch):
     gradient value, and ``layer*.bk``, whose gradient is zero in real
     arithmetic, within 1e-15 absolute. The cache-free logits equal the
     cached ones byte for byte."""
-    params, ids, mask, seed, rng = noisy_pass_inputs(width, train_mode, n_layers, batch)
-    logits, cache = sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed, need_cache=True)
+    params, ids, lengths, seed, rng = noisy_pass_inputs(width, train_mode, n_layers, batch)
+    mask = leading_ones(lengths, width)
+    logits, cache = sw_encoder.forward_with_cache(params, ids, lengths, train_mode, seed, need_cache=True)
     ref_logits, ref_cache = reference.forward_with_cache(params, ids, mask, train_mode, seed, True)
     np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-14)
     np.testing.assert_array_equal(logits.argmax(axis=1), ref_logits.argmax(axis=1))
-    assert_same_bytes(sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed)[0], logits)
+    assert_same_bytes(sw_encoder.forward_with_cache(params, ids, lengths, train_mode, seed)[0], logits)
     dlogits = rng.normal(size=logits.shape)
     grads = sw_encoder.backward_from_logits(params, cache, dlogits)
     ref_grads = reference.backward_from_logits(params, ref_cache, dlogits)
@@ -239,8 +241,9 @@ def test_passes_match_full_width_reference_to_rounding(width, train_mode, n_laye
     1e-14 with the same argmax, every gradient within 1e-14 of the largest
     gradient value, and ``layer*.bk``, whose gradient is zero in real
     arithmetic, within 1e-15 absolute."""
-    params, ids, mask, seed, rng = noisy_pass_inputs(width, train_mode, n_layers, batch)
-    logits, cache = sw_encoder.forward_with_cache(params, ids, mask, train_mode, seed, need_cache=True)
+    params, ids, lengths, seed, rng = noisy_pass_inputs(width, train_mode, n_layers, batch)
+    mask = leading_ones(lengths, width)
+    logits, cache = sw_encoder.forward_with_cache(params, ids, lengths, train_mode, seed, need_cache=True)
     full_logits, full_cache = reference.forward_with_cache(params, ids, mask, train_mode, seed, True,
                                                            cls_only=False)
     np.testing.assert_allclose(logits, full_logits, rtol=0, atol=1e-14)
@@ -268,7 +271,8 @@ def test_collate_matches_padded_reference(max_len, items):
         else random_encodings(np.random.default_rng(item), 1, cfg)[0]
         for item in items
     ]
-    ids, mask = collate(batch, cfg)
+    ids, lengths = collate(batch, cfg)
     ref_ids, ref_mask = reference.collate([padded(enc, max_len) for enc in batch], cfg)
     assert_same_bytes(ids, ref_ids)
-    assert_same_bytes(mask, ref_mask)
+    assert_same_bytes(lengths, ref_mask.sum(axis=1).astype(np.int64))
+    assert_same_bytes(ref_mask, leading_ones(lengths, ids.shape[1]))

@@ -130,8 +130,8 @@ def test_training_forward_keeps_three_ffn_arrays():
     split = toy_split()
     vocab = toy_vocab(split)
     cfg = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, max_len=12)
-    ids, mask = collate([encode(vocab, t.text, cfg.max_len) for t in split.train.examples], cfg)
-    _, (_, layers, _) = forward_with_cache(init_params(cfg, 0), ids, mask, True, 1, need_cache=True)
+    ids, lengths = collate([encode(vocab, t.text, cfg.max_len) for t in split.train.examples], cfg)
+    _, (_, layers, _) = forward_with_cache(init_params(cfg, 0), ids, lengths, True, 1, need_cache=True)
     for _, _, ffn, _ in layers:
         assert len(ffn) == 3
         h, u, cdf = ffn

@@ -1,6 +1,9 @@
 import datetime as dt
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancewatch.corpus import Category
 from stancewatch.errors import DataValidationError
@@ -130,11 +133,17 @@ class TestCorpus:
             dict(spike_anti_share=0.0),
             dict(spike_days=(30,)),
             dict(spike_days=(-1,)),
+            dict(base_shares=(0.3, 0.3, 0.4, math.nan)),
+            dict(base_shares=(0.0, 0.0, 1.0, 0.0)),  # a spike day has no other share to shrink
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(DataValidationError):
             generate_corpus(days=kwargs.pop("days", 30), **kwargs)
+
+    def test_anti_share_1_without_spikes_allowed(self):
+        tweets = generate_corpus(days=3, per_day=5, spike_days=(), base_shares=(0, 0, 1, 0))
+        assert {keyword_category(t.text) for t in tweets} == {Category.ANTI_VACCINE}
 
     @pytest.mark.parametrize("start, offset", [(dt.date(9999, 12, 20), 180), (dt.date(1, 1, 1), 180),
                                                (dt.date(9999, 12, 31), -1)])
@@ -150,3 +159,38 @@ class TestCorpus:
         first = generate_labeled(per_class=1, start_date=dt.date(1, 1, 1), utc_offset_minutes=-60)
         assert last[-1].created_at.date() == dt.date(9999, 12, 31)
         assert first[0].created_at == dt.datetime(1, 1, 1, 1, tzinfo=dt.timezone.utc)
+
+
+numbers = st.one_of(st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]), st.floats())
+
+
+def shares_with(weights: list[int], change: tuple[int, float] | None) -> list[float]:
+    """``weights`` normalised to sum to 1, with one share set to an arbitrary number if ``change``."""
+    shares = [w / sum(weights) for w in weights]
+    if change is not None:
+        shares[change[0]] = change[1]
+    return shares
+
+
+# Each argument is either one the generator should take or arbitrary, so examples
+# reach the draw as well as the checks: 0/1 weights give zeros and a lone 1, and one
+# share set to a NaN keeps the rest summing to 1. 1000 examples, not the suite's 50:
+# fewer do not reliably draw a NaN share, or an anti-vaccine share of 1 with a spike day.
+@settings(max_examples=1000)
+@given(
+    days=st.integers(1, 4),
+    per_day=st.integers(1, 4),
+    base_shares=st.builds(shares_with, st.lists(st.integers(0, 1), min_size=4, max_size=4).filter(any),
+                          st.none() | st.tuples(st.integers(0, 3), numbers)),
+    data=st.data(),
+)
+def test_any_numbers_give_tweets_or_a_validation_error(days, per_day, base_shares, data):
+    spike_days = data.draw(st.lists(st.integers(0, days - 1), min_size=1, max_size=2)
+                           | st.lists(st.integers(), max_size=2))
+    spike_anti_share = data.draw(st.floats(0, 1, exclude_min=True, exclude_max=True) | numbers)
+    try:
+        tweets = generate_corpus(days=days, per_day=per_day, base_shares=base_shares,
+                                 spike_days=spike_days, spike_anti_share=spike_anti_share)
+    except DataValidationError:
+        return
+    assert len(tweets) == days * per_day

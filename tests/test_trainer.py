@@ -293,8 +293,8 @@ class TestTrain:
         cfg = replace(self.model_cfg, n_layers=2)
         params = init_params(cfg, seed=3)
         encs = [encode(self.vocab, t.text, cfg.max_len) for t in self.split.train.examples[:6]]
-        ids, mask = collate(encs, cfg)
-        _, cache = forward_with_cache(params, ids, mask, True, 4, need_cache=True)
+        ids, lengths = collate(encs, cfg)
+        _, cache = forward_with_cache(params, ids, lengths, True, 4, need_cache=True)
         dlogits = np.random.default_rng(0).normal(size=(len(encs), 4))
         full = backward_from_logits(params, cache, dlogits)
         head = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
