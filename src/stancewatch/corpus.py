@@ -201,10 +201,11 @@ def ingest_jsonl(path: str | Path) -> IngestResult:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    rejects.append(
-                        RejectedRecord(line_no, f"invalid JSON: {exc.msg}", raw=line.rstrip("\n"))
-                    )
+                except (ValueError, RecursionError) as exc:
+                    # Past JSONDecodeError, json raises a plain ValueError for an
+                    # integer of too many digits and RecursionError for deep nesting.
+                    reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    rejects.append(RejectedRecord(line_no, f"invalid JSON: {reason}", raw=line.rstrip("\n")))
                     continue
                 if not isinstance(obj, dict):
                     rejects.append(

@@ -169,6 +169,12 @@ def check_batch_size(batch_size: int, key: str = "batch_size") -> None:
 # float32 forwards; the table is in CHANGES.md.
 POOL_MIN_FFN_MACS = 1 << 23
 
+# predict_batches encodes and buckets this many batches' texts at a time, so
+# each bucket fills whole forwards of ``batch_size`` texts and leaves one
+# remainder a window rather than one a batch: fewer forwards, each with the
+# same Python cost whatever its size. Measured against 4 in CHANGES.md.
+PREDICT_WINDOW_BATCHES = 16
+
 
 def forward_workers() -> int:
     """Threads for inference forwards: the CPUs this process may run on."""
@@ -201,15 +207,19 @@ def predict_batches(
     overflow inside the encoder gives, raises NumericalError naming the
     first such input, after every forward has run.
 
-    Each chunk of ``batch_size`` texts runs as one forward per length
-    bucket, so every text is computed at its own bucket's width and its row
-    depends only on the text, not on the batch size or its neighbours.
+    The texts are encoded and bucketed by length a window of
+    ``PREDICT_WINDOW_BATCHES * batch_size`` at a time, and each bucket is
+    cut into forwards of at most ``batch_size`` texts, in input order; so a
+    forward never holds more than ``batch_size`` texts, and only one window's
+    encodings are held at once. Every text is computed at its own bucket's
+    width and its row depends only on the text, not on the batch size, the
+    window or its neighbours.
 
     This thread encodes, buckets and collates; the forwards run on a pool
     of ``forward_workers()`` threads, one per CPU the process may use,
     opened for the call, with at most two per worker submitted and
-    unfinished. BLAS and ``erf`` release the interpreter lock, so large
-    forwards overlap; a forward below ``POOL_MIN_FFN_MACS`` is mostly
+    unfinished. BLAS and numpy's array loops release the interpreter lock,
+    so large forwards overlap; a forward below ``POOL_MIN_FFN_MACS`` is mostly
     Python and runs here instead, and so does every forward when the
     process may use one CPU only. The workers allocate from glibc's one
     main arena (``encoder._keep_batch_arrays_in_heap``), so the pool does
@@ -237,14 +247,17 @@ def predict_batches(
     macs_per_token = cfg.n_layers * cfg.d_model * cfg.d_ff
     workers = forward_workers()
     threads = 1
+    window = PREDICT_WINDOW_BATCHES * batch_size
     with ThreadPoolExecutor(workers) as pool:
         pending: set = set()
-        for start in range(0, len(texts), batch_size):
-            encs = [encode(vocab, text, cfg.max_len) for text in texts[start : start + batch_size]]
+        for start in range(0, len(texts), window):
+            encs = [encode(vocab, text, cfg.max_len) for text in texts[start : start + window]]
             buckets: dict[int, list[int]] = {}
             for i, enc in enumerate(encs):
                 buckets.setdefault(bucket_len(enc.n_real, cfg.max_len), []).append(i)
-            for rows in buckets.values():
+            cuts = (bucket[cut : cut + batch_size] for bucket in buckets.values()
+                    for cut in range(0, len(bucket), batch_size))
+            for rows in cuts:
                 batch = [encs[i] for i in rows]
                 ids, lengths = collate(batch, cfg)
                 at = start + np.array(rows)

@@ -375,7 +375,8 @@ def read_classified(path: str | Path) -> Classified:
                     tid, us, pred, row = _parse_classified_line(line)
                     if tid in ids:
                         raise ValueError(f"duplicate id {tid!r}, first at line {lines[list(ids).index(tid)]}")
-                except (ValueError, OverflowError) as exc:
+                except (ValueError, OverflowError, RecursionError) as exc:
+                    # RecursionError: json.loads on a deeply nested line
                     raise DataValidationError(f"{path}:{line_no}: bad classified record: {exc}")
                 ids[tid] = None
                 lines.append(line_no)

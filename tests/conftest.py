@@ -51,6 +51,15 @@ def dead_pid() -> int:
     return proc.pid
 
 
+# JSON that json.loads refuses without a JSONDecodeError: deep nesting
+# raises RecursionError, and an integer past the interpreter's digit limit
+# (4300 by default) a plain ValueError.
+HOSTILE_JSON = {
+    "deep": "[" * 100_000 + "]" * 100_000,
+    "long_int": '{"id": "2", "n": ' + "9" * 5000 + "}",
+}
+
+
 TINY = dict(vocab_size=16, d_model=8, n_layers=1, n_heads=2, max_len=8)
 
 

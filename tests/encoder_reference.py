@@ -2,7 +2,8 @@
 the encoder's forward and backward pass as one loop each.
 
 The ops take numpy and scipy's erf only, no imports from the package.
-These are GELU with a second erf in its gradient, layernorm through
+These are GELU with a second erf in its gradient (in float32, the
+package's Abramowitz & Stegun steps written out one allocation each), layernorm through
 ``x.var``, a softmax that allocates each step, dropout masks drawn at
 ``max_len`` and sliced, and the whole-buffer Adam update, as the package
 computed them before it cached the Gaussian CDF, drew masks at the bucket
@@ -45,11 +46,33 @@ import stancewatch.encoder as package
 from stancewatch.encoder import ModelParams, TensorBuffer
 
 
+# Abramowitz & Stegun 7.1.26, as the float32 GELU takes it: p over sqrt 2,
+# and the coefficients a5 to a1 halved.
+AS_P = 0.3275911 / math.sqrt(2.0)
+AS_HALF_COEFFS = (0.5 * 1.061405429, 0.5 * -1.453152027, 0.5 * 1.421413741,
+                  0.5 * -0.284496736, 0.5 * 0.254829592)
+
+
+def _cdf_float32(x):
+    """Phi(x) by the package's float32 steps, one allocating step each."""
+    t = 1.0 / (np.abs(x) * AS_P + 1.0)
+    poly = t * AS_HALF_COEFFS[0]
+    for c in AS_HALF_COEFFS[1:]:
+        poly = (poly + c) * t
+    q = poly * np.exp(np.square(np.clip(x, -20.0, 20.0)) * -0.5)
+    return np.copysign(0.5 - q, x) + 0.5
+
+
 def gelu(x):
+    if x.dtype == np.float32:
+        with np.errstate(invalid="ignore"):
+            return x * _cdf_float32(x)
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def gelu_cdf(x):
+    if x.dtype == np.float32:
+        return _cdf_float32(x)
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 

@@ -19,6 +19,7 @@ from stancewatch.encoder import init_params, load_checkpoint, save_checkpoint
 from stancewatch.manifest import LOCK_NAME
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.tokenizer import Vocabulary
+from conftest import HOSTILE_JSON
 from test_tokenizer_golden import corpus as golden_corpus
 
 
@@ -606,6 +607,19 @@ class TestClassifyAndTimeline:
             {"line": 181, "raw": bad, "reason": "record holds a lone UTF-16 surrogate escape"}]
         assert len((out / "classified.jsonl").read_text(encoding="utf-8").splitlines()) == 180
 
+    def test_json_refused_without_a_decode_error_is_rejected(self, runner, workspace, tmp_path):
+        corpus = tmp_path / "hostile.jsonl"
+        corpus.write_text(workspace["corpus"].read_text(encoding="utf-8")
+                          + HOSTILE_JSON["deep"] + "\n" + HOSTILE_JSON["long_int"] + "\n", encoding="utf-8")
+        out = workspace["out"]
+        run_ok(runner, ["classify", "--corpus", str(corpus), "--out", str(out), "--quiet", *FAST_TRAIN])
+        rejects = [json.loads(line) for line in
+                   (out / "rejects_corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(r["line"], r["raw"]) for r in rejects] == [
+            (181, HOSTILE_JSON["deep"]), (182, HOSTILE_JSON["long_int"])]
+        assert all(r["reason"].startswith("invalid JSON: ") for r in rejects)
+        assert len((out / "classified.jsonl").read_text(encoding="utf-8").splitlines()) == 180
+
     def test_single_day_corpus_degenerate(self, runner, workspace, tmp_path):
         corpus = tmp_path / "one_day.jsonl"
         write_jsonl(generate_corpus(days=1, per_day=25, seed=3, spike_days=()), corpus)
@@ -690,6 +704,15 @@ class TestBadModelInputs:
         assert result.exit_code == 3, result.output
         assert "config" in result.output
 
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_JSON))
+    def test_header_json_refuses_without_a_decode_error_is_3(self, runner, workspace, kind):
+        header = HOSTILE_JSON[kind].encode("utf-8")
+        (workspace["out"] / "model.ckpt").write_bytes(b"SWCKPT" + struct.pack("<II", 1, len(header)) + header)
+        result = self.classify(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert "corrupt checkpoint header" in result.output
+        assert not (workspace["out"] / "classified.jsonl").exists()
+
     def test_evaluate_with_other_vocabulary_is_3(self, runner, workspace, tmp_path):
         vocab = Vocabulary.load(workspace["out"] / "vocab.txt")
         other = tmp_path / "other_vocab.txt"
@@ -737,6 +760,19 @@ class TestBadClassified:
                                       "--out", str(out), "--quiet"])
         assert result.exit_code == 3, result.output
         assert f"{classified}:3: bad classified record: duplicate id 'a'" in result.output
+        assert not (out / "timeline.csv").exists()
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_JSON))
+    def test_json_refused_without_a_decode_error_is_3(self, runner, tmp_path, kind):
+        rec = {"id": "a", "created_at": "2021-08-01T10:00:00Z", "predicted": 2,
+               "proba": [0.1, 0.1, 0.7, 0.1]}
+        classified = tmp_path / "classified.jsonl"
+        classified.write_text(json.dumps(rec) + "\n" + HOSTILE_JSON[kind] + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["timeline", "--classified", str(classified),
+                                      "--out", str(out), "--quiet"])
+        assert result.exit_code == 3, result.output
+        assert f"{classified}:2: bad classified record: " in result.output
         assert not (out / "timeline.csv").exists()
 
     def test_local_day_beyond_the_calendar_is_3(self, runner, tmp_path):

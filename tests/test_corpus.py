@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import HOSTILE_JSON
+
 from stancewatch.corpus import (
     Category,
     LabeledDataset,
@@ -143,6 +145,15 @@ class TestIngest:
         assert "text" in result.rejects[1].reason
         assert "ISO-8601" in result.rejects[2].reason
         assert "label" in result.rejects[3].reason
+
+    def test_json_refused_without_a_decode_error_is_a_reject(self, tmp_path):
+        ok = json.dumps({"id": "ok", "created_at": "2021-07-22T10:00:00Z", "text": "aşı"})
+        result = ingest_jsonl(self.write(tmp_path, [HOSTILE_JSON["deep"], ok, HOSTILE_JSON["long_int"]]))
+        assert [t.id for t in result.tweets] == ["ok"]
+        assert [(r.line_no, r.raw) for r in result.rejects] == [
+            (1, HOSTILE_JSON["deep"]), (3, HOSTILE_JSON["long_int"])]
+        assert result.rejects[0].reason.startswith("invalid JSON: maximum recursion depth")
+        assert result.rejects[1].reason.startswith("invalid JSON: Exceeds the limit")
 
     def test_timestamp_beyond_the_calendar_has_its_own_reason(self, tmp_path):
         lines = [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import encoder_reference
-from conftest import leading_ones, padded, random_encodings
+from conftest import HOSTILE_JSON, leading_ones, padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
@@ -707,6 +707,14 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_JSON))
+    def test_header_json_refuses_without_a_decode_error(self, tmp_path, kind):
+        raw = HOSTILE_JSON[kind].encode("utf-8")
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(raw)) + raw)
+        with pytest.raises(DataValidationError, match="corrupt checkpoint header"):
+            load_checkpoint(p)
 
     def test_short_file(self, tmp_path):
         p = tmp_path / "m.ckpt"

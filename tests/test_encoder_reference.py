@@ -6,6 +6,7 @@ passes they replaced to rounding, and ``collate`` gives the ids, and the
 lengths of the masks, of the one that trimmed encodings padded to
 ``max_len``."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,68 @@ class TestGelu:
         gu, cdf = gelu_and_cdf(u)
         assert_same_bytes(gu, reference.gelu(u))
         assert_same_bytes(gelu_grad(u, cdf), reference.gelu_grad(u))
+
+
+# Largest distance of the float32 Gaussian CDF and GELU from float64 erf's,
+# over [-12, 12]; Abramowitz & Stegun 7.1.26 alone is within 7.5e-8 of the CDF.
+F32_GELU_BOUND = 5e-7
+
+
+class TestGeluFloat32:
+    """Inference's float32 GELU, which takes Abramowitz & Stegun 7.1.26 in
+    place of scipy's erf: its error against float64 erf, its special values,
+    and bytes that do not depend on a value's neighbours."""
+
+    def test_error_against_float64_erf(self):
+        x = np.linspace(-12.0, 12.0, 2_000_001).astype(np.float32)
+        gu, cdf = gelu_and_cdf(x)
+        assert gu.dtype == cdf.dtype == np.float32
+        exact = reference.gelu_cdf(x.astype(np.float64))
+        cdf_err = np.abs(cdf - exact).max()
+        gelu_err = np.abs(gu - x.astype(np.float64) * exact).max()
+        assert cdf_err <= F32_GELU_BOUND and gelu_err <= F32_GELU_BOUND, (cdf_err, gelu_err)
+        assert cdf.min() == 0.0 and cdf.max() == 1.0  # the tails round to 0 and 1, not past them
+
+    def test_special_values_without_a_warning(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        big = np.finfo(np.float32).max
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, big, -big, np.inf, -np.inf, np.nan],
+                     dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gu, cdf = gelu_and_cdf(x)
+        assert cdf[:6].tolist() == [0.5] * 6
+        assert cdf[6:10].tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert gu[6] == big and gu[7] == 0.0 and gu[8] == np.inf
+        # GELU(-inf) = -inf * 0, a NaN in float64 too
+        assert np.isnan(gu[9]) and np.isnan(gu[10]) and np.isnan(cdf[10])
+
+    def test_clamp_changes_no_byte(self, monkeypatch):
+        x = np.concatenate([np.linspace(-1e19, 1e19, 10_001), np.geomspace(1e-3, 1e19, 10_000)])
+        x = np.concatenate([x, -x]).astype(np.float32)
+        clamped = gelu_and_cdf(x)
+        monkeypatch.setattr(sw_encoder, "GELU_F32_CLAMP", np.inf)
+        for got, want in zip(clamped, gelu_and_cdf(x)):
+            assert_same_bytes(got, want)
+
+    def test_bytes_do_not_depend_on_offset_or_length(self):
+        values = np.random.default_rng(9).normal(scale=4.0, size=200).astype(np.float32)
+        values[:6] = [0.0, -0.0, 1e-40, 14.5, -14.5, -20.5]
+        alone = [gelu_and_cdf(values[i : i + 1]) for i in range(len(values))]
+        for offset in range(40):
+            for length in (offset + len(values), offset + len(values) + 17):
+                x = np.full(length, 0.75, dtype=np.float32)
+                x[offset : offset + len(values)] = values
+                gu, cdf = gelu_and_cdf(x)
+                for i, (g, c) in enumerate(alone):
+                    assert_same_bytes(gu[offset + i : offset + i + 1], g)
+                    assert_same_bytes(cdf[offset + i : offset + i + 1], c)
+
+    def test_matches_reference_steps(self):
+        x = np.concatenate([gelu_grid(), [np.inf, -np.inf, np.nan]]).astype(np.float32)
+        gu, cdf = gelu_and_cdf(x)
+        assert_same_bytes(gu, reference.gelu(x))
+        assert_same_bytes(cdf, reference.gelu_cdf(x))
 
 
 class TestLayernorm:

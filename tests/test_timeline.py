@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import stancewatch.timeline as sw_timeline
 import timeline_reference as reference
-from conftest import random_encodings
+from conftest import HOSTILE_JSON, random_encodings
 from stancewatch.corpus import Category, Tweet, format_timestamp
 from stancewatch.encoder import EncoderConfig, init_params
 from stancewatch.errors import DataValidationError, InputPathError
@@ -645,6 +645,15 @@ class TestPersistence:
         p = tmp_path / "classified.jsonl"
         p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
         with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}:2: bad classified record: {reason}"):
+            read_classified(p)
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_JSON))
+    def test_reader_names_the_line_json_refuses_without_a_decode_error(self, tmp_path, kind):
+        good = {"id": "a", "created_at": "2021-08-01T00:00:00Z", "predicted": 0,
+                "proba": [1.0, 0.0, 0.0, 0.0]}
+        p = tmp_path / "classified.jsonl"
+        p.write_text(json.dumps(good) + "\n" + HOSTILE_JSON[kind] + "\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(p))}:2: bad classified record: "):
             read_classified(p)
 
     def test_reader_rejects_duplicate_ids(self, tmp_path):
