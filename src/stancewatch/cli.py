@@ -62,6 +62,7 @@ from .svg import confusion_svg, prf_bars_svg, roc_svg, timeline_svg
 from .synth import (
     DEFAULT_BASE_SHARES,
     DEFAULT_SPIKE_ANTI_SHARE,
+    DEFAULT_SPIKE_DAYS,
     DEFAULT_START_DATE,
     generate_corpus,
     generate_labeled,
@@ -390,8 +391,8 @@ def cmd_timeline(run: Run) -> None:
     click.option("--start-date", default=DEFAULT_START_DATE.isoformat(), show_default=True),
     click.option("--base-shares", default=",".join(str(s) for s in DEFAULT_BASE_SHARES),
                  show_default=True, help="Comma-separated category shares, sum 1."),
-    click.option("--spike-days", default="20,28", show_default=True,
-                 help="0-based day offsets that get the anti-share spike."),
+    click.option("--spike-days", default=",".join(str(d) for d in DEFAULT_SPIKE_DAYS),
+                 show_default=True, help="0-based day offsets that get the anti-share spike."),
     click.option("--spike-share", type=float, default=DEFAULT_SPIKE_ANTI_SHARE, show_default=True),
     click.option("--labeled-seed", type=int, default=101, show_default=True),
     click.option("--corpus-seed", type=int, default=202, show_default=True),

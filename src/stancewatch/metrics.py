@@ -18,12 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CATEGORY_SLUGS, LabeledDataset
+from .corpus import CATEGORY_SLUGS, N_CLASSES, LabeledDataset
 from .encoder import ModelParams, bucket_len, collate, forward_with_cache, predict_proba
 from .errors import DataValidationError, NumericalError
 from .tokenizer import Vocabulary, encode
-
-N_CLASSES = 4
 
 
 @dataclass(frozen=True)

@@ -268,15 +268,19 @@ def train(
             take = perm[start : start + train_config.batch_size]
             batch = [encodings[i] for i in take]
             batch_labels = labels[take]
-            try:
-                loss, logits, _ = _step(
-                    params, batch, batch_labels, train_config.class_weights, train_mode=True,
-                    dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
-                    grads=grads,
-                )
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} at epoch {epoch} batch {step}") from None
-            adam_step(params, grads, state, train_config)
+            # A diverging run overflows on the way; _step's finiteness checks
+            # report it as a NumericalError, so numpy's warnings would only
+            # repeat that (or, raised as errors, hide it).
+            with np.errstate(all="ignore"):
+                try:
+                    loss, logits, _ = _step(
+                        params, batch, batch_labels, train_config.class_weights, train_mode=True,
+                        dropout_seed=_step_dropout_seed(train_config.dropout_seed, epoch, step),
+                        grads=grads,
+                    )
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} at epoch {epoch} batch {step}") from None
+                adam_step(params, grads, state, train_config)
             loss_sum += loss * len(take)
             hit += int((logits.argmax(axis=1) == batch_labels).sum())
         epoch_losses.append(loss_sum / n)

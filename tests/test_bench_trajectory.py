@@ -1,7 +1,10 @@
-"""The A/B summary of tools/bench_trajectory.py on canned numbers: the
-spread of each side, the pairs the change wins, and the verdict."""
+"""tools/bench_trajectory.py on canned numbers: the spread of each side,
+the pairs the change wins and the verdict; and the whole run, with the
+benchmark processes and git stubbed, from the pairs to the written file."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,65 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
     assert order == [("parent", s), ("change", s), ("change", s + 1), ("parent", s + 1),
                      ("parent", s + 2), ("change", s + 2), ("change", s + 3), ("parent", s + 3)]
     assert len(parent) == len(change) == 4
+
+
+class TestMain:
+    """``main`` with ``run`` and every git call stubbed: ``run`` records
+    which tree ran which seed and trace, git names one commit and reports
+    a clean tree, and the file goes to a temporary ROOT. A side named in
+    ``wrong_traced`` gives wrong outputs on its traced run."""
+
+    @pytest.fixture
+    def tool(self, monkeypatch, tmp_path):
+        calls = {"runs": [], "git": [], "wrong_traced": set()}
+
+        def fake_run(workload, seed, trace, pin, tree=None):
+            side = "parent" if tree is not None and tree.name == "parent" else "change"
+            calls["runs"].append((side, seed, trace))
+            canned = {"environment": {"cpus": 2}, **result({"tweets_per_s": 100.0, "setup_s": 1.0})}
+            if trace:
+                canned["metrics"] = {"encoder.forward_s": 0.5}
+                canned["correct"] = side not in calls["wrong_traced"]
+            return canned
+
+        def fake_subprocess_run(cmd, **kwargs):
+            calls["git"].append(cmd[1:])
+            out = "c0ffee" if cmd[1] == "rev-parse" else ""
+            return subprocess.CompletedProcess(cmd, 0, stdout=out if kwargs.get("text") else out.encode())
+
+        monkeypatch.setattr(bench, "run", fake_run)
+        monkeypatch.setattr(bench.subprocess, "run", fake_subprocess_run)
+        monkeypatch.setattr(bench, "ROOT", tmp_path)
+        return calls
+
+    def test_traced_run_on_each_side_after_the_pairs(self, tool, tmp_path):
+        assert bench.main(["--workload", "timeline-scale"]) == 0
+        doc = json.loads((tmp_path / "BENCH_AB_timeline-scale.json").read_text())
+        s = bench.AB_FIRST_SEED
+        for side in ("parent", "change"):
+            assert doc[side]["traced"] == {"seed": s, "correct": True, "failed": 0,
+                                           "per_layer": {"encoder.forward_s": 0.5}}
+        # the untraced pairs keep their ABBA order, then each side runs traced once
+        abba = [("parent", s), ("change", s), ("change", s + 1), ("parent", s + 1)]
+        assert [(side, seed) for side, seed, _ in tool["runs"][:4]] == abba
+        assert [trace for _, _, trace in tool["runs"][:-2]] == [0] * 2 * bench.AB_PAIRS
+        assert tool["runs"][-2:] == [("parent", s, 1), ("change", s, 1)]
+        # the worktree is added before the runs and removed after them
+        worktree = [args[:2] for args in tool["git"] if args[0] == "worktree"]
+        assert worktree == [["worktree", "add"], ["worktree", "remove"], ["worktree", "prune"]]
+        assert doc["end_to_end"]["tweets_per_s"]["verdict"] == "same"
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_a_wrong_traced_run_fails_the_tool(self, tool, tmp_path, side):
+        tool["wrong_traced"].add(side)
+        assert bench.main(["--workload", "timeline-scale"]) == 1
+        doc = json.loads((tmp_path / "BENCH_AB_timeline-scale.json").read_text())
+        assert doc[side]["traced"]["correct"] is False
+        assert doc["parent_runs"]["correct"] and doc["change_runs"]["correct"]
+
+    def test_against_defaults_to_head(self, tool, tmp_path):
+        bench.main(["--workload", "timeline-scale"])
+        assert ["rev-parse", "--verify", "HEAD^{commit}"] in tool["git"]
+        doc = json.loads((tmp_path / "BENCH_AB_timeline-scale.json").read_text())
+        assert doc["parent"]["rev"] == "HEAD" and doc["parent"]["commit"] == "c0ffee"
+        assert (doc["change"]["commit"], doc["change"]["dirty"]) == ("c0ffee", False)

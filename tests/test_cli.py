@@ -538,6 +538,20 @@ class TestTrain:
         assert not (out / "model.ckpt").exists()
         assert not (out / "manifest_train.json").exists()
 
+    def test_diverging_run_is_4_in_one_line_and_leaves_no_checkpoint(self, runner, tmp_path):
+        """lr 1e308 makes the weights infinite after one step; the next
+        step's loss ends the run with one error line, no warnings."""
+        labeled = tmp_path / "labeled.jsonl"
+        write_jsonl(generate_labeled(per_class=8, seed=5), labeled)
+        out = tmp_path / "out"
+        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
+        result = runner.invoke(main, ["train", "--labeled", str(labeled), "--out", str(out),
+                                      *FAST_TRAIN, "--lr", "1e308", "--epochs", "1", "--quiet"])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: non-finite loss at epoch 0 batch ")
+        assert result.output.count("\n") == 1
+        assert not (out / "model.ckpt").exists()
+
 
 class TestEvaluate:
     def test_outputs(self, runner, workspace):
@@ -854,6 +868,11 @@ class TestGenSynthetic:
         assert result.exit_code == 3, result.output
         assert f"start_date {start}" in result.output
         assert list(out.iterdir()) == []
+
+    def test_help_shows_the_default_spike_days(self, runner):
+        result = run_ok(runner, ["gen-synthetic", "--help"])
+        assert ("--spike-days TEXT 0-based day offsets that get the anti-share spike. "
+                "[default: 20,28]") in " ".join(result.output.split())
 
     def test_default_spikes_match_default_days(self, runner, tmp_path):
         out = tmp_path / "out"

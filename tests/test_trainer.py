@@ -273,6 +273,14 @@ class TestTrain:
         assert trace.epoch_losses[-1] < trace.epoch_losses[0]
         assert trace.epoch_accuracies[-1] >= 0.75
 
+    def test_diverging_run_raises_numerical_error(self):
+        """lr 1e308 overflows the weights in the first Adam step, so the
+        second step's loss is not finite: a NumericalError that names the
+        step, not a RuntimeWarning from the overflowing arithmetic."""
+        tc = TrainConfig(learning_rate=1e308, epochs=1, batch_size=4)
+        with pytest.raises(NumericalError, match=r"^non-finite loss at epoch 0 batch 1$"):
+            train(self.split, self.vocab, self.model_cfg, tc)
+
     def test_head_only_freezes_encoder(self):
         tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
         trace = train(self.split, self.vocab, self.model_cfg, tc)

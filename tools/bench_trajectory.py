@@ -1,50 +1,43 @@
-"""Write BENCH_<workload>.json: the benchmark's end-to-end numbers on several
-seeds, with their spread, and one traced run's per-layer numbers; or, with
-``--against REV``, BENCH_AB_<workload>.json: alternating pairs of runs of
-REV and of this tree.
+"""Write BENCH_AB_<workload>.json: alternating pairs of benchmark runs of a
+parent commit and of this tree, and one traced run of each.
 
-    python3 tools/bench_trajectory.py                            # every workload
+    python3 tools/bench_trajectory.py                            # every workload, against HEAD
     python3 tools/bench_trajectory.py --workload classify-short  # one of them
     python3 tools/bench_trajectory.py --against HEAD~1 --workload classify-short
 
-For each workload this runs ``perfbench/run.py --trace 0`` once per seed
-in ``SEEDS``, one process at a time, at the benchmark's own run length
-(``spec.RUN_SECONDS``), so every file compares with every other; then
-``--trace 1`` once on the first seed, and reads the result files those
-runs leave in ``.perfbench/results/``. On classify-short, whose forwards
-run on a thread pool as wide as the CPUs the process may use, it repeats
-the untraced runs under ``taskset -c 0`` (one CPU, so the pool stays idle
-and the spread narrows) and reports them as a row of their own.
+A change is measured against its parent in one sitting, never as two files
+taken at different times: the medians of one tree move by tens of percent
+over an hour on a shared machine. ``--against REV`` (default ``HEAD``)
+names the parent. On a tree that matches it this is an A/A run, whose two
+sides show the noise floor; with uncommitted changes it measures them.
+
+For each workload the tool checks REV out with ``git worktree add
+--detach`` into a temporary directory and runs ``perfbench/run.py --trace
+0`` from each tree, one process at a time, in ABBA order (pair i runs REV
+first when i is even and this tree first when it is odd), ``AB_PAIRS``
+pairs on the seeds from ``AB_FIRST_SEED`` on, at the benchmark's own run
+length (``spec.RUN_SECONDS``). On classify-short, whose forwards run on a
+thread pool as wide as the CPUs the process may use, it repeats the pairs
+under ``taskset -c 0`` (one CPU, so the pool stays idle and the spread
+narrows) as a row of their own. Then each tree runs ``--trace 1`` once on
+``AB_FIRST_SEED`` for its per-layer numbers, and the worktree is removed.
 ``perfbench`` is run as it is; nothing in it changes.
 
-Each file holds, per end-to-end metric, the median, the quartiles and
-their distance (IQR), and every run's value in seed order; the seeds, the
-run length, the environment block perfbench records, the commit and
-whether ``src/`` or ``perfbench/`` differed from it; whether every run's
-outputs were correct, and the operations failed; and the traced run's
-per-layer metrics.
-
-Two BENCH files taken at different times are not a comparison: the
-medians of one tree move by tens of percent over an hour on a shared
-machine. ``--against REV`` measures a change instead. It checks REV out
-with ``git worktree add --detach`` into a temporary directory, runs
-``perfbench/run.py --trace 0`` from each tree in ABBA order (pair i runs
-REV first when i is even and this tree first when it is odd),
-``AB_PAIRS`` pairs on the seeds from ``AB_FIRST_SEED`` on, at
-``spec.RUN_SECONDS``, and removes the worktree when done; classify-short
-repeats the pairs under ``taskset -c 0``. The change side is named by its
-commit and, when ``src/`` or ``perfbench/`` differ from it, by the SHA-256
-of ``git diff HEAD -- src perfbench``. Per end-to-end metric the file holds
-every pair's values, each side's median and IQR, the pairs the change
-wins, the change of the median, and a verdict (``verdict``): ``better``
-when the change wins at least ``AB_MIN_WIN_SHARE`` of the pairs and its
-median moves past the parent's IQR, ``worse`` when the median is worse by
-more than the metric's ``BENCHMARK.json`` bound, ``unresolved`` when the
-parent's own IQR reaches that bound, and ``same`` otherwise. A ``better``
-becomes ``failed`` unless both sides' outputs were correct and the change
-failed no more operations than the parent: a gain bought with wrong or
-dropped work is none. A perf change cites this file for the workload it
-claims.
+The change side is named by its commit and, when ``src/`` or
+``perfbench/`` differ from it, by the SHA-256 of ``git diff HEAD -- src
+perfbench``. Per end-to-end metric the file holds every pair's values,
+each side's median and IQR, the pairs the change wins, the change of the
+median, and a verdict (``verdict``): ``better`` when the change wins at
+least ``AB_MIN_WIN_SHARE`` of the pairs and its median moves past the
+parent's IQR, ``worse`` when the median is worse by more than the metric's
+``BENCHMARK.json`` bound, ``unresolved`` when the parent's own IQR reaches
+that bound, and ``same`` otherwise. A ``better`` becomes ``failed`` unless
+both sides' outputs were correct and the change failed no more operations
+than the parent: a gain bought with wrong or dropped work is none.
+``parent.traced`` and ``change.traced`` hold each traced run's seed,
+correctness, failed operations and per-layer metrics. The tool exits 1
+when any run on either side gave wrong outputs. A perf change cites this
+file for the workload it claims.
 """
 
 from __future__ import annotations
@@ -64,8 +57,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import spec  # noqa: E402
 
 PINNED_WORKLOADS = ("classify-short",)
-SEEDS = (1, 2, 3, 4, 5)
-# --against: pair i runs on seed AB_FIRST_SEED + i, apart from SEEDS.
+# Pair i runs on seed AB_FIRST_SEED + i; the traced runs on AB_FIRST_SEED.
 AB_FIRST_SEED = 9101
 AB_PAIRS = 10
 AB_MIN_WIN_SHARE = 0.9
@@ -90,41 +82,8 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def summary(results: list[dict]) -> dict:
-    """Median and quartiles of each end-to-end metric over untraced runs."""
-    return {
-        "end_to_end": {
-            name: {"unit": unit, "better": better, **spread([r["metrics"][name] for r in results])}
-            for name, (unit, better, _) in spec.END_TO_END.items()
-            if all(name in r["metrics"] for r in results)
-        },
-        "correct": all(r["correct"] for r in results),
-        "failed": sum(r["failed"] for r in results),
-        "attempted": sum(r["attempted"] for r in results),
-    }
-
-
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=False).stdout.strip()
-
-
-def bench(workload: str) -> dict:
-    runs = [run(workload, seed, 0, pin=False) for seed in SEEDS]
-    doc = {
-        "workload": workload,
-        "why": spec.WORKLOADS[workload],
-        **change_tree(),
-        "seeds": list(SEEDS),
-        "seconds": spec.RUN_SECONDS,
-        "environment": runs[0]["environment"],
-        **summary(runs),
-    }
-    if workload in PINNED_WORKLOADS:
-        doc["taskset_cpu0"] = summary([run(workload, seed, 0, pin=True) for seed in SEEDS])
-    traced = run(workload, SEEDS[0], 1, pin=False)
-    doc["traced"] = {"seed": SEEDS[0], "correct": traced["correct"], "failed": traced["failed"],
-                     "per_layer": traced["metrics"]}
-    return doc
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -215,6 +174,10 @@ def bench_against(workload: str, rev: str) -> dict:
             }
             if workload in PINNED_WORKLOADS:
                 doc["taskset_cpu0"] = ab_summary(*ab_pairs(workload, tree, AB_PAIRS, pin=True))
+            for side, side_tree in (("parent", tree), ("change", ROOT)):
+                traced = run(workload, AB_FIRST_SEED, 1, False, side_tree)
+                doc[side]["traced"] = {"seed": AB_FIRST_SEED, "correct": traced["correct"],
+                                       "failed": traced["failed"], "per_layer": traced["metrics"]}
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=False)
             subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
@@ -225,31 +188,26 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", action="append", choices=list(spec.WORKLOADS),
                    help="repeat for several; default every workload")
-    p.add_argument("--against", metavar="REV",
-                   help="write BENCH_AB_<workload>.json: alternating pairs of REV and this tree")
+    p.add_argument("--against", metavar="REV", default="HEAD",
+                   help="the parent to pair this tree with (default: %(default)s)")
     args = p.parse_args(argv)
     if any(w in PINNED_WORKLOADS for w in args.workload or spec.WORKLOADS) and not shutil.which("taskset"):
         p.error("taskset is needed for the one-CPU row of classify-short")
     status = 0
-    if args.against:
-        for workload in args.workload or spec.WORKLOADS:
-            doc = bench_against(workload, args.against)
-            path = ROOT / f"BENCH_AB_{workload}.json"
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            for name, m in doc["end_to_end"].items():
-                print(f"{path.name}: {name} {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
-                      f"({m['median_change']:+.1%}), change wins {m['change_wins']}/{m['pairs']}, "
-                      f"parent IQR {m['parent']['iqr']:.6g}: {m['verdict']}")
-            status = status or int(not doc["parent_runs"]["correct"] or not doc["change_runs"]["correct"])
-        return status
     for workload in args.workload or spec.WORKLOADS:
-        doc = bench(workload)
-        path = ROOT / f"BENCH_{workload}.json"
+        doc = bench_against(workload, args.against)
+        path = ROOT / f"BENCH_AB_{workload}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        tps = doc["end_to_end"].get("tweets_per_s", {})
-        print(f"{path.name}: tweets_per_s median {tps.get('median', float('nan')):.6g} "
-              f"IQR {tps.get('iqr', float('nan')):.6g}, correct {doc['correct']}, failed {doc['failed']}")
-        status = status or int(not doc["correct"] or not doc["traced"]["correct"])
+        for name, m in doc["end_to_end"].items():
+            print(f"{path.name}: {name} {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
+                  f"({m['median_change']:+.1%}), change wins {m['change_wins']}/{m['pairs']}, "
+                  f"parent IQR {m['parent']['iqr']:.6g}: {m['verdict']}")
+        print(f"{path.name}: traced runs correct: parent {doc['parent']['traced']['correct']}, "
+              f"change {doc['change']['traced']['correct']}")
+        sides = [doc["parent_runs"], doc["change_runs"], doc["parent"]["traced"], doc["change"]["traced"]]
+        if "taskset_cpu0" in doc:
+            sides += [doc["taskset_cpu0"]["parent_runs"], doc["taskset_cpu0"]["change_runs"]]
+        status = status or int(not all(s["correct"] for s in sides))
     return status
 
 
