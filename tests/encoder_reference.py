@@ -1,9 +1,10 @@
 """Whole-array reference for the encoder's elementwise ops and Adam, and
 the encoder's forward and backward pass as one loop each.
 
-The ops take numpy and scipy's erf only, no imports from the package.
-These are GELU with a second erf in its gradient (in float32, the
-package's Abramowitz & Stegun steps written out one allocation each), layernorm through
+The ops take numpy only, no imports from the package. These are GELU
+with a second erf in its gradient (the package's float64 Cephes erf and
+its float32 Abramowitz & Stegun steps, written out one allocation each),
+layernorm through
 ``x.var``, a softmax that allocates each step, dropout masks drawn at
 ``max_len`` and sliced, and the whole-buffer Adam update, as the package
 computed them before it cached the Gaussian CDF, drew masks at the bucket
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 import stancewatch.encoder as package
 from stancewatch.encoder import ModelParams, TensorBuffer
@@ -63,21 +63,52 @@ def _cdf_float32(x):
     return np.copysign(0.5 - q, x) + 0.5
 
 
+# Cephes ndtr.c, as the float64 erf takes it: x T(x^2) / U(x^2) for
+# |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|) above, |x| clamped to 6; U and Q
+# monic.
+ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+         7.00332514112805075473e3, 5.55923013010394962768e4)
+ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+         2.26290000613890934246e4, 4.92673942608635921086e4)
+ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x, coeffs, monic=False):
+    poly = x + coeffs[0] if monic else coeffs[0]
+    for c in coeffs[1:]:
+        poly = poly * x + c
+    return poly
+
+
+def _erf(x):
+    """erf(x) by the package's float64 steps, one allocating step each."""
+    a = np.minimum(np.abs(x), 6.0)
+    z = a * a
+    small = a * _horner(z, ERF_T) / _horner(z, ERF_U, monic=True)
+    large = 1.0 - np.exp(-z) * _horner(a, ERFC_P) / _horner(a, ERFC_Q, monic=True)
+    return np.copysign(np.where(a <= 1.0, small, large), x)
+
+
 def gelu(x):
     if x.dtype == np.float32:
         with np.errstate(invalid="ignore"):
             return x * _cdf_float32(x)
-    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
 
 
 def gelu_cdf(x):
     if x.dtype == np.float32:
         return _cdf_float32(x)
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
 
 
 def gelu_grad(x):
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 

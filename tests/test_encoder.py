@@ -1,14 +1,17 @@
 import json
 import math
 import platform
+import statistics
 import struct
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import encoder_reference
+import stancewatch.encoder as sw_encoder
 from conftest import HOSTILE_JSON, leading_ones, padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
@@ -274,6 +277,61 @@ class TestGelu:
         eps = 1e-6
         fd = (gelu(x + eps) - gelu(x - eps)) / (2 * eps)
         np.testing.assert_allclose(gelu_grad(x, gelu_and_cdf(x)[1]), fd, atol=1e-8)
+
+
+def ulp_distance(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """How many float64 steps lie between same-signed values."""
+    assert (np.signbit(got) == np.signbit(want)).all()
+    return np.abs(np.abs(got).view(np.int64) - np.abs(want).view(np.int64))
+
+
+# The float64 erf against math.erf; scipy's Cephes erf is 3 ulp from it too.
+ERF_ULP_BOUND = 3
+# The quantile against statistics.NormalDist().inv_cdf on [Phi(-2), Phi(2)].
+NDTRI_BOUND = 2e-15
+
+
+class TestCephesKernels:
+    """The float64 erf and the normal quantile the init draws through,
+    against the standard library, without a numpy warning."""
+
+    def erf(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return sw_encoder._erf(x)
+
+    @pytest.mark.parametrize("points", ["grid", "normal"])
+    def test_erf_within_3_ulp_of_math_erf(self, points):
+        if points == "grid":
+            x = np.linspace(-7.0, 7.0, 1_400_001)
+        else:
+            x = np.random.default_rng(29).normal(size=300_000)
+        got = self.erf(x.reshape(-1, 1000) if points == "normal" else x).ravel()
+        want = np.array([math.erf(v) for v in x])
+        assert ulp_distance(got, want).max() <= ERF_ULP_BOUND
+
+    def test_erf_special_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 6.0, -6.0, np.inf, -np.inf, 1e308, np.nan])
+        got = self.erf(x)
+        assert got[:2].tolist() == [0.0, 0.0] and np.signbit(got[:2]).tolist() == [False, True]
+        want = np.array([math.erf(v) for v in x[2:6]])
+        assert ulp_distance(got[2:6], want).max() <= ERF_ULP_BOUND
+        assert got[6:11].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert np.isnan(got[11])
+
+    def test_quantile_within_2e_15_of_normal_dist(self):
+        dist = statistics.NormalDist()
+        lo, hi = dist.cdf(-2.0), dist.cdf(2.0)
+        centre = 0.5 - 0.13533528323661269189  # where the tail approximation takes over
+        edges = [lo, hi, 0.5, 0.5 - centre, 0.5 + centre]
+        edges += [np.nextafter(e, d) for e in edges[3:] for d in (0.0, 1.0)]
+        y = np.concatenate([np.linspace(lo, hi, 200_001), edges])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sw_encoder._ndtri(y)
+        want = np.array([dist.inv_cdf(v) for v in y])
+        assert np.abs(got - want).max() <= NDTRI_BOUND
 
 
 class TestForward:
