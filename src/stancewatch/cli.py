@@ -99,6 +99,12 @@ COMMON_OPTIONS = (
 )
 
 
+def peak_rss_mb() -> float:
+    """Peak RSS in MB, from ``ru_maxrss``: kilobytes on Linux, bytes on macOS."""
+    unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, 1)
+
+
 class Run:
     """One command's run: resolved config, output directory, manifest, and
     the outputs written under temporary names until the command succeeds."""
@@ -188,8 +194,7 @@ class Run:
             write_classified(classified, path)
         # Run facts that vary with the machine: kept out of the manifest body.
         self.manifest.timings_s["classify_threads"] = stats["threads"]
-        self.manifest.timings_s["peak_rss_mb"] = round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+        self.manifest.timings_s["peak_rss_mb"] = peak_rss_mb()
         return classified, self.final[path]
 
 

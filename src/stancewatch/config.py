@@ -2,9 +2,10 @@
 
 Resolution order for every key: command-line flag, then the config file,
 then the built-in default. The defaults encode the reference training
-setup (learning rate 5e-6, 25 epochs, Adam) so a bare run uses it as-is.
-All randomness flows from the four seeds below; nothing reads the clock
-or OS entropy.
+setup (learning rate 5e-6, 25 epochs, Adam) so a bare run uses it as-is;
+one the library also has is read from the library (only the seeds and
+``smoothing_window`` differ, on purpose). All randomness flows from the
+four seeds below; nothing reads the clock or OS entropy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from typing import Any, Sequence
 
 from .encoder import EncoderConfig
 from .errors import DataValidationError, InputPathError
+from .metrics import DEFAULT_INFERENCE_BATCH_SIZE
+from .synth import DEFAULT_UTC_OFFSET_MINUTES
+from .timeline import DEFAULT_MIN_PROMINENCE, DEFAULT_TOP_K
+from .tokenizer import DEFAULT_MIN_PAIR_FREQ
 from .trainer import TrainConfig
 
 
@@ -33,27 +38,23 @@ class PipelineConfig:
     classified_path: str = _key("paths", "")
     out_dir: str = _key("paths", "out")
     vocab_max_size: int = _key("tokenizer", 4000)
-    min_pair_freq: int = _key("tokenizer", 2)
-    d_model: int = _key("model", 128)
-    n_layers: int = _key("model", 2)
-    n_heads: int = _key("model", 4)
-    d_ff: int = _key("model", 0)
-    max_len: int = _key("model", 64)
-    dropout_rate: float = _key("model", 0.1)
-    learning_rate: float = _key("train", 5e-6)
-    epochs: int = _key("train", 25)
-    batch_size: int = _key("train", 16)
-    beta1: float = _key("train", 0.9)
-    beta2: float = _key("train", 0.999)
-    adam_eps: float = _key("train", 1e-8)
-    head_only: bool = _key("train", False)
+    min_pair_freq: int = _key("tokenizer", DEFAULT_MIN_PAIR_FREQ)
+    d_model: int = _key("model", EncoderConfig.d_model)
+    n_layers: int = _key("model", EncoderConfig.n_layers)
+    n_heads: int = _key("model", EncoderConfig.n_heads)
+    max_len: int = _key("model", EncoderConfig.max_len)
+    dropout_rate: float = _key("model", EncoderConfig.dropout_rate)
+    learning_rate: float = _key("train", TrainConfig.learning_rate)
+    epochs: int = _key("train", TrainConfig.epochs)
+    batch_size: int = _key("train", TrainConfig.batch_size)
+    head_only: bool = _key("train", TrainConfig.head_only)
     class_weights: str = _key("train", "")
     train_fraction: float = _key("split", 0.8)
-    eval_batch_size: int = _key("inference", 64)
-    classify_batch_size: int = _key("inference", 64)
-    utc_offset_minutes: int = _key("timeline", 180)
-    min_prominence: float = _key("timeline", 2.0)
-    top_k: int = _key("timeline", 5)
+    eval_batch_size: int = _key("inference", DEFAULT_INFERENCE_BATCH_SIZE)
+    classify_batch_size: int = _key("inference", DEFAULT_INFERENCE_BATCH_SIZE)
+    utc_offset_minutes: int = _key("timeline", DEFAULT_UTC_OFFSET_MINUTES)
+    min_prominence: float = _key("timeline", DEFAULT_MIN_PROMINENCE)
+    top_k: int = _key("timeline", DEFAULT_TOP_K)
     smoothing_window: int = _key("timeline", 0)
     seed_split: int = _key("seeds", 13)
     seed_init: int = _key("seeds", 17)
@@ -104,7 +105,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputPathError(f"cannot read config file: {p}: {exc}")
-    parser = configparser.ConfigParser()
+    # A "%" is literal, and [DEFAULT] is a section no other one inherits from.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(p))
     except configparser.Error as exc:
@@ -174,7 +176,6 @@ def encoder_config(config: PipelineConfig, vocab_size: int) -> EncoderConfig:
         d_model=config.d_model,
         n_layers=config.n_layers,
         n_heads=config.n_heads,
-        d_ff=config.d_ff,
         max_len=config.max_len,
         dropout_rate=config.dropout_rate,
     )
@@ -185,9 +186,6 @@ def train_config(config: PipelineConfig) -> TrainConfig:
         learning_rate=config.learning_rate,
         epochs=config.epochs,
         batch_size=config.batch_size,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        adam_eps=config.adam_eps,
         shuffle_seed=config.seed_shuffle,
         class_weights=parse_class_weights(config.class_weights),
         init_seed=config.seed_init,

@@ -90,8 +90,9 @@ full-width mask holds.
 The parameters live in one buffer whose named views follow
 ``tensor_shapes`` and are grouped by layer once (``TensorBuffer.layers``)
 for both passes; a checkpoint is a metadata header followed by that buffer
-as little-endian float32. The buffer is float64 in memory, and training,
-its gradients and the backward are float64. A forward computes in the
+as little-endian float32; the header (version 2; any other is refused)
+holds ``EncoderConfig``'s fields. The buffer is float64 in memory, and
+training, its gradients and the backward are float64. A forward computes in the
 buffer's dtype: every array it allocates takes that dtype and every
 constant is a Python float, since under NumPy 2 a ``np.float64`` scalar
 would promote a float32 array to float64. Inference runs on a float32
@@ -114,6 +115,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import N_CLASSES
 from .errors import DataValidationError, InputPathError, NumericalError
 from .tokenizer import PAD_ID, Encoding
 
@@ -121,10 +123,11 @@ MASK_ADDEND = -1e9
 BUCKET = 8
 INIT_STD = 0.02
 INIT_CLIP_SIGMAS = 2.0
+LAYER_NORM_EPS = 1e-12
 HEAD_START = "pooler_w"  # the head: the tail of the parameter buffer from this tensor on
 
 CHECKPOINT_MAGIC = b"SWCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _keep_batch_arrays_in_heap() -> None:
@@ -164,17 +167,15 @@ _keep_batch_arrays_in_heap()
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Model dimensions. ``d_ff`` of 0 means the conventional 4 * d_model."""
+    """Model dimensions. BERT's feed-forward width 4 * d_model (``d_ff``),
+    its ``LAYER_NORM_EPS`` and the head's ``corpus.N_CLASSES`` are constants."""
 
     vocab_size: int
     d_model: int = 128
     n_layers: int = 2
     n_heads: int = 4
-    d_ff: int = 0
     max_len: int = 64
-    n_classes: int = 4
     dropout_rate: float = 0.1
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -182,21 +183,19 @@ class EncoderConfig:
             kinds = (int,) if f.type == "int" else (int, float)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise DataValidationError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.d_ff == 0:
-            object.__setattr__(self, "d_ff", 4 * self.d_model)
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "max_len"):
             if getattr(self, name) <= 0:
                 raise DataValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise DataValidationError(
                 f"n_heads ({self.n_heads}) must divide d_model ({self.d_model})"
             )
-        if self.n_classes != 4:
-            raise DataValidationError(f"n_classes is fixed at 4, got {self.n_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DataValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not self.layer_norm_eps > 0.0:
-            raise DataValidationError(f"layer_norm_eps must be positive, got {self.layer_norm_eps}")
+
+    @property
+    def d_ff(self) -> int:
+        return 4 * self.d_model
 
     @property
     def d_head(self) -> int:
@@ -305,8 +304,8 @@ def _layout(config: EncoderConfig) -> tuple[list, list, list]:
     head = [
         ("pooler_w", (d, d)),
         ("pooler_b", (d,)),
-        ("classifier_w", (config.n_classes, d)),
-        ("classifier_b", (config.n_classes,)),
+        ("classifier_w", (N_CLASSES, d)),
+        ("classifier_b", (N_CLASSES,)),
     ]
     return embedding, layer, head
 
@@ -805,7 +804,7 @@ def forward_with_cache(
     def dropout(packing: _Packing) -> np.ndarray | None:
         return None if rng is None else _dropout_mask(rng, cfg, packing)
 
-    p, eps = params.tensors, cfg.layer_norm_eps
+    p, eps = params.tensors, LAYER_NORM_EPS
     dtype = p.flat.dtype
     addmask = np.where(tokens.real, 0.0, MASK_ADDEND).astype(dtype, copy=False)[:, None, None, :]
     tok = np.take(ids, tokens.index)

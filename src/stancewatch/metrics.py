@@ -172,11 +172,12 @@ POOL_MIN_FFN_MACS = 1 << 23
 # remainder a window rather than one a batch: fewer forwards, each with the
 # same Python cost whatever its size. Measured against 4 in CHANGES.md.
 PREDICT_WINDOW_BATCHES = 16
+DEFAULT_INFERENCE_BATCH_SIZE = 64
 
 
 def forward_workers() -> int:
-    """Threads for inference forwards: the CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """Threads for inference forwards: the CPUs this process may run on (on macOS, all)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _predict_rows(probs: np.ndarray, rows: np.ndarray, params: ModelParams,
@@ -192,7 +193,7 @@ def predict_batches(
     params: ModelParams,
     vocab: Vocabulary,
     texts: Sequence[str],
-    batch_size: int = 64,
+    batch_size: int = DEFAULT_INFERENCE_BATCH_SIZE,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Probability matrix (n, 4) from inference-mode batched forwards, in
@@ -283,7 +284,7 @@ def evaluate(
     params: ModelParams,
     vocab: Vocabulary,
     testset: LabeledDataset,
-    batch_size: int = 64,
+    batch_size: int = DEFAULT_INFERENCE_BATCH_SIZE,
 ) -> EvalReport:
     """Classify every test example and assemble the full report.
 

@@ -31,7 +31,7 @@ import numpy as np
 from .corpus import CATEGORY_SLUGS, Category, Tweet, format_timestamp, parse_timestamp
 from .encoder import ModelParams
 from .errors import DataValidationError, InputPathError
-from .metrics import predict_batches
+from .metrics import DEFAULT_INFERENCE_BATCH_SIZE, predict_batches
 from .tokenizer import Vocabulary
 
 DEFAULT_MIN_PROMINENCE = 2.0
@@ -114,7 +114,7 @@ def classify_corpus(
     params: ModelParams,
     vocab: Vocabulary,
     tweets: Sequence[Tweet],
-    batch_size: int = 64,
+    batch_size: int = DEFAULT_INFERENCE_BATCH_SIZE,
     stats: dict | None = None,
 ) -> Classified:
     """Inference over the corpus, output order = input order; ``stats`` is

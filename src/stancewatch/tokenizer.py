@@ -78,6 +78,7 @@ MEMO_MAX_CHARS = 32
 # being the pieces its budget has free. Any value gives the same ids; 4 was
 # the fastest of 1-8 on long tweets, whose chunks give about 4.7 pieces.
 SPLIT_STEP_DIVISOR = 4
+DEFAULT_MIN_PAIR_FREQ = 2
 # In CPython's re, \w is str.isalnum() plus "_" and \S is "not str.isspace()".
 _PRE_TOKEN = re.compile(r"[^\W_]+|\S")
 
@@ -191,9 +192,8 @@ def check_vocab_settings(max_size: int, min_pair_freq: int) -> None:
         raise DataValidationError(f"min_pair_freq must be >= 1, got {min_pair_freq}")
 
 
-def build_vocab(
-    texts: Iterable[str], max_size: int, min_pair_freq: int = 2, stats: dict | None = None
-) -> Vocabulary:
+def build_vocab(texts: Iterable[str], max_size: int, min_pair_freq: int = DEFAULT_MIN_PAIR_FREQ,
+                stats: dict | None = None) -> Vocabulary:
     """Train a WordPiece vocabulary of at most ``max_size`` tokens.
 
     The seed inventory is every character seen in the corpus, in both plain

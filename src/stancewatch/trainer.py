@@ -1,6 +1,7 @@
 """Cross-entropy fine-tuning with Adam.
 
-The optimizer is plain Adam (no weight decay, no warmup, no schedule):
+The optimizer is plain Adam (no weight decay, no warmup, no schedule), its
+b1, b2 and eps the constants ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``:
     m <- b1*m + (1-b1)*g        mhat = m / (1 - b1^t)
     v <- b2*v + (1-b2)*g^2      vhat = v / (1 - b2^t)
     theta <- theta - lr * mhat / (sqrt(vhat) + eps)
@@ -39,15 +40,14 @@ from .tokenizer import Encoding, Vocabulary, encode
 # the update's passes run over them.
 ADAM_BLOCK = 1 << 15
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's published values
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 5e-6
     epochs: int = 25
     batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle_seed: int = 0
     class_weights: tuple[float, float, float, float] | None = None
     init_seed: int = 0
@@ -61,12 +61,6 @@ class TrainConfig:
             raise DataValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise DataValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise DataValidationError(f"{name} must be in [0, 1), got {b}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise DataValidationError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         for name in ("init_seed", "shuffle_seed", "dropout_seed"):
             seed = getattr(self, name)
             if seed < 0:  # numpy's generators take no negative seed
@@ -76,6 +70,8 @@ class TrainConfig:
                 raise DataValidationError("class_weights must have exactly 4 entries")
             if not all(math.isfinite(w) and w >= 0 for w in self.class_weights):
                 raise DataValidationError(f"class_weights must be finite and non-negative, got {self.class_weights}")
+            if not any(self.class_weights):  # every loss and gradient would be exactly 0
+                raise DataValidationError(f"class_weights must not all be zero, got {self.class_weights}")
             object.__setattr__(self, "class_weights", tuple(float(w) for w in self.class_weights))
 
 
@@ -198,7 +194,7 @@ def adam_step(
     if state.m.spec != grads.spec or state.v.spec != grads.spec:
         raise DataValidationError("Adam moments do not match the gradient layout")
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     g, m, v = grads.flat, state.m.flat, state.v.flat
@@ -222,7 +218,7 @@ def adam_step(
         a *= config.learning_rate
         np.divide(vb, bc2, out=b)
         np.sqrt(b, out=b)
-        b += config.adam_eps
+        b += ADAM_EPS
         a /= b
         tb -= a
 

@@ -15,7 +15,9 @@ kept as the oracle for the package's masks drawn at real positions only.
 
 ``adam_step`` leaves out the package's checks of the gradient and moment
 layouts; it takes any objects with the attributes it reads, moments of the
-gradients' size, and moves the tail of the parameters they cover.
+gradients' size, and moves the tail of the parameters they cover. It reads
+b1, b2 and eps from the package's constants, which ``test_trainer`` pins to
+the published values.
 
 ``forward_with_cache`` and ``backward_from_logits`` are the package's
 passes as they were before the layer loop became pairs of forward and
@@ -44,6 +46,7 @@ import numpy as np
 
 import stancewatch.encoder as package
 from stancewatch.encoder import ModelParams, TensorBuffer
+from stancewatch.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 # Abramowitz & Stegun 7.1.26, as the float32 GELU takes it: p over sqrt 2,
@@ -147,7 +150,7 @@ def dropout_grid(rng, cfg, batch, width):
 
 def adam_step(params, grads, state, config):
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     g, m, v = grads.flat, state.m.flat, state.v.flat
@@ -158,7 +161,7 @@ def adam_step(params, grads, state, config):
     v += (1.0 - b2) * (g * g)
     mhat = m / bc1
     vhat = v / bc2
-    theta -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+    theta -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def collate(batch, config):
@@ -210,7 +213,7 @@ def forward_with_cache(
     p = params.tensors
     x = p["tok_emb"][ids] + p["pos_emb"][None, :T, :] + p["seg_emb"][0]
     h, emb_xhat, emb_inv = package._layernorm_forward(
-        x, p["emb_ln_gain"], p["emb_ln_bias"], cfg.layer_norm_eps
+        x, p["emb_ln_gain"], p["emb_ln_bias"], package.LAYER_NORM_EPS
     )
     emb_drop = None
     if dropping:
@@ -249,7 +252,7 @@ def forward_with_cache(
             attn *= attn_drop
         attn += hq
         h1, ln1_xhat, ln1_inv = package._layernorm_forward(
-            attn, layer["ln1_gain"], layer["ln1_bias"], cfg.layer_norm_eps
+            attn, layer["ln1_gain"], layer["ln1_bias"], package.LAYER_NORM_EPS
         )
         u = h1 @ layer["w1"]
         u += layer["b1"]
@@ -262,7 +265,7 @@ def forward_with_cache(
             f *= ffn_drop
         f += h1
         h, ln2_xhat, ln2_inv = package._layernorm_forward(
-            f, layer["ln2_gain"], layer["ln2_bias"], cfg.layer_norm_eps
+            f, layer["ln2_gain"], layer["ln2_bias"], package.LAYER_NORM_EPS
         )
         if need_cache:
             cache["layers"].append(

@@ -25,13 +25,28 @@ from scalar_reference import forward_scalar
 
 from stancewatch.cli import main
 from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
-from stancewatch.encoder import EncoderConfig, forward, forward_with_cache, init_params, predict_proba
+from stancewatch.encoder import (
+    LAYER_NORM_EPS,
+    EncoderConfig,
+    forward,
+    forward_with_cache,
+    init_params,
+    predict_proba,
+)
 from stancewatch.manifest import RunManifest
 from stancewatch.metrics import auc, confusion, evaluate, predict_batches, prf, roc_points
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.timeline import aggregate_daily, classify_corpus, detect_peaks, share
 from stancewatch.tokenizer import build_vocab, encode
-from stancewatch.trainer import AdamState, TrainConfig, adam_step, cross_entropy, gradients, train
+from stancewatch.trainer import (
+    ADAM_EPS,
+    AdamState,
+    TrainConfig,
+    adam_step,
+    cross_entropy,
+    gradients,
+    train,
+)
 
 
 def scalar_config(config: EncoderConfig) -> dict:
@@ -39,7 +54,7 @@ def scalar_config(config: EncoderConfig) -> dict:
         "d_model": config.d_model,
         "n_heads": config.n_heads,
         "n_layers": config.n_layers,
-        "layer_norm_eps": config.layer_norm_eps,
+        "layer_norm_eps": LAYER_NORM_EPS,
     }
 
 
@@ -224,7 +239,7 @@ def test_metrics_hand_cases():
         # at t=1 the bias corrections cancel: step = lr * g / (|g| + eps)
         for name, tensor in params.tensors.items():
             g = grads[name]
-            want = before[name] - 0.01 * g / (np.abs(g) + train_config.adam_eps)
+            want = before[name] - 0.01 * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)
 
 

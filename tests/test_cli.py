@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from stancewatch import cli
 from stancewatch.cli import main
 from stancewatch.corpus import Category, ingest_jsonl, labeled_subset, split_dataset, write_jsonl
-from stancewatch.encoder import init_params, load_checkpoint, save_checkpoint
+from stancewatch.encoder import CHECKPOINT_VERSION, init_params, load_checkpoint, save_checkpoint
 from stancewatch.manifest import LOCK_NAME
 from stancewatch.synth import generate_corpus, generate_labeled
 from stancewatch.tokenizer import Vocabulary
@@ -493,7 +493,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"),
-        ("--set", "adam_eps=nan"), ("--set", "class_weights=1,nan,1,1"),
+        ("--set", "learning_rate=nan"), ("--set", "class_weights=1,nan,1,1"),
     ])
     def test_nonfinite_setting_is_3_before_any_stage(self, runner, tmp_path, flag, value):
         """Rejected before the vocabulary or the (missing) labeled file is read."""
@@ -552,6 +552,39 @@ class TestTrain:
         assert result.output.count("\n") == 1
         assert not (out / "model.ckpt").exists()
 
+    def test_all_zero_class_weights_is_3_before_any_stage(self, runner, tmp_path):
+        """Zero weight on every class would make every gradient 0 and save
+        the initial weights as a trained model; the run stops before the
+        vocabulary or the labeled file is read."""
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["train", "--labeled", str(tmp_path / "nope.jsonl"),
+                                      "--out", str(out), "--set", "class_weights=0,0,0,0"])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("error: class_weights must not all be zero")
+        assert result.stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source, key", [("set", "beta1"), ("ini", "adam_eps")])
+    def test_constant_as_setting_is_3_in_one_line(self, runner, workspace, source, key):
+        """Adam's b1, b2 and eps are constants (test_config has every removed
+        key): setting one is an unknown key, with no checkpoint written."""
+        out = workspace["out"]
+        (out / "model.ckpt").unlink()
+        if source == "set":
+            extra = ["--set", f"{key}=0.9"]
+        else:
+            ini = out.parent / "pipeline.ini"
+            ini.write_text(f"[train]\n{key} = 0.9\n", encoding="utf-8")
+            extra = ["--config", str(ini)]
+        result = runner.invoke(main, ["train", "--labeled", str(workspace["labeled"]),
+                                      "--out", str(out), "--quiet", *FAST_TRAIN, *extra])
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: unknown config key") and key in lines[0]
+        assert not (out / "model.ckpt").exists()
+
 
 class TestEvaluate:
     def test_outputs(self, runner, workspace):
@@ -582,6 +615,25 @@ class TestClassifyAndTimeline:
         assert len(rows) == 180  # 6 days x 30
         rec = json.loads(rows[0])
         assert set(rec) == {"id", "created_at", "predicted", "proba"}
+
+    @pytest.mark.parametrize("platform, maxrss, mb", [("linux", 81920, 80.0), ("darwin", 81920 * 1024, 80.0)])
+    def test_peak_rss_mb_by_platform(self, monkeypatch, platform, maxrss, mb):
+        """ru_maxrss counts kilobytes on Linux and bytes on macOS."""
+        usage = type("Usage", (), {"ru_maxrss": maxrss})
+        monkeypatch.setattr(cli.resource, "getrusage", lambda who: usage)
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        assert cli.peak_rss_mb() == mb
+
+    def test_classify_on_macos(self, runner, workspace, monkeypatch):
+        """Without sched_getaffinity, as on macOS, classify runs and its
+        peak RSS is read as bytes."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.sys, "platform", "darwin")
+        run_ok(runner, ["classify", "--corpus", str(workspace["corpus"]), "--out", str(workspace["out"]),
+                        "--quiet", *FAST_TRAIN])
+        timings = json.loads((workspace["out"] / "manifest_classify.json").read_text())["timings_s"]
+        assert timings["classify_threads"] >= 1
+        assert 0 < timings["peak_rss_mb"] < 1.0  # Linux's kilobytes read as bytes
 
     def test_timeline_outputs(self, runner, workspace):
         out = workspace["out"]
@@ -658,6 +710,22 @@ class TestBadModelInputs:
         return runner.invoke(main, ["classify", "--corpus", str(workspace["corpus"]),
                                     "--out", str(workspace["out"]), "--quiet", *FAST_TRAIN])
 
+    def test_version_1_checkpoint_is_3(self, runner, workspace):
+        """A checkpoint from before the Adam, LayerNorm and feed-forward
+        settings became constants is version 1: refused by its version in
+        one error line, with nothing classified. Retraining is the remedy."""
+        ckpt = workspace["out"] / "model.ckpt"
+        blob = ckpt.read_bytes()
+        hlen = struct.unpack_from("<I", blob, 10)[0]
+        header = json.loads(blob[14 : 14 + hlen])
+        header["config"].update(d_ff=64, n_classes=4, layer_norm_eps=1e-12)
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        ckpt.write_bytes(b"SWCKPT" + struct.pack("<II", 1, len(raw)) + raw + blob[14 + hlen :])
+        result = self.classify(runner, workspace)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: unsupported checkpoint version 1\n"
+        assert not (workspace["out"] / "classified.jsonl").exists()
+
     def test_nonfinite_weight_is_4(self, runner, workspace):
         ckpt = workspace["out"] / "model.ckpt"
         # the last float32 of the file is the last classifier bias
@@ -705,14 +773,14 @@ class TestBadModelInputs:
         header = json.loads(blob[14 : 14 + hlen])
         header["config"]["n_layers"] = 10**9
         raw = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(b"SWCKPT" + struct.pack("<II", 1, len(raw)) + raw + bytes(200))
+        ckpt.write_bytes(b"SWCKPT" + struct.pack("<II", CHECKPOINT_VERSION, len(raw)) + raw + bytes(200))
         result = self.classify(runner, workspace)
         assert result.exit_code == 3, result.output
         assert "truncated" in result.output
 
     def test_header_without_config_is_3(self, runner, workspace):
         header = json.dumps({"vocab_hash": None, "init_seed": 0}).encode("utf-8")
-        blob = b"SWCKPT" + struct.pack("<II", 1, len(header)) + header
+        blob = b"SWCKPT" + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header
         (workspace["out"] / "model.ckpt").write_bytes(blob)
         result = self.classify(runner, workspace)
         assert result.exit_code == 3, result.output
@@ -721,7 +789,7 @@ class TestBadModelInputs:
     @pytest.mark.parametrize("kind", sorted(HOSTILE_JSON))
     def test_header_json_refuses_without_a_decode_error_is_3(self, runner, workspace, kind):
         header = HOSTILE_JSON[kind].encode("utf-8")
-        (workspace["out"] / "model.ckpt").write_bytes(b"SWCKPT" + struct.pack("<II", 1, len(header)) + header)
+        (workspace["out"] / "model.ckpt").write_bytes(b"SWCKPT" + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
         result = self.classify(runner, workspace)
         assert result.exit_code == 3, result.output
         assert "corrupt checkpoint header" in result.output

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stancewatch.config import (
+    CONFIG_KEYS,
     PipelineConfig,
     apply_overrides,
     config_snapshot,
@@ -11,6 +14,21 @@ from stancewatch.config import (
     train_config,
 )
 from stancewatch.errors import DataValidationError, InputPathError
+
+# Settings that became constants; the fuzz writes them too.
+REMOVED_KEYS = ["beta1", "beta2", "adam_eps", "d_ff", "n_classes", "layer_norm_eps"]
+# INI text for the fuzz: section headers, known and removed keys with any
+# value (some spelled from INI's own syntax characters), and stray lines.
+INI_HEADER = st.one_of(
+    st.sampled_from(["[train]", "[model]", "[paths]", "[timeline]", "[seeds]", "[DEFAULT]", "", "["]),
+    st.text(max_size=10),
+)
+INI_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(CONFIG_KEYS) + REMOVED_KEYS),
+              st.text(max_size=12) | st.text("%()[]=:#;.-+ 019eaxsn", max_size=12)),
+    st.builds("{}: {}".format, st.text(max_size=8), st.text(max_size=8)),
+    st.text(max_size=20),
+)
 
 
 class TestDefaults:
@@ -80,6 +98,48 @@ class TestLoadConfig:
         with pytest.raises(DataValidationError, match="epochs"):
             load_config(p)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "beta1", "0.9"), ("train", "beta2", "0.999"), ("train", "adam_eps", "1e-8"),
+        ("model", "d_ff", "512"), ("model", "n_classes", "4"), ("model", "layer_norm_eps", "1e-12"),
+    ])
+    def test_constant_is_not_a_key(self, tmp_path, section, key, value):
+        """Adam's b1, b2 and eps, the feed-forward width, the class count and
+        LayerNorm's epsilon are constants, so an INI that sets one is refused."""
+        p = tmp_path / "run.ini"
+        p.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"unknown config key \\[{section}\\] {key}"):
+            load_config(p)
+
+    def test_percent_is_literal(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("[paths]\nout_dir = out%20a%%b%(x)s\n[train]\nepochs = %\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match="config key epochs"):
+            load_config(p)
+        p.write_text("[paths]\nout_dir = out%20a%%b%(x)s\n", encoding="utf-8")
+        assert load_config(p).out_dir == "out%20a%%b%(x)s"
+
+    def test_default_section_is_refused(self, tmp_path):
+        """configparser would copy a [DEFAULT] key into every section, or drop
+        it when there is none; neither is what the file says."""
+        p = tmp_path / "run.ini"
+        p.write_text("[DEFAULT]\nepochs = 3\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match="DEFAULT"):
+            load_config(p)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(INI_HEADER, st.lists(INI_LINE, max_size=4)), max_size=4).map(
+        lambda sections: "\n".join(line for header, lines in sections for line in [header, *lines])))
+    def test_any_text_loads_or_is_refused(self, tmp_path, text):
+        """Whatever the file holds, load_config returns a config or raises
+        one of the errors the CLI turns into an exit code."""
+        p = tmp_path / "fuzz.ini"
+        p.write_bytes(text.encode("utf-8", "surrogatepass"))
+        try:
+            config = load_config(p)
+        except (DataValidationError, InputPathError):
+            return
+        assert isinstance(config, PipelineConfig)
+
 
 class TestParseKv:
     def test_typed_parsing(self):
@@ -145,7 +205,7 @@ class TestDerivedConfigs:
         ec = encoder_config(cfg, vocab_size=123)
         assert ec.vocab_size == 123
         assert ec.d_model == 16
-        assert ec.d_ff == 64  # 4 * d_model when unset
+        assert ec.d_ff == 64  # 4 * d_model
 
     def test_train_config_mapping(self):
         cfg = PipelineConfig()

@@ -9,6 +9,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import encoder_reference
 import stancewatch.encoder as sw_encoder
@@ -16,7 +18,9 @@ from conftest import HOSTILE_JSON, leading_ones, padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     HEAD_START,
+    LAYER_NORM_EPS,
     EncoderConfig,
     TensorBuffer,
     _Packing,
@@ -37,6 +41,36 @@ from stancewatch.errors import DataValidationError, InputPathError, NumericalErr
 from stancewatch.tokenizer import PAD_ID, Encoding
 
 
+# Any JSON value, for the checkpoint header fuzz; floats include NaN and
+# the infinities, which json writes and reads as NaN and Infinity.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Config keys of both checkpoint versions, or any text.
+REMOVED_KEY = st.sampled_from(["d_ff", "n_classes", "layer_norm_eps"])
+CONFIG_KEY = st.one_of(
+    st.sampled_from(["vocab_size", "d_model", "n_layers", "n_heads", "max_len", "dropout_rate"]),
+    REMOVED_KEY,
+    st.text(max_size=6),
+)
+CONFIG_VALUE = st.one_of(st.integers(-2, 12), st.sampled_from([0.0, 0.1, 0.5, 1e-12, 2**40]), JSON_VALUES)
+# Small model settings that load, and the same with a removed key beside them.
+SMALL_CONFIG = st.fixed_dictionaries(
+    {"vocab_size": st.integers(4, 12), "d_model": st.sampled_from([4, 8])},
+    optional={"n_layers": st.integers(1, 2), "n_heads": st.sampled_from([1, 2, 4]),
+              "max_len": st.integers(1, 4), "dropout_rate": st.sampled_from([0, 0.0, 0.5])},
+)
+HEADER_CONFIG = st.one_of(
+    SMALL_CONFIG,
+    st.builds(lambda config, key, value: {**config, key: value}, SMALL_CONFIG, REMOVED_KEY, CONFIG_VALUE),
+    st.dictionaries(CONFIG_KEY, CONFIG_VALUE, max_size=9),
+    JSON_VALUES,
+)
+FLOAT32_NAN = struct.pack("<f", float("nan"))
+
+
 def tensors_as_lists(params):
     return {name: arr.tolist() for name, arr in params.tensors.items()}
 
@@ -46,7 +80,7 @@ def scalar_config(config: EncoderConfig) -> dict:
         "d_model": config.d_model,
         "n_heads": config.n_heads,
         "n_layers": config.n_layers,
-        "layer_norm_eps": config.layer_norm_eps,
+        "layer_norm_eps": LAYER_NORM_EPS,
     }
 
 
@@ -58,10 +92,6 @@ class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(DataValidationError, match="divide"):
             EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
-
-    def test_n_classes_pinned(self):
-        with pytest.raises(DataValidationError):
-            EncoderConfig(vocab_size=10, d_model=8, n_heads=2, n_classes=5)
 
     def test_dropout_range(self):
         with pytest.raises(DataValidationError):
@@ -464,7 +494,7 @@ def default_size_model():
     """The default model's sizes (d_model 128, d_ff 512, 2 layers, max_len
     64), noise on every tensor, and 64 encodings: a lone short one first,
     then 63 whose lengths span the buckets 8 to 64."""
-    cfg = EncoderConfig(vocab_size=300, d_model=128, n_layers=2, n_heads=4, d_ff=512, max_len=64)
+    cfg = EncoderConfig(vocab_size=300, d_model=128, n_layers=2, n_heads=4, max_len=64)
     params = init_params(cfg, seed=5)
     rng = np.random.default_rng(7)
     params.tensors.flat[:] += rng.normal(scale=0.05, size=params.tensors.flat.size)
@@ -756,7 +786,7 @@ class TestCheckpoint:
         for any of them."""
         header = json.dumps({"config": {**asdict(tiny_config), "n_layers": 10**9}}).encode("utf-8")
         p = tmp_path / "m.ckpt"
-        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header + bytes(200))
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header + bytes(200))
         tracemalloc.start()
         try:
             with pytest.raises(DataValidationError, match="truncated"):
@@ -770,7 +800,7 @@ class TestCheckpoint:
     def test_header_json_refuses_without_a_decode_error(self, tmp_path, kind):
         raw = HOSTILE_JSON[kind].encode("utf-8")
         p = tmp_path / "m.ckpt"
-        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(raw)) + raw)
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(raw)) + raw)
         with pytest.raises(DataValidationError, match="corrupt checkpoint header"):
             load_checkpoint(p)
 
@@ -797,6 +827,75 @@ class TestCheckpoint:
     def test_bad_header_rejected(self, tmp_path, header):
         raw = json.dumps(header).encode("utf-8")
         p = tmp_path / "m.ckpt"
-        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(raw)) + raw)
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(raw)) + raw)
         with pytest.raises(DataValidationError):
+            load_checkpoint(p)
+
+    def test_header_holds_only_the_settings(self, tiny_config, tmp_path):
+        """Version 2: the header's config is EncoderConfig's six fields; the
+        feed-forward width, class count and LayerNorm epsilon are constants."""
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(tiny_config, seed=9), p)
+        blob = p.read_bytes()
+        version, hlen = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))
+        header = json.loads(blob[len(CHECKPOINT_MAGIC) + 8 : len(CHECKPOINT_MAGIC) + 8 + hlen])
+        assert version == CHECKPOINT_VERSION == 2
+        assert sorted(header["config"]) == sorted(asdict(tiny_config)) == sorted(
+            ["vocab_size", "d_model", "n_layers", "n_heads", "max_len", "dropout_rate"])
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.one_of(
+            JSON_VALUES,
+            st.fixed_dictionaries(
+                {"config": HEADER_CONFIG},
+                optional={"vocab_hash": JSON_VALUES, "init_seed": JSON_VALUES},
+            ),
+            st.binary(max_size=24),
+            st.sampled_from(sorted(HOSTILE_JSON.values())).map(str.encode),
+        ),
+        hlen_shift=st.one_of(st.just(0), st.integers(-4, 4)),
+        body_shift=st.one_of(st.just(0), st.integers(-8, 8)),
+        fill=st.sampled_from([b"\x00\x00\x80\x3f", FLOAT32_NAN, b"\x01"]),
+    )
+    def test_any_header_loads_or_is_refused(self, tmp_path, header, hlen_shift, body_shift, fill):
+        """Any JSON header, including one that sets the removed keys, or any
+        bytes: load_checkpoint returns what the header says, or raises one
+        of the errors the CLI turns into an exit code, NumericalError
+        (exit 4) only for a NaN weight. A header whose config the model
+        accepts gets a body of about its size, so some files load."""
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+        size = 0
+        config = header.get("config") if isinstance(header, dict) else None
+        if isinstance(config, dict):
+            try:
+                size = 4 * sw_encoder._value_count(EncoderConfig(**config))
+            except (TypeError, DataValidationError):
+                pass
+        body = (fill * (size // len(fill) + 4))[: max(0, size + body_shift)] if size < 1 << 16 else b""
+        p = tmp_path / "fuzz.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, max(0, len(raw) + hlen_shift)) + raw + body)
+        try:
+            params = load_checkpoint(p)
+        except (DataValidationError, InputPathError):
+            return
+        except NumericalError:
+            assert fill == FLOAT32_NAN
+            return
+        assert params.tensors.flat.size * 4 == len(body)
+        assert params.config == EncoderConfig(**header["config"])
+        assert (params.vocab_hash, params.init_seed) == (header.get("vocab_hash"), header.get("init_seed"))
+        assert isinstance(params.vocab_hash, (str, type(None))) and isinstance(params.init_seed, (int, type(None)))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32 - 1).filter(lambda v: v != CHECKPOINT_VERSION))
+    def test_any_other_version_is_refused(self, tiny_config, tmp_path, version):
+        """A whole, valid file under any other version number is refused by
+        that number alone."""
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(tiny_config, seed=9), p)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<I", blob, len(CHECKPOINT_MAGIC), version)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(DataValidationError, match=f"^unsupported checkpoint version {version}$"):
             load_checkpoint(p)

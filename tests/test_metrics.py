@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import math
+import os
 import threading
 import time
 import warnings
@@ -401,6 +402,20 @@ class TestForwardPool:
             assert got.tobytes() == expected.tobytes()
             assert stats == {"threads": workers}
         assert inline[1].tobytes() == inline[257].tobytes()
+
+    def test_workers_without_sched_getaffinity(self, default_size_setup, inline, monkeypatch):
+        """macOS's os has no sched_getaffinity: every CPU counts, and at
+        least one when the count is unknown; the bytes stay the same."""
+        params, vocab, texts = default_size_setup
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert metrics.forward_workers() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert metrics.forward_workers() == 3
+        monkeypatch.setattr(metrics, "POOL_MIN_FFN_MACS", 0)
+        stats: dict = {}
+        assert predict_batches(params, vocab, texts, 64, stats).tobytes() == inline[64].tobytes()
+        assert stats == {"threads": 3}
 
     def test_small_forwards_and_one_cpu_run_inline(self, default_size_setup, monkeypatch):
         params, vocab, texts = default_size_setup

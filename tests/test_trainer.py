@@ -19,6 +19,9 @@ from stancewatch.encoder import (
 from stancewatch.errors import DataValidationError, NumericalError
 from stancewatch.tokenizer import build_vocab, encode
 from stancewatch.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -73,7 +76,7 @@ class TestTrainConfig:
         assert cfg.learning_rate == 5e-6
         assert cfg.epochs == 25
         assert cfg.batch_size == 16
-        assert (cfg.beta1, cfg.beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -81,14 +84,14 @@ class TestTrainConfig:
             dict(learning_rate=-1.0),
             dict(epochs=0),
             dict(batch_size=0),
-            dict(beta1=1.0),
-            dict(beta2=-0.1),
-            dict(adam_eps=0.0),
+            dict(class_weights=(0.0, 0.0, 0.0, 0.0)),
+            dict(class_weights=(0, -0.0, 0, 0)),
+            dict(learning_rate=float("-inf")),
             dict(class_weights=(1.0, 1.0, 1.0)),
             dict(class_weights=(1.0, -1.0, 1.0, 1.0)),
             dict(learning_rate=float("nan")),
             dict(learning_rate=float("inf")),
-            dict(adam_eps=float("nan")),
+            dict(class_weights=(1.0, 1.0, 1.0, 1.0, 1.0)),
             dict(class_weights=(1.0, float("nan"), 1.0, 1.0)),
             dict(class_weights=(1.0, 1.0, float("inf"), 1.0)),
             dict(init_seed=-1),
@@ -99,6 +102,13 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DataValidationError):
             TrainConfig(**kwargs)
+
+    def test_all_zero_class_weights_named(self):
+        """Zero weight on every class makes every loss and gradient exactly
+        0, so Adam would move nothing and training would save the init."""
+        with pytest.raises(DataValidationError, match="class_weights must not all be zero"):
+            TrainConfig(class_weights=(0.0, 0.0, 0.0, 0.0))
+        assert TrainConfig(class_weights=(0.0, 0.0, 1.0, 0.0)).class_weights == (0.0, 0.0, 1.0, 0.0)
 
 
 def head_grads(params, value):
@@ -122,7 +132,7 @@ class TestAdam:
 
     def test_eps_outside_sqrt(self, tiny_params):
         # tiny gradient separates the two eps placements by orders of magnitude
-        cfg = TrainConfig(learning_rate=1.0, adam_eps=1e-8)
+        cfg = TrainConfig(learning_rate=1.0)
         g = 1e-12
         grads = head_grads(tiny_params, g)
         state = AdamState(grads)
@@ -135,7 +145,7 @@ class TestAdam:
         assert abs(step - inside) > 1e-6
 
     def test_bias_correction_sequence(self, tiny_params):
-        cfg = TrainConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, adam_eps=1e-8)
+        cfg = TrainConfig(learning_rate=0.1)
         state = AdamState(head_grads(tiny_params, 0.0))
         theta = float(tiny_params.tensors["classifier_b"][0])
         m = v = 0.0
