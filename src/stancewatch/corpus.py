@@ -147,6 +147,9 @@ def _canonicalize(obj: dict) -> dict:
 # escape is searched for one after decoding.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+# The written line form, json.dumps(record, ensure_ascii=False,
+# sort_keys=True) from one encoder: json.dumps builds one per call.
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def _open_text(path: Path):
@@ -214,7 +217,7 @@ def ingest_jsonl(path: str | Path) -> IngestResult:
                     continue
                 # Only an escape can put a surrogate into a line read as UTF-8.
                 if ("\\u" in line and _SURROGATE_ESCAPE.search(line)
-                        and _LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False))):
+                        and _LONE_SURROGATE.search(_JSON_LINE(obj))):
                     reason = "record holds a lone UTF-16 surrogate escape"
                     rejects.append(RejectedRecord(line_no, reason, raw=line.rstrip("\n")))
                     continue
@@ -253,14 +256,14 @@ def write_jsonl(tweets: Iterable[Tweet], path: str | Path) -> None:
     opener = gzip.open if p.suffix == ".gz" else open
     with opener(p, "wt", encoding="utf-8") as fh:
         for t in tweets:
-            fh.write(json.dumps(tweet_to_record(t), ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_JSON_LINE(tweet_to_record(t)) + "\n")
 
 
 def write_rejects(rejects: Iterable[RejectedRecord], path: str | Path) -> None:
     """Write the rejects report: original fields plus reason and line number."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in rejects:
-            fh.write(json.dumps(r.to_record(), ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_JSON_LINE(r.to_record()) + "\n")
 
 
 @dataclass(frozen=True)

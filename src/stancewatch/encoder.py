@@ -26,9 +26,8 @@ pass, whose GELU derivative then needs only the density's exp, and whose
 GELU output is recomputed from it with one multiply instead of kept. In
 float32 (inference) Phi comes from the Abramowitz & Stegun 7.1.26
 polynomial in numpy's own array passes, within 3e-7 of the float64 CDF.
-The initial weights are drawn through the Cephes normal quantile
-(``_ndtri``), so the package needs numpy and no special-function
-library. Dropout
+The initial weights are BERT's truncated normal: normal draws, each beyond
+2 sigma redrawn (``_truncated_normal``). Dropout
 (embedding output, attention output, feed-forward output) runs only in
 train mode, with seeded masks, so inference and gradient checks are
 deterministic. The additive mask constant is -1e9 rather than -inf so no
@@ -342,22 +341,6 @@ _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.549377788878198
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERF_SATURATES = 6.0
-# The quantile: c + c c^2 P0(c^2) / Q0(c^2), c = y - 1/2, times sqrt(2 pi)
-# within exp(-2) of either end; beyond it, with r = sqrt(-2 log m) for m the
-# nearer end's distance min(y, 1 - y), r - log(r) / r - P1(1/r) / (r Q1(1/r)),
-# valid for r in [2, 8], with the sign of c.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_CENTRE = 0.5 - 0.13533528323661269189  # 1/2 - exp(-2)
 
 
 def _polevl(x: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
@@ -416,34 +399,19 @@ def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _ndtri(y: np.ndarray) -> np.ndarray:
-    """The standard normal quantile by Cephes ndtri.c, for y in
-    [exp(-32), 1 - exp(-32)], where its tail approximation holds: the
-    central approximation on every value, the tail one on those beyond it
-    only."""
-    c = y - 0.5
-    c2 = np.square(c)
-    x = _polevl(c2, _NDTRI_P0)
-    x *= c2
-    x /= _p1evl(c2, _NDTRI_Q0)
-    x *= c
-    x += c
-    x *= math.sqrt(2.0 * math.pi)
-    tail = np.flatnonzero(np.abs(c) > _NDTRI_CENTRE)
-    yt = np.take(y, tail)
-    r = np.sqrt(-2.0 * np.log(np.minimum(yt, 1.0 - yt)))
-    inv = 1.0 / r
-    xt = r - np.log(r) / r - inv * _polevl(inv, _NDTRI_P1) / _p1evl(inv, _NDTRI_Q1)
-    np.put(x, tail, np.copysign(xt, np.take(c, tail)))
-    return x
-
-
-def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # Inverse-CDF sampling of a normal truncated to +-2 sigma: no rejection
-    # loop, so the draw count per tensor is fixed and seeding is stable.
-    lo, hi = _gaussian_cdf(np.array([-INIT_CLIP_SIGMAS, INIT_CLIP_SIGMAS]))
-    u = rng.random(shape)
-    return _ndtri(lo + u * (hi - lo)) * INIT_STD
+def _truncated_normal(rng: np.random.Generator, arr: np.ndarray) -> None:
+    """Fill ``arr`` in place as BERT's initializer does: standard normal
+    draws, each beyond +-``INIT_CLIP_SIGMAS`` redrawn (in index order, until
+    none is left), scaled to ``INIT_STD``. How many draws a tensor takes
+    from ``rng`` varies, but is fixed by the seed."""
+    rng.standard_normal(out=arr)
+    flat = arr.reshape(-1)
+    far = np.flatnonzero(np.abs(flat) > INIT_CLIP_SIGMAS)
+    while far.size:
+        redrawn = rng.standard_normal(far.size)
+        np.put(flat, far, redrawn)
+        far = far[np.abs(redrawn) > INIT_CLIP_SIGMAS]
+    arr *= INIT_STD
 
 
 def init_params(
@@ -456,7 +424,7 @@ def init_params(
     tensors = TensorBuffer(tensor_shapes(config))
     for name, arr in tensors.items():
         if arr.ndim == 2:
-            arr[...] = _truncated_normal(rng, arr.shape)
+            _truncated_normal(rng, arr)
         elif name.endswith("_gain"):
             arr[...] = 1.0
     return ModelParams(config, tensors, vocab_hash=vocab_hash, init_seed=seed)

@@ -47,6 +47,8 @@ MAX_UTC_OFFSET_MINUTES = 24 * 60
 # Rows per block of write_classified: the ids aside, only one block's rows
 # are ever Python objects, whatever the length of the result.
 CLASSIFIED_BLOCK_ROWS = 4096
+# json.dumps(id, ensure_ascii=False) from one encoder: json.dumps builds one per call.
+_JSON_TEXT = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class ClassifiedTweet(NamedTuple):
@@ -317,8 +319,9 @@ def write_classified(classified: Classified, path: str | Path) -> int:
 
     Each line is byte-identical to ``json.dumps(record, sort_keys=True,
     ensure_ascii=False)``, built from the sorted key order directly: the id
-    through ``json.dumps``, the finite probabilities through ``float.__repr__``
-    as json writes them, and the timestamp, which needs no escaping, as is.
+    through one module-level ``json.JSONEncoder``, the finite probabilities
+    through ``float.__repr__`` as json writes them, and the timestamp, which
+    needs no escaping, as is.
     The columns become Python lists ``CLASSIFIED_BLOCK_ROWS`` rows at a
     time, so writing adds the memory of one block, not of the whole result.
     """
@@ -330,7 +333,7 @@ def write_classified(classified: Classified, path: str | Path) -> int:
             for tid, us, predicted, (p0, p1, p2, p3) in zip(*columns):
                 fh.write(
                     f'{{"created_at": "{format_timestamp(EPOCH + us * ONE_US)}", '
-                    f'"id": {json.dumps(tid, ensure_ascii=False)}, "predicted": {predicted}, '
+                    f'"id": {_JSON_TEXT(tid)}, "predicted": {predicted}, '
                     f'"proba": [{p0!r}, {p1!r}, {p2!r}, {p3!r}]}}\n'
                 )
     return len(classified)

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from stancewatch.encoder import EncoderConfig, init_params
 from stancewatch.tokenizer import PAD_ID, Encoding
@@ -58,6 +59,14 @@ HOSTILE_JSON = {
     "deep": "[" * 100_000 + "]" * 100_000,
     "long_int": '{"id": "2", "n": ' + "9" * 5000 + "}",
 }
+
+# Any JSON value, for the file-format fuzzers; floats include NaN and the
+# infinities, which json writes and reads as NaN and Infinity.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 TINY = dict(vocab_size=16, d_model=8, n_layers=1, n_heads=2, max_len=8)

@@ -3,13 +3,14 @@ import gzip
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import HOSTILE_JSON
+from conftest import HOSTILE_JSON, JSON_VALUES
 
 from stancewatch.corpus import (
     Category,
+    IngestResult,
     LabeledDataset,
     Tweet,
     format_timestamp,
@@ -107,6 +108,44 @@ class TestTimestamps:
                 parse_timestamp(raw)
 
 
+# Corpus lines: tweets; records with the fields ingest reads, under either
+# spelling, each a plausible value or any JSON value, beside a field it
+# ignores; any JSON value; any text; lone and paired surrogate escapes; a
+# lone surrogate, which is invalid UTF-8 in the file; and JSON that json
+# refuses without a JSONDecodeError.
+CORPUS_TIMESTAMPS = st.sampled_from([
+    "2021-07-22T10:00:00Z", "2021-07-22T13:00:00.5+03:00", "2021-07-22 10:00:00",
+    "0001-01-01T00:30:00+01:00", "9999-12-31T23:59:59-01:00", "2021-13-01T10:00:00Z", "",
+])
+CORPUS_RECORDS = st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(["a", "b", "ş"]) | JSON_VALUES,
+    "created_at": CORPUS_TIMESTAMPS | JSON_VALUES,
+    "date": CORPUS_TIMESTAMPS,
+    "text": st.text(max_size=6) | JSON_VALUES,
+    "content": st.text(max_size=6),
+    "label": st.integers(-1, 4) | JSON_VALUES,
+    "gold_label": st.integers(0, 3),
+    "lang": JSON_VALUES,
+})
+CORPUS_TWEETS = st.fixed_dictionaries(
+    {"id": st.text(min_size=1, max_size=3), "created_at": CORPUS_TIMESTAMPS,
+     "text": st.text(max_size=6).map("aşı {}".format)},
+    optional={"label": st.integers(0, 3)},
+)
+CORPUS_LINES = st.one_of(
+    st.tuples(CORPUS_TWEETS | CORPUS_RECORDS, st.booleans()).map(lambda r: json.dumps(r[0], ensure_ascii=r[1])),
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=12),
+    st.sampled_from([
+        '{"id": "s", "created_at": "2021-07-22T10:00:00Z", "text": "aşı \\ud83d"}',
+        '{"id": "p", "created_at": "2021-07-22T10:00:00Z", "text": "aşı \\ud83d\\ude00"}',
+        '{"id": "k", "\\udc00": 1}',
+        "\ud800",
+        *sorted(HOSTILE_JSON.values()),
+    ]),
+)
+
+
 class TestIngest:
     def write(self, tmp_path, lines, name="corpus.jsonl"):
         p = tmp_path / name
@@ -193,6 +232,36 @@ class TestIngest:
             assert len(fh.readlines()) == 6
         back = ingest_jsonl(p)
         assert back.tweets == tuple(tweets)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(CORPUS_LINES, max_size=6),
+        end=st.sampled_from(["", "\n", "\r\n"]),
+        form=st.sampled_from(["text", "gzip", "gzip cut short", "bytes", "bytes as gzip"]),
+        raw=st.binary(max_size=24),
+    )
+    def test_any_file_loads_or_is_refused(self, tmp_path, lines, end, form, raw):
+        """Whatever a corpus file holds, plain or gzip, ingest_jsonl returns
+        tweets and rejects in line order, whose rejects report writes and
+        whose tweets write and read back unchanged, or raises one of the
+        errors the CLI turns into an exit code."""
+        data = raw if form.startswith("bytes") else ("\n".join(lines) + end).encode("utf-8", "surrogatepass")
+        if form.startswith("gzip"):
+            data = gzip.compress(data, mtime=0)
+            data = data[: len(data) // 2] if form == "gzip cut short" else data
+        suffix = ".jsonl" if form in ("text", "bytes") else ".jsonl.gz"
+        p = tmp_path / f"corpus{suffix}"
+        p.write_bytes(data)
+        try:
+            result = ingest_jsonl(p)
+        except (DataValidationError, InputPathError):
+            return
+        line_nos = [r.line_no for r in result.rejects]
+        assert line_nos == sorted(set(line_nos))
+        write_rejects(result.rejects, tmp_path / "rejects.jsonl")
+        again = tmp_path / f"again{suffix}"
+        write_jsonl(result.tweets, again)
+        assert ingest_jsonl(again) == IngestResult(result.tweets, ())
 
     def test_write_rejects_report(self, tmp_path):
         lines = [json.dumps({"id": "a", "created_at": "bad", "text": "aşı"})]

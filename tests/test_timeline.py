@@ -6,12 +6,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stancewatch.timeline as sw_timeline
 import timeline_reference as reference
-from conftest import HOSTILE_JSON, random_encodings
+from conftest import HOSTILE_JSON, JSON_VALUES, random_encodings
 from stancewatch.corpus import Category, Tweet, format_timestamp
 from stancewatch.encoder import EncoderConfig, init_params
 from stancewatch.errors import DataValidationError, InputPathError
@@ -561,7 +561,51 @@ class TestClassifiedBlocks:
             read_classified(p)
 
 
+# classified.jsonl records that read back (ids unique within a file), and
+# records whose fields are each a plausible value or any JSON value.
+CLASSIFIED_TIMESTAMPS = st.sampled_from([
+    "2021-08-01T00:00:00Z", "2021-08-02T23:59:59.500000+03:00", "1969-12-31T23:59:59.999999Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59.999999Z",
+])
+CLASSIFIED_PROBA = st.sampled_from([
+    [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.25] * 4, [0, 0, 1, 0], [0.5, 0.5, 0.0, -0.0],
+])
+CLASSIFIED_RECORDS = st.builds(
+    lambda tid, ts, proba: {"id": tid, "created_at": ts, "predicted": int(np.argmax(proba)), "proba": proba},
+    st.text(min_size=1, max_size=3), CLASSIFIED_TIMESTAMPS, CLASSIFIED_PROBA,
+)
+CLASSIFIED_FIELDS = st.fixed_dictionaries({}, optional={
+    "id": st.text(max_size=3) | JSON_VALUES,
+    "created_at": CLASSIFIED_TIMESTAMPS | st.sampled_from(["2021-08-01", "0001-01-01T00:00:00+01:00"]) | JSON_VALUES,
+    "predicted": st.integers(-1, 4) | JSON_VALUES,
+    "proba": CLASSIFIED_PROBA | st.lists(st.floats() | st.integers(), max_size=5) | JSON_VALUES,
+})
+CLASSIFIED_LINES = st.one_of(
+    st.lists(CLASSIFIED_RECORDS, max_size=5, unique_by=lambda r: r["id"]).map(
+        lambda records: [json.dumps(r, ensure_ascii=False) for r in records]),
+    st.lists(st.one_of(
+        (CLASSIFIED_RECORDS | CLASSIFIED_FIELDS).map(json.dumps), JSON_VALUES.map(json.dumps),
+        st.text(max_size=12), st.sampled_from(["\ud800", *sorted(HOSTILE_JSON.values())]),
+    ), max_size=5),
+)
+
+
 class TestPersistence:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=CLASSIFIED_LINES, end=st.sampled_from(["", "\n", "\r\n"]), raw=st.none() | st.binary(max_size=24))
+    def test_any_file_loads_or_is_refused(self, tmp_path, lines, end, raw):
+        """Whatever classified.jsonl holds, read_classified returns results
+        that write and read back unchanged, or raises one of the errors the
+        CLI turns into an exit code."""
+        p = tmp_path / "classified.jsonl"
+        p.write_bytes(("\n".join(lines) + end).encode("utf-8", "surrogatepass") if raw is None else raw)
+        try:
+            classified = read_classified(p)
+        except (DataValidationError, InputPathError):
+            return
+        again = tmp_path / "again.jsonl"
+        write_classified(classified, again)
+        assert list(read_classified(again)) == list(classified)
     def test_classified_round_trip(self, tmp_path):
         rows = block([ct(i, D(2021, 8, 1), predicted=i % 4) for i in range(6)])
         p = tmp_path / "classified.jsonl"

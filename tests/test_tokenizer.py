@@ -3,7 +3,7 @@ import sys
 import unicodedata
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import stancewatch.tokenizer as tokenizer
@@ -167,6 +167,14 @@ class TestIncrementalPairCounts:
         assert len(calls) < 2 * distinct
 
 
+# vocab.txt lines: tokens like build_vocab's, the specials, "#" pieces,
+# separators read as line ends, or any text.
+VOCAB_LINES = st.one_of(
+    st.sampled_from(["a", "##a", "aş", "##ş", "#", "##", "###", "", " ", "[UNK]", "\r", "\u2028", "\x85"]),
+    st.text(max_size=5),
+)
+
+
 class TestVocabularyIO:
     def test_serialized_round_trip(self, tmp_path):
         vocab = build_vocab(["aşı haberleri çok kötü"], max_size=60)
@@ -200,6 +208,32 @@ class TestVocabularyIO:
         a = Vocabulary(("[PAD]", "[UNK]", "[CLS]", "[SEP]", "a"))
         b = Vocabulary(("[PAD]", "[UNK]", "[CLS]", "[SEP]", "b"))
         assert a.content_hash() != b.content_hash()
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        head=st.sampled_from([SPECIAL_TOKENS] * 3 + [(), SPECIAL_TOKENS[:3], SPECIAL_TOKENS[::-1]]),
+        lines=st.lists(VOCAB_LINES, max_size=8, unique=True) | st.lists(VOCAB_LINES, max_size=8),
+        end=st.sampled_from(["", "\n", "\r\n", "\n\n"]),
+        raw=st.none() | st.binary(max_size=24),
+    )
+    def test_any_file_loads_or_is_refused(self, tmp_path, head, lines, end, raw):
+        """Whatever vocab.txt holds, Vocabulary.load returns a vocabulary
+        that encodes text into its own ids and saves to a file that loads
+        back the same, or raises one of the errors the CLI turns into an
+        exit code. Lone surrogates make the file invalid UTF-8."""
+        p = tmp_path / "vocab.txt"
+        text = "\n".join([*head, *lines]) + end
+        p.write_bytes(text.encode("utf-8", "surrogatepass") if raw is None else raw)
+        try:
+            vocab = Vocabulary.load(p)
+        except (DataValidationError, InputPathError):
+            return
+        for sample in ["aşı ## #a [UNK] ab", " ".join(vocab.tokens), "".join(vocab.tokens)]:
+            ids = encode(vocab, sample, 16).ids
+            assert ids[0] == CLS_ID and ids[-1] == SEP_ID and all(0 <= i < len(vocab) for i in ids)
+        again = tmp_path / "again.txt"
+        vocab.save(again)
+        assert Vocabulary.load(again).tokens == vocab.tokens
 
 
 def toy_vocab(*extra: str) -> Vocabulary:

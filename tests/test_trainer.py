@@ -277,11 +277,18 @@ class TestTrain:
             np.testing.assert_array_equal(ta, tb)
 
     def test_loss_decreases_on_separable_data(self):
-        # deliberately hot learning rate: the toy run has only 75 Adam steps
-        tc = TrainConfig(learning_rate=1e-2, epochs=25, batch_size=4)
-        trace = train(self.split, self.vocab, self.model_cfg, tc)
-        assert trace.epoch_losses[-1] < trace.epoch_losses[0]
-        assert trace.epoch_accuracies[-1] >= 0.75
+        """From each of init seeds 0-11, 75 Adam steps at a deliberately hot
+        learning rate take the best epoch's mean loss below 3/4 of ln 4, a
+        uniform guess's loss; at learning rate 0 every epoch stays above it.
+        Many seeds settle near ln 2, each tweet shared by two classes, so the
+        final accuracy hinges on the init draws and is not the criterion."""
+        def best_loss(learning_rate, init_seed):
+            tc = TrainConfig(learning_rate=learning_rate, epochs=25, batch_size=4, init_seed=init_seed)
+            return min(train(self.split, self.vocab, self.model_cfg, tc).epoch_losses)
+
+        bound = 0.75 * math.log(4.0)
+        assert [seed for seed in range(12) if not best_loss(1e-2, seed) < bound] == []
+        assert [seed for seed in range(12) if not best_loss(0.0, seed) > bound] == []
 
     def test_diverging_run_raises_numerical_error(self):
         """lr 1e308 overflows the weights in the first Adam step, so the
