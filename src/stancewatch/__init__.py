@@ -15,7 +15,6 @@ from .corpus import (
 from .encoder import (
     EncoderConfig,
     ModelParams,
-    forward,
     init_params,
     load_checkpoint,
     predict_proba,
@@ -56,7 +55,6 @@ __all__ = [
     "detect_peaks",
     "encode",
     "evaluate",
-    "forward",
     "gradients",
     "ingest_jsonl",
     "init_params",

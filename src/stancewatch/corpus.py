@@ -150,6 +150,9 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 # The written line form, json.dumps(record, ensure_ascii=False,
 # sort_keys=True) from one encoder: json.dumps builds one per call.
 _JSON_LINE = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# Raises ValueError on a NaN or an infinity, which json.loads reads from
+# NaN, Infinity and -Infinity but no output file may hold.
+_JSON_FINITE = json.JSONEncoder(allow_nan=False).encode
 
 
 def _open_text(path: Path):
@@ -189,7 +192,9 @@ def ingest_jsonl(path: str | Path) -> IngestResult:
 
     Returns the valid tweets in file order. Malformed lines are collected
     as :class:`RejectedRecord` with their line number and reason, never
-    silently dropped. A duplicate id or an unreadable file is fatal.
+    silently dropped; a rejected record that holds a NaN or an infinity
+    keeps its raw line instead of its fields. A duplicate id or an
+    unreadable file is fatal.
     """
     p = Path(path)
     if not p.is_file():
@@ -225,7 +230,12 @@ def ingest_jsonl(path: str | Path) -> IngestResult:
                 try:
                     tweet = _record_to_tweet(rec)
                 except ValueError as exc:
-                    rejects.append(RejectedRecord(line_no, str(exc), record=rec))
+                    try:
+                        _JSON_FINITE(rec)
+                    except ValueError:  # reported by its line, as invalid JSON is
+                        rejects.append(RejectedRecord(line_no, str(exc), raw=line.rstrip("\n")))
+                    else:
+                        rejects.append(RejectedRecord(line_no, str(exc), record=rec))
                     continue
                 if tweet.id in seen:
                     raise DataValidationError(

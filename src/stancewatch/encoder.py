@@ -12,10 +12,14 @@ The computation is the original post-layer-norm ordering:
 
 Attention, the feed-forward and add-and-norm are each a pair of functions,
 ``_attention_*``, ``_ffn_*`` and ``_add_and_norm*``. Each forward returns
-its output and a tuple of what its backward reads; the cache is those
-tuples, (attention, norm1, ffn, norm2) per layer, between the embedding's
-arrays and the head's. Each backward writes its parameters' gradients and
-adds its input gradient into the residual's in place.
+its output and a tuple of what its backward reads; the cache is a list
+of those tuples, (attention, norm1, ffn, norm2) per layer, between the
+embedding's arrays and the head's. Each backward writes its parameters'
+gradients and adds its input gradient into the residual's in place. A
+cache serves one full backward: ``backward_from_logits`` pops each
+layer's tuple and drops every part after its last read, so a training
+step holds a layer's activations only until that layer's backward is
+done, and a second full backward on the same cache is refused.
 
 GELU uses the Gaussian CDF form, x * Phi(x). In float64 (training, its
 gradients and their checks) Phi is 0.5 * (1 + erf(x / sqrt(2))), with one
@@ -26,11 +30,18 @@ pass, whose GELU derivative then needs only the density's exp, and whose
 GELU output is recomputed from it with one multiply instead of kept. In
 float32 (inference) Phi comes from the Abramowitz & Stegun 7.1.26
 polynomial in numpy's own array passes, within 3e-7 of the float64 CDF.
+Both run over the flat values in blocks of ``GELU_BLOCK`` (65,536),
+which keeps their temporaries to a few cache-sized blocks; the
+backward's GELU derivative runs in the same blocks, in place.
 The initial weights are BERT's truncated normal: normal draws, each beyond
 2 sigma redrawn (``_truncated_normal``). Dropout
 (embedding output, attention output, feed-forward output) runs only in
 train mode, with seeded masks, so inference and gradient checks are
-deterministic. The additive mask constant is -1e9 rather than -inf so no
+deterministic. The forward multiplies by the float mask it draws, and a
+training cache keeps the mask as booleans, a byte a value, which the
+backward applies as x * keep * (1 / (1 - rate)): the bytes of the float
+mask's product, since x * 1.0 is x and x * 0.0 is a signed zero.
+The additive mask constant is -1e9 rather than -inf so no
 NaN can propagate through the softmax. ``layer*.bk`` has an analytically
 zero gradient (q . bk is one constant across a row of scores, which the
 softmax cancels), so training moves it only by rounding noise: it is the
@@ -73,8 +84,8 @@ draws of the positions past them up to ``max_len``, so a real position
 gets the same train-mode mask at any width and padding costs no draw;
 ``tests/encoder_reference.py`` keeps the grid draw as the masks' byte
 oracle. Attention scores,
-softmax and layernorm work in place on their temporaries, taking the
-same float steps as the allocating forms.
+softmax, layernorm and the attention backward work in place on their
+temporaries, taking the same float steps as the allocating forms.
 
 The last layer computes [CLS] only, since the head reads nothing else of
 its output: the queries, context, output projection, both add-and-norms
@@ -343,9 +354,9 @@ _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.549377788878198
 _ERF_SATURATES = 6.0
 
 
-def _polevl(x: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
-    """Horner's rule, c0 x^n + ... + cn, in place on one new array."""
-    y = x * coeffs[0]
+def _polevl(x: np.ndarray, coeffs: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
+    """Horner's rule, c0 x^n + ... + cn, in place on one new array or ``out``."""
+    y = np.multiply(x, coeffs[0], out=out)
     for c in coeffs[1:-1]:
         y += c
         y *= x
@@ -362,19 +373,20 @@ def _p1evl(x: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
     return y
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """float64 erf by Cephes ndtr.c, within 1 ulp of the C function and 3 ulp
     of ``math.erf``. x T(x^2) / U(x^2) runs on every value, and the erfc
     form on the values beyond 1 only, gathered by index: GELU's arguments
     mostly lie within 1 (all of them at the init, 99 % after the README's
     25-epoch synthetic run), and the erfc form's 38 array passes over every
     value would more than double the cost. erf(+-0) is +-0, erf(+-inf) is
-    +-1 and NaN stays NaN, without a numpy warning."""
+    +-1 and NaN stays NaN, without a numpy warning. ``out``, if given, is a
+    1-D array of x's size to write into."""
     # a 0-d x would make every ufunc below return a scalar; NaN stays NaN
     c = np.clip(x.reshape(-1), -_ERF_SATURATES, _ERF_SATURATES)
     z = np.square(c)
     far = np.flatnonzero(z > 1.0)
-    out = _polevl(z, _ERF_T)
+    out = _polevl(z, _ERF_T, out)
     out *= c
     out /= _p1evl(z, _ERF_U)
     signed = np.take(c, far)
@@ -389,14 +401,6 @@ def _erf(x: np.ndarray) -> np.ndarray:
     np.copysign(large, signed, out=large)
     np.put(out, far, large)
     return out.reshape(x.shape)
-
-
-def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
-    """float64 Phi(x) = 0.5 * (1 + erf(x / sqrt 2))."""
-    cdf = _erf(x / math.sqrt(2.0))
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
 
 
 def _truncated_normal(rng: np.random.Generator, arr: np.ndarray) -> None:
@@ -443,26 +447,55 @@ _AS_HALF_COEFFS = tuple(0.5 * a for a in (1.061405429, -1.453152027, 1.421413741
 GELU_F32_CLAMP = 20.0
 
 
+# Values per block of the GELU passes (``gelu_and_cdf``, and the feed-forward
+# backward's derivative): a block's slices of the input, of both outputs
+# and of the float64 erf's temporaries (512 KB each) stay in cache while
+# the passes run over them, and the temporaries take a few blocks, not a
+# hidden-width array each.
+GELU_BLOCK = 1 << 16
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of ``GELU_BLOCK`` values that cover ``n`` values in order."""
+    return (slice(start, start + GELU_BLOCK) for start in range(0, n, GELU_BLOCK))
+
+
 def gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU(x) = x * Phi(x) and the Gaussian CDF Phi(x) it scales by.
+
+    Both dtypes run over the flat values in blocks of ``GELU_BLOCK``, each
+    written into the two arrays returned; every step is elementwise, so a
+    value's bytes do not depend on its neighbours or its block.
 
     float64: Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), one erf per value. Scaling
     by 0.5 is exact, so x * Phi(x) rounds as x * 0.5 * (1 + erf(...)) does.
 
     float32: q = Phi(-|x|) from Abramowitz & Stegun 7.1.26, then
     Phi(x) = 0.5 + copysign(0.5 - q, x), within 3e-7 of float64 ``erf``. Every
-    step is an in-place pass over one of the two arrays it returns, with no
-    branch on values, so a value's bytes do not depend on its neighbours.
-    Phi is 0 at -inf and 1 at +inf, and NaN stays NaN; GELU(-inf) is
+    step is an in-place pass over one of the two outputs, with no branch on
+    values. Phi is 0 at -inf and 1 at +inf, and NaN stays NaN; GELU(-inf) is
     -inf * 0, a NaN, as in float64, here without a warning."""
-    if x.dtype != np.float32:
-        cdf = _gaussian_cdf(x)
-        return x * cdf, cdf
-    t = np.abs(x)
+    gu, cdf = np.empty(x.shape, dtype=x.dtype), np.empty(x.shape, dtype=x.dtype)
+    kernel = _gelu_f32 if x.dtype == np.float32 else _gelu_f64
+    xs, gus, cdfs = x.reshape(-1), gu.reshape(-1), cdf.reshape(-1)
+    for blk in _blocks(x.size):
+        kernel(xs[blk], gus[blk], cdfs[blk])
+    return gu, cdf
+
+
+def _gelu_f64(x: np.ndarray, gu: np.ndarray, cdf: np.ndarray) -> None:
+    _erf(x / math.sqrt(2.0), out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    np.multiply(x, cdf, out=gu)
+
+
+def _gelu_f32(x: np.ndarray, t: np.ndarray, cdf: np.ndarray) -> None:
+    np.abs(x, out=t)
     t *= _AS_P
     t += 1.0
     np.reciprocal(t, out=t)
-    cdf = t * _AS_HALF_COEFFS[0]
+    np.multiply(t, _AS_HALF_COEFFS[0], out=cdf)
     for a in _AS_HALF_COEFFS[1:]:
         cdf += a
         cdf *= t
@@ -477,7 +510,6 @@ def gelu_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cdf += 0.5
     with np.errstate(invalid="ignore"):
         np.multiply(x, cdf, out=t)
-    return t, cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -671,13 +703,19 @@ def _attention_backward(dattn: np.ndarray, dhq: np.ndarray, saved: tuple, layer:
     dctx = queries.unpack_product(dattn, layer["wo"].T)
     dctx = dctx.reshape(*queries.grid, n_heads, -1).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.transpose(0, 1, 3, 2)
-    dv = probs.transpose(0, 1, 3, 2) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dv = keys.pack((probs.transpose(0, 1, 3, 2) @ dctx).transpose(0, 2, 1, 3))
+    del dctx
+    # dprobs becomes the scores' gradient, probs * (dprobs - sum(dprobs * probs)), in place
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
     scale = 1.0 / math.sqrt(q.shape[-1])
-    dq = dscores @ k * scale
-    dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-    dq, dk, dv = (packing.pack(grad.transpose(0, 2, 1, 3))
-                  for packing, grad in ((queries, dq), (keys, dk), (keys, dv)))
+    dq = dprobs @ k
+    dq *= scale
+    dq = queries.pack(dq.transpose(0, 2, 1, 3))
+    dk = dprobs.transpose(0, 1, 3, 2) @ q
+    del dprobs
+    dk *= scale
+    dk = keys.pack(dk.transpose(0, 2, 1, 3))
     for x, name, dmat in ((hq, "q", dq), (h, "k", dk), (h, "v", dv)):
         g["w" + name][...] = x.T @ dmat
         g["b" + name][...] = dmat.sum(axis=0)
@@ -708,34 +746,59 @@ def _ffn_forward(h: np.ndarray, layer: dict) -> tuple:
 
 
 def _ffn_backward(df: np.ndarray, dh: np.ndarray, saved: tuple, layer: dict, g: dict) -> None:
-    """Writes its parameter gradients into ``g`` and adds its input gradient into ``dh``."""
+    """Writes its parameter gradients into ``g`` and adds its input gradient into ``dh``.
+
+    One hidden-width array serves two jobs: it holds the GELU output
+    u * cdf for w2's gradient, then u's gradient, which the GELU
+    derivative scales in place, one ``GELU_BLOCK`` at a time."""
     h, u, cdf = saved
-    g["w2"][...] = (u * cdf).T @ df
+    du = np.multiply(u, cdf)
+    g["w2"][...] = du.T @ df
     g["b2"][...] = df.sum(axis=0)
-    du = _rows(df, layer["w2"].T)
-    du *= gelu_grad(u, cdf)
+    _rows(df, layer["w2"].T, out=du)
+    dus, us, cdfs = du.reshape(-1), u.reshape(-1), cdf.reshape(-1)
+    for blk in _blocks(du.size):
+        dus[blk] *= gelu_grad(us[blk], cdfs[blk])
     g["w1"][...] = h.T @ du
     g["b1"][...] = du.sum(axis=0)
     dh += _rows(du, layer["w1"].T)
 
 
-def _add_and_norm(h, branch, drop, gain, bias, eps) -> tuple:
-    """LayerNorm(h + dropout(branch)), summed in place in ``branch``, and (drop,
-    xhat, inv); ``drop`` is the dropout mask, None outside training."""
-    if drop is not None:
-        branch *= drop
+def _apply_dropout(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray | None:
+    """x *= mask in place, for a float dropout mask (None outside training),
+    and the mask as booleans, a byte a value: what a cache keeps of it."""
+    if mask is None:
+        return None
+    x *= mask
+    return mask != 0.0
+
+
+def _dropout_grad(dy: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    """dy times the float mask that ``keep`` holds, as dy * keep * scale
+    (scale = 1 / (1 - rate)) in a new array: a kept value becomes dy * scale
+    and a dropped one dy * 0.0, the bytes of the float mask's product."""
+    out = dy * keep
+    out *= scale
+    return out
+
+
+def _add_and_norm(h, branch, mask, gain, bias, eps) -> tuple:
+    """LayerNorm(h + dropout(branch)), summed in place in ``branch``, and (keep,
+    xhat, inv); ``mask`` is the float dropout mask, None outside training,
+    and ``keep`` its booleans."""
+    keep = _apply_dropout(branch, mask)
     branch += h
     y, xhat, inv = _layernorm_forward(branch, gain, bias, eps)
-    return y, (drop, xhat, inv)
+    return y, (keep, xhat, inv)
 
 
-def _add_and_norm_backward(dy, saved, gain, dgain, dbias) -> tuple[np.ndarray, np.ndarray]:
+def _add_and_norm_backward(dy, saved, scale, gain, dgain, dbias) -> tuple[np.ndarray, np.ndarray]:
     """(d h, d branch); writes the layer norm's gradients into ``dgain`` and
     ``dbias``. Without dropout both are one array, so a branch's backward
     reads all of its gradient before it adds into the residual's."""
-    drop, xhat, inv = saved
+    keep, xhat, inv = saved
     dh, dgain[...], dbias[...] = _layernorm_backward(dy, xhat, inv, gain)
-    return dh, dh if drop is None else dh * drop
+    return dh, dh if keep is None else _dropout_grad(dh, keep, scale)
 
 
 def forward_with_cache(
@@ -751,10 +814,10 @@ def forward_with_cache(
     ``lengths`` is each row's real length, 1 to T, as ``collate`` returns
     it. The cache always holds the head's inputs, the last layer's [CLS]
     row and the pooled vector, which is all a head-only backward reads.
-    ``need_cache`` adds the embedding's arrays and every layer's tuples,
-    which the full backward needs. Dropout masks are drawn in a fixed order
-    (embedding, then per layer attention / ffn) from a generator seeded
-    with ``dropout_seed``.
+    ``need_cache`` adds the embedding's arrays and a list of every layer's
+    tuples, which one full backward consumes. Dropout masks are drawn in a
+    fixed order (embedding, then per layer attention / ffn) from a
+    generator seeded with ``dropout_seed``, and kept as booleans.
     """
     cfg = params.config
     B, T = ids.shape
@@ -781,9 +844,7 @@ def forward_with_cache(
            out=x[: tokens.n_real])
     x[: tokens.n_real] += p["seg_emb"][0]
     h, emb_xhat, emb_inv = _layernorm_forward(x, p["emb_ln_gain"], p["emb_ln_bias"], eps)
-    emb_drop = dropout(tokens)
-    if emb_drop is not None:
-        h *= emb_drop
+    emb_keep = _apply_dropout(h, dropout(tokens))
 
     layers = []
     for i, layer in enumerate(p.layers):
@@ -807,19 +868,7 @@ def forward_with_cache(
     logits = (pooled[:, None, :] @ p["classifier_w"].T)[:, 0] + p["classifier_b"]
     if not need_cache:
         return logits, (None, None, (h, pooled))
-    return logits, ((tokens, cls, tok, emb_drop, emb_xhat, emb_inv), layers, (h, pooled))
-
-
-def forward(
-    params: ModelParams,
-    batch: Sequence[Encoding],
-    train_mode: bool = False,
-    dropout_seed: int | np.random.SeedSequence | None = None,
-) -> np.ndarray:
-    """Class scores for a batch of encodings, shape (batch, 4)."""
-    ids, lengths = collate(batch, params.config)
-    logits, _ = forward_with_cache(params, ids, lengths, train_mode, dropout_seed)
-    return logits
+    return logits, ((tokens, cls, tok, emb_keep, emb_xhat, emb_inv), layers, (h, pooled))
 
 
 def backward_from_logits(
@@ -832,15 +881,21 @@ def backward_from_logits(
     (``tail(HEAD_START)``); any other layout is refused. A head-sized buffer
     stops the backward after the pooler and classifier, which reads only
     the head's part of the cache; a whole one needs the cache of a forward
-    run with ``need_cache``. Every tensor is overwritten, the embedding
-    tables, sums over positions, zeroed first, so a reused buffer gets the
-    same bytes as a fresh one."""
+    run with ``need_cache``, and consumes its layers: each layer's arrays
+    are dropped after their last read, so a second full backward on that
+    cache is refused. Every tensor is overwritten, the embedding tables,
+    sums over positions, zeroed first, so a reused buffer gets the same
+    bytes as a fresh one."""
     p = params.tensors
     grads = p.zeros_like() if out is None else out
     whole = grads.spec == p.spec
     if not whole and grads.spec != p.tail(HEAD_START).spec:
         raise DataValidationError("gradient buffer must hold the whole layout or the head's tail")
     emb, layers, (h, pooled) = cache
+    if whole and layers is None:
+        raise DataValidationError("a full backward needs a forward run with need_cache=True")
+    if whole and len(layers) != len(p.layers):
+        raise DataValidationError("this cache served a full backward already; run the forward again")
 
     grads["classifier_w"][...] = dlogits.T @ pooled
     grads["classifier_b"][...] = dlogits.sum(axis=0)
@@ -850,20 +905,24 @@ def backward_from_logits(
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
     if not whole:
         return grads
-    if layers is None:
-        raise DataValidationError("a full backward needs a forward run with need_cache=True")
-    tokens, cls, tok, emb_drop, emb_xhat, emb_inv = emb
+    tokens, cls, tok, emb_keep, emb_xhat, emb_inv = emb
+    scale = 1.0 / (1.0 - params.config.dropout_rate)
     dh = cls.pad(dpooled_pre @ p["pooler_w"].T)
 
-    for layer, g, saved in zip(reversed(p.layers), reversed(grads.layers), reversed(layers)):
-        attention, norm1, ffn, norm2 = saved
-        dh1, df = _add_and_norm_backward(dh, norm2, layer["ln2_gain"], g["ln2_gain"], g["ln2_bias"])
+    for layer, g in zip(reversed(p.layers), reversed(grads.layers)):
+        # Popped, so each part is freed after its last read below.
+        attention, norm1, ffn, norm2 = layers.pop()
+        dh1, df = _add_and_norm_backward(dh, norm2, scale, layer["ln2_gain"], g["ln2_gain"], g["ln2_bias"])
+        del dh, norm2
         _ffn_backward(df, dh1, ffn, layer, g)
-        dh, dattn = _add_and_norm_backward(dh1, norm1, layer["ln1_gain"], g["ln1_gain"], g["ln1_bias"])
+        del df, ffn
+        dh, dattn = _add_and_norm_backward(dh1, norm1, scale, layer["ln1_gain"], g["ln1_gain"], g["ln1_bias"])
+        del dh1, norm1
         dh = _attention_backward(dattn, dh, attention, layer, g)
+        del dattn, attention
 
-    if emb_drop is not None:
-        dh *= emb_drop
+    if emb_keep is not None:
+        dh = _dropout_grad(dh, emb_keep, scale)
     dx, grads["emb_ln_gain"][...], grads["emb_ln_bias"][...] = _layernorm_backward(
         dh, emb_xhat, emb_inv, p["emb_ln_gain"]
     )

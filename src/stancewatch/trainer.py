@@ -160,7 +160,7 @@ def gradients(
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
 ) -> TensorBuffer:
-    """Exact gradient of cross_entropy(forward(batch)) for every tensor.
+    """Exact gradient of the cross-entropy of the batch's logits for every tensor.
 
     ``train_mode`` stays off for gradient checking; train() turns it on so
     the dropout masks participate in the backward pass.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from stancewatch.encoder import EncoderConfig, init_params
+from stancewatch.encoder import EncoderConfig, ModelParams, collate, forward_with_cache, init_params
 from stancewatch.tokenizer import PAD_ID, Encoding
 
 settings.register_profile(
@@ -91,6 +91,12 @@ def random_encodings(rng: np.random.Generator, n: int, config: EncoderConfig) ->
         ids = [2, *[int(x) for x in interior], 3]
         out.append(Encoding(tuple(ids[: config.max_len])))
     return out
+
+
+def batch_logits(params: ModelParams, batch, train_mode: bool = False, dropout_seed=None) -> np.ndarray:
+    """Class scores of a batch of encodings: ``collate``, then ``forward_with_cache``."""
+    ids, lengths = collate(batch, params.config)
+    return forward_with_cache(params, ids, lengths, train_mode, dropout_seed)[0]
 
 
 def leading_ones(lengths, width: int) -> np.ndarray:

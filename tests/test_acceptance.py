@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from conftest import TINY, criterion, padded, random_encodings
+from conftest import TINY, batch_logits, criterion, padded, random_encodings
 from scalar_reference import forward_scalar
 
 from stancewatch.cli import main
@@ -28,7 +28,6 @@ from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
 from stancewatch.encoder import (
     LAYER_NORM_EPS,
     EncoderConfig,
-    forward,
     forward_with_cache,
     init_params,
     predict_proba,
@@ -73,7 +72,7 @@ def test_gradient_oracle():
         labels = [int(x) for x in rng.integers(0, 4, len(batch))]
 
         def loss() -> float:
-            return cross_entropy(forward(params, batch), labels)
+            return cross_entropy(batch_logits(params, batch), labels)
 
         grads = gradients(params, batch, labels)
         names = {name for name, _ in params.tensors.items()}
@@ -112,7 +111,7 @@ def test_forward_oracle():
             tensors = tensors_as_lists(params)
             rng = np.random.default_rng(1000 + seed)
             batch = random_encodings(rng, 10, config)
-            logits = forward(params, batch)
+            logits = batch_logits(params, batch)
             for row, enc in enumerate(batch):
                 ids, mask = padded(enc, config.max_len)
                 want = forward_scalar(tensors, scalar_config(config), list(ids), list(mask))
@@ -135,7 +134,7 @@ F32_PROBA_BOUND = 1e-5
 def float64_proba(params, vocab, texts) -> np.ndarray:
     """Probabilities from float64 forwards on ``params`` as they are, 64 texts a batch."""
     encs = [encode(vocab, text, params.config.max_len) for text in texts]
-    return np.vstack([predict_proba(forward(params, encs[i : i + 64])) for i in range(0, len(encs), 64)])
+    return np.vstack([predict_proba(batch_logits(params, encs[i : i + 64])) for i in range(0, len(encs), 64)])
 
 
 def test_float32_inference_oracle():
@@ -153,7 +152,7 @@ def test_float32_inference_oracle():
             f32 = replace(params, tensors=params.tensors.astype(np.float32))
             stored = {name: arr.astype(np.float64).tolist() for name, arr in f32.tensors.items()}
             batch = random_encodings(rng, 10, config)
-            got = predict_proba(forward(f32, batch))
+            got = predict_proba(batch_logits(f32, batch))
             for row, enc in enumerate(batch):
                 ids, mask = padded(enc, config.max_len)
                 want = predict_proba(np.array([forward_scalar(stored, scalar_config(config),

@@ -263,6 +263,24 @@ class TestIngest:
         write_jsonl(result.tweets, again)
         assert ingest_jsonl(again) == IngestResult(result.tweets, ())
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_report_holds_no_non_finite_number(self, tmp_path, token):
+        """A rejected record holding a number that json.loads reads from NaN
+        or an infinity is reported by its raw line, so a strict JSON reader
+        takes the report; a line that passes validation is still accepted."""
+        bad = '{"id": "a", "created_at": "bad", "text": "x", "n": %s}' % token
+        ok = '{"id": "b", "created_at": "2021-07-22T10:00:00Z", "text": "x", "n": %s}' % token
+        result = ingest_jsonl(self.write(tmp_path, [bad, ok]))
+        assert [t.id for t in result.tweets] == ["b"]
+        out = tmp_path / "rejects.jsonl"
+        write_rejects(result.rejects, out)
+
+        def refuse(constant):
+            raise ValueError(f"not standard JSON: {constant}")
+
+        rec = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert rec == {"raw": bad, "reason": "created_at does not parse as ISO-8601: 'bad'", "line": 1}
+
     def test_write_rejects_report(self, tmp_path):
         lines = [json.dumps({"id": "a", "created_at": "bad", "text": "aşı"})]
         result = ingest_jsonl(self.write(tmp_path, lines))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import encoder_reference
 import stancewatch.encoder as sw_encoder
-from conftest import HOSTILE_JSON, JSON_VALUES, leading_ones, padded, random_encodings
+from conftest import HOSTILE_JSON, JSON_VALUES, batch_logits, leading_ones, padded, random_encodings
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
@@ -28,7 +28,6 @@ from stancewatch.encoder import (
     backward_from_logits,
     bucket_len,
     collate,
-    forward,
     forward_with_cache,
     gelu_and_cdf,
     gelu_grad,
@@ -189,8 +188,29 @@ class TestInit:
         for ids, lengths in batches:
             _, cache = forward_with_cache(tiny_params, ids, lengths, True, 1, need_cache=True)
             fresh = backward_from_logits(tiny_params, cache, dlogits[: len(ids)])
+            # a cache serves one full backward
+            _, cache = forward_with_cache(tiny_params, ids, lengths, True, 1, need_cache=True)
             assert backward_from_logits(tiny_params, cache, dlogits[: len(ids)], out=reused) is reused
             assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_a_cache_serves_one_full_backward(self, tiny_config, tiny_params):
+        """The full backward frees each layer's arrays as it goes, so a
+        second one on the same cache is refused, before it writes anything;
+        a head-only backward, which reads only the head's inputs, still runs."""
+        config = replace(tiny_config, n_layers=2)
+        params = init_params(config, seed=7)
+        ids, lengths = collate(random_encodings(np.random.default_rng(4), 3, config), config)
+        dlogits = np.random.default_rng(5).normal(size=(3, 4))
+        _, cache = forward_with_cache(params, ids, lengths, True, 1, need_cache=True)
+        head = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
+        first = backward_from_logits(params, cache, dlogits)
+        assert cache[1] == []
+        again = params.tensors.zeros_like()
+        with pytest.raises(DataValidationError, match="served a full backward already"):
+            backward_from_logits(params, cache, dlogits, out=again)
+        assert not again.flat.any()
+        after = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
+        assert after.flat.tobytes() == head.flat.tobytes() == first.tail(HEAD_START).flat.tobytes()
 
     def test_layer_views_write_through_to_the_buffer(self, tiny_config):
         """Each layer's views are the named views themselves, for parameters,
@@ -296,7 +316,7 @@ class TestCollate:
         with pytest.raises(DataValidationError, match="token id -1 out of range"):
             collate([enc], tiny_config)
         with pytest.raises(DataValidationError, match="out of range"):
-            forward(tiny_params, [enc])
+            batch_logits(tiny_params, [enc])
 
     def test_empty_batch_rejected(self, tiny_config):
         with pytest.raises(DataValidationError, match="empty"):
@@ -369,7 +389,7 @@ class TestForward:
     def test_matches_scalar_reference(self, tiny_config, tiny_params):
         rng = np.random.default_rng(12)
         batch = random_encodings(rng, 4, tiny_config)
-        logits = forward(tiny_params, batch)
+        logits = batch_logits(tiny_params, batch)
         tensors = tensors_as_lists(tiny_params)
         for row, enc in enumerate(batch):
             ids, mask = padded(enc, tiny_config.max_len)
@@ -382,13 +402,13 @@ class TestForward:
         la, _ = forward_with_cache(tiny_params, np.array([base + (0, 0, 0, 0)]), lengths)
         lb, _ = forward_with_cache(tiny_params, np.array([base + (7, 11, 4, 6)]), lengths)
         np.testing.assert_allclose(la, lb, rtol=0, atol=1e-6)
-        np.testing.assert_array_equal(forward(tiny_params, [Encoding(base)]), la)
+        np.testing.assert_array_equal(batch_logits(tiny_params, [Encoding(base)]), la)
 
     def test_batch_independence(self, tiny_config, tiny_params):
         rng = np.random.default_rng(5)
         batch = random_encodings(rng, 6, tiny_config)
-        together = forward(tiny_params, batch)
-        alone = np.vstack([forward(tiny_params, [enc]) for enc in batch])
+        together = batch_logits(tiny_params, batch)
+        alone = np.vstack([batch_logits(tiny_params, [enc]) for enc in batch])
         np.testing.assert_array_equal(together, alone)
 
     def test_trimmed_train_forward_matches_full_width(self):
@@ -408,22 +428,22 @@ class TestForward:
         rng = np.random.default_rng(1)
         batch = random_encodings(rng, 2, tiny_config)
         with pytest.raises(DataValidationError, match="dropout seed"):
-            forward(tiny_params, batch, train_mode=True)
+            batch_logits(tiny_params, batch, train_mode=True)
 
     def test_dropout_seed_reproducible(self, tiny_config, tiny_params):
         rng = np.random.default_rng(2)
         batch = random_encodings(rng, 2, tiny_config)
-        a = forward(tiny_params, batch, train_mode=True, dropout_seed=11)
-        b = forward(tiny_params, batch, train_mode=True, dropout_seed=11)
-        c = forward(tiny_params, batch, train_mode=True, dropout_seed=12)
+        a = batch_logits(tiny_params, batch, train_mode=True, dropout_seed=11)
+        b = batch_logits(tiny_params, batch, train_mode=True, dropout_seed=11)
+        c = batch_logits(tiny_params, batch, train_mode=True, dropout_seed=12)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_eval_mode_ignores_dropout(self, tiny_config, tiny_params):
         rng = np.random.default_rng(3)
         batch = random_encodings(rng, 2, tiny_config)
-        a = forward(tiny_params, batch)
-        b = forward(tiny_params, batch, train_mode=False, dropout_seed=99)
+        a = batch_logits(tiny_params, batch)
+        b = batch_logits(tiny_params, batch, train_mode=False, dropout_seed=99)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_dropout_train_equals_eval(self):
@@ -431,8 +451,8 @@ class TestForward:
         params = init_params(cfg, seed=7)
         rng = np.random.default_rng(4)
         batch = random_encodings(rng, 2, cfg)
-        a = forward(params, batch)
-        b = forward(params, batch, train_mode=True, dropout_seed=1)
+        a = batch_logits(params, batch)
+        b = batch_logits(params, batch, train_mode=True, dropout_seed=1)
         np.testing.assert_array_equal(a, b)
 
 
@@ -705,8 +725,8 @@ class TestCheckpoint:
         back = load_checkpoint(p)
         rng = np.random.default_rng(8)
         batch = random_encodings(rng, 4, tiny_config)
-        a = predict_proba(forward(params, batch)).argmax(axis=1)
-        b = predict_proba(forward(back, batch)).argmax(axis=1)
+        a = predict_proba(batch_logits(params, batch)).argmax(axis=1)
+        b = predict_proba(batch_logits(back, batch)).argmax(axis=1)
         np.testing.assert_array_equal(a, b)
 
     def test_save_is_deterministic(self, tiny_config, tmp_path):

@@ -186,6 +186,21 @@ class TestDropoutMask:
             assert not got[packing.n_real:].any()
         assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 
+    def test_boolean_mask_gives_the_float_masks_bytes(self):
+        """A cache keeps the mask as booleans, and the backward applies it as
+        x * keep * scale: the bytes of x times the float mask, signed zeros,
+        infinities and NaN included."""
+        cfg = EncoderConfig(vocab_size=16, d_model=16, n_heads=2, max_len=32, dropout_rate=0.1)
+        packing = _Packing(np.array([32, 5, 17]), 32)
+        mask = _dropout_mask(np.random.default_rng(3), cfg, packing)
+        x = np.random.default_rng(4).normal(size=mask.shape)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        x[: len(special)] = np.array(special)[:, None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = sw_encoder._dropout_grad(x, mask != 0.0, 1.0 / (1.0 - cfg.dropout_rate))
+            assert_same_bytes(got, x * mask)
+        assert (mask[: len(special)] == 0.0).any() and (mask[: len(special)] != 0.0).any()
+
 
 class TestAdam:
     @pytest.mark.parametrize("tail", [None, HEAD_START])

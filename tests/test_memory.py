@@ -1,5 +1,5 @@
-"""Memory guards: what training, a training forward and the classified
-writer and reader hold at once.
+"""Memory guards: what training, a training forward and backward, GELU and
+the classified writer and reader hold at once.
 
 tracemalloc counts numpy's data allocations, and those counts repeat
 exactly from run to run, so these tests compare traced peaks and take no
@@ -13,10 +13,18 @@ import numpy as np
 
 import stancewatch.timeline as sw_timeline
 import stancewatch.trainer as sw_trainer
-from stancewatch.encoder import EncoderConfig, collate, forward_with_cache, init_params, tensor_shapes
+from stancewatch.encoder import (
+    GELU_BLOCK,
+    EncoderConfig,
+    collate,
+    forward_with_cache,
+    gelu_and_cdf,
+    init_params,
+    tensor_shapes,
+)
 from stancewatch.timeline import EPOCH, ONE_US, Classified, read_classified, write_classified
-from stancewatch.tokenizer import encode
-from stancewatch.trainer import TrainConfig, train
+from stancewatch.tokenizer import Encoding, encode
+from stancewatch.trainer import TrainConfig, gradients, train
 from test_trainer import toy_split, toy_vocab
 
 UTC = dt.timezone.utc
@@ -136,3 +144,44 @@ def test_training_forward_keeps_three_ffn_arrays():
         assert len(ffn) == 3
         h, u, cdf = ffn
         assert u.shape == cdf.shape == (len(h), cfg.d_ff)
+
+
+def test_gelu_adds_its_two_outputs_and_a_few_blocks():
+    """GELU runs over blocks of ``GELU_BLOCK`` values, so its temporaries
+    take a few blocks, not arrays of the input's size: the float64 erf over
+    the whole array took 3.2 such arrays on top of the two outputs."""
+    for dtype in (np.float64, np.float32):
+        x = np.random.default_rng(1).normal(size=(4096, 512)).astype(dtype)
+        outputs, block = 2 * x.nbytes, GELU_BLOCK * x.itemsize
+        peak = traced_peak(gelu_and_cdf, x)
+        assert peak < outputs + 8 * block, (dtype, peak, outputs, block)
+
+
+def test_full_width_backward_adds_at_most_two_hidden_arrays_to_the_cache():
+    """A training step on 16 rows of 64 ids with the default model (d 128,
+    2 layers) peaks below what its forward's cache holds, plus the gradient
+    buffer and two hidden-width (rows x d_ff) arrays: the backward drops
+    each layer's arrays after their last read, its feed-forward reuses one
+    hidden-width array and runs the GELU derivative in blocks. Keeping the
+    cache whole, with whole-array GELU passes, peaked 4.0 hidden-width
+    arrays above it."""
+    cfg = EncoderConfig(vocab_size=100)
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(0)
+    batch = [Encoding((2, *(int(i) for i in rng.integers(4, 100, 62)), 3)) for _ in range(16)]
+    labels = [i % 4 for i in range(16)]
+    ids, lengths = collate(batch, cfg)
+    assert ids.shape == (16, cfg.max_len)
+    gradients(params, batch, labels, None, True, 1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        cache = forward_with_cache(params, ids, lengths, True, 1, need_cache=True)
+        cache_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del cache
+    peak = traced_peak(gradients, params, batch, labels, None, True, 1)
+    hidden = ids.size * cfg.d_ff * 8
+    over = peak - cache_bytes - params.tensors.flat.nbytes
+    assert over < 2 * hidden, (over / hidden, cache_bytes, peak)

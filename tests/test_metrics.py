@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as reference
+from conftest import batch_logits
 from stancewatch import metrics
 from stancewatch.corpus import Category, LabeledDataset, Tweet, split_dataset
 from stancewatch.encoder import (
     EncoderConfig,
     bucket_len,
     collate,
-    forward,
     forward_with_cache,
     init_params,
     load_checkpoint,
@@ -530,7 +530,7 @@ class TestFloat32Inference:
         big.tensors["emb_ln_gain"][...] = 1e30
         with np.errstate(all="ignore"):
             # float64 holds this model's activations; float32 overflows them
-            assert np.isfinite(forward(big, [encode(vocab, texts[0], 64)])).all()
+            assert np.isfinite(batch_logits(big, [encode(vocab, texts[0], 64)])).all()
         pooled(monkeypatch, workers)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
