@@ -61,6 +61,11 @@ from .metrics import check_batch_size, evaluate, write_report, write_roc_csv
 from .svg import confusion_svg, prf_bars_svg, roc_svg, timeline_svg
 from .synth import (
     DEFAULT_BASE_SHARES,
+    DEFAULT_CORPUS_SEED,
+    DEFAULT_DAYS,
+    DEFAULT_LABELED_SEED,
+    DEFAULT_PER_CLASS,
+    DEFAULT_PER_DAY,
     DEFAULT_SPIKE_ANTI_SHARE,
     DEFAULT_SPIKE_DAYS,
     DEFAULT_START_DATE,
@@ -269,8 +274,6 @@ def cmd_build_vocab(run: Run) -> None:
     click.option("--n-layers", type=int, default=None),
     click.option("--n-heads", type=int, default=None),
     click.option("--train-fraction", type=float, default=None),
-    click.option("--head-only", is_flag=True, default=None,
-                 help="Freeze everything except the pooler and classifier."),
 )
 def cmd_train(run: Run) -> None:
     """Split the labeled set and fine-tune the encoder on the train half."""
@@ -389,18 +392,18 @@ def cmd_timeline(run: Run) -> None:
 
 @pipeline_command(
     "gen-synthetic",
-    click.option("--per-class", type=int, default=100, show_default=True,
+    click.option("--per-class", type=int, default=DEFAULT_PER_CLASS, show_default=True,
                  help="Labeled examples per category."),
-    click.option("--days", type=int, default=30, show_default=True),
-    click.option("--per-day", type=int, default=500, show_default=True),
+    click.option("--days", type=int, default=DEFAULT_DAYS, show_default=True),
+    click.option("--per-day", type=int, default=DEFAULT_PER_DAY, show_default=True),
     click.option("--start-date", default=DEFAULT_START_DATE.isoformat(), show_default=True),
     click.option("--base-shares", default=",".join(str(s) for s in DEFAULT_BASE_SHARES),
                  show_default=True, help="Comma-separated category shares, sum 1."),
     click.option("--spike-days", default=",".join(str(d) for d in DEFAULT_SPIKE_DAYS),
                  show_default=True, help="0-based day offsets that get the anti-share spike."),
     click.option("--spike-share", type=float, default=DEFAULT_SPIKE_ANTI_SHARE, show_default=True),
-    click.option("--labeled-seed", type=int, default=101, show_default=True),
-    click.option("--corpus-seed", type=int, default=202, show_default=True),
+    click.option("--labeled-seed", type=int, default=DEFAULT_LABELED_SEED, show_default=True),
+    click.option("--corpus-seed", type=int, default=DEFAULT_CORPUS_SEED, show_default=True),
 )
 def cmd_gen_synthetic(run: Run, per_class, days, per_day, start_date, base_shares,
                       spike_days, spike_share, labeled_seed, corpus_seed) -> None:

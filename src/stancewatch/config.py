@@ -47,7 +47,6 @@ class PipelineConfig:
     learning_rate: float = _key("train", TrainConfig.learning_rate)
     epochs: int = _key("train", TrainConfig.epochs)
     batch_size: int = _key("train", TrainConfig.batch_size)
-    head_only: bool = _key("train", TrainConfig.head_only)
     class_weights: str = _key("train", "")
     train_fraction: float = _key("split", 0.8)
     eval_batch_size: int = _key("inference", DEFAULT_INFERENCE_BATCH_SIZE)
@@ -70,13 +69,6 @@ CONFIG_KEYS = frozenset(_FIELDS)
 def _parse_value(key: str, raw: str) -> Any:
     kind = _FIELDS[key].type
     try:
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "int":
             return int(raw)
         if kind == "float":
@@ -190,5 +182,4 @@ def train_config(config: PipelineConfig) -> TrainConfig:
         class_weights=parse_class_weights(config.class_weights),
         init_seed=config.seed_init,
         dropout_seed=config.seed_dropout,
-        head_only=config.head_only,
     )

@@ -134,7 +134,6 @@ BUCKET = 8
 INIT_STD = 0.02
 INIT_CLIP_SIGMAS = 2.0
 LAYER_NORM_EPS = 1e-12
-HEAD_START = "pooler_w"  # the head: the tail of the parameter buffer from this tensor on
 
 CHECKPOINT_MAGIC = b"SWCKPT"
 CHECKPOINT_VERSION = 2
@@ -217,10 +216,10 @@ class TensorBuffer(Mapping[str, np.ndarray]):
     float32 cast that inference runs on (``astype``).
 
     ``spec`` is an ordered list of (name, shape); each tensor sits in
-    ``flat`` right after the one before it. Gradients hold the parameters'
-    layout or a tail of it, and Adam's moments the gradients', so arithmetic
-    on the model is arithmetic on ``flat``. ``layers[i]`` holds layer i's
-    views by their name inside it ("wq", "b1", ...); a head's tail has none.
+    ``flat`` right after the one before it. Gradients and Adam's moments
+    hold the parameters' layout, so arithmetic on the model is arithmetic
+    on ``flat``. ``layers[i]`` holds layer i's views by their name inside
+    it ("wq", "b1", ...).
     """
 
     def __init__(self, spec: Sequence[tuple[str, tuple[int, ...]]], flat: np.ndarray | None = None):
@@ -252,11 +251,6 @@ class TensorBuffer(Mapping[str, np.ndarray]):
 
     def zeros_like(self) -> "TensorBuffer":
         return TensorBuffer(self.spec)
-
-    def tail(self, name: str) -> "TensorBuffer":
-        """Tensor ``name`` and every one after it, as views of the same memory."""
-        rest = self.spec[list(self._views).index(name) :]
-        return TensorBuffer(rest, self.flat[self.flat.size - sum(math.prod(s) for _, s in rest) :])
 
     def astype(self, dtype) -> "TensorBuffer":
         """The same layout holding these values cast to ``dtype``; one beyond
@@ -808,16 +802,15 @@ def forward_with_cache(
     train_mode: bool = False,
     dropout_seed: int | np.random.SeedSequence | None = None,
     need_cache: bool = False,
-) -> tuple[np.ndarray, tuple]:
+) -> tuple[np.ndarray, tuple | None]:
     """Run the encoder on collated arrays; return the logits and a cache.
 
     ``lengths`` is each row's real length, 1 to T, as ``collate`` returns
-    it. The cache always holds the head's inputs, the last layer's [CLS]
-    row and the pooled vector, which is all a head-only backward reads.
-    ``need_cache`` adds the embedding's arrays and a list of every layer's
-    tuples, which one full backward consumes. Dropout masks are drawn in a
-    fixed order (embedding, then per layer attention / ffn) from a
-    generator seeded with ``dropout_seed``, and kept as booleans.
+    it. With ``need_cache`` the cache holds the embedding's arrays, a list
+    of every layer's tuples and the head's inputs, which one backward
+    consumes; without it (inference) the cache is None. Dropout masks are
+    drawn in a fixed order (embedding, then per layer attention / ffn)
+    from a generator seeded with ``dropout_seed``, and kept as booleans.
     """
     cfg = params.config
     B, T = ids.shape
@@ -867,35 +860,32 @@ def forward_with_cache(
     pooled = np.tanh((h @ p["pooler_w"])[:, 0] + p["pooler_b"])
     logits = (pooled[:, None, :] @ p["classifier_w"].T)[:, 0] + p["classifier_b"]
     if not need_cache:
-        return logits, (None, None, (h, pooled))
+        return logits, None
     return logits, ((tokens, cls, tok, emb_keep, emb_xhat, emb_inv), layers, (h, pooled))
 
 
 def backward_from_logits(
-    params: ModelParams, cache: tuple, dlogits: np.ndarray, out: TensorBuffer | None = None
+    params: ModelParams, cache: tuple | None, dlogits: np.ndarray, out: TensorBuffer | None = None
 ) -> TensorBuffer:
-    """Exact gradients, given d(loss)/d(logits), of every parameter tensor
-    that ``out`` holds, or of every one in a fresh buffer without ``out``.
+    """Exact gradients, given d(loss)/d(logits), of every parameter tensor,
+    written into ``out``, which must hold the parameters' layout, or into a
+    fresh buffer without it.
 
-    ``out`` holds the parameters' whole layout or the head's tail of it
-    (``tail(HEAD_START)``); any other layout is refused. A head-sized buffer
-    stops the backward after the pooler and classifier, which reads only
-    the head's part of the cache; a whole one needs the cache of a forward
-    run with ``need_cache``, and consumes its layers: each layer's arrays
-    are dropped after their last read, so a second full backward on that
-    cache is refused. Every tensor is overwritten, the embedding tables,
+    ``cache`` is that of a forward run with ``need_cache``. The backward
+    consumes its layers: each layer's arrays are dropped after their last
+    read, so a second backward on that cache is refused. A refused call
+    writes nothing. Every tensor is overwritten, the embedding tables,
     sums over positions, zeroed first, so a reused buffer gets the same
     bytes as a fresh one."""
     p = params.tensors
-    grads = p.zeros_like() if out is None else out
-    whole = grads.spec == p.spec
-    if not whole and grads.spec != p.tail(HEAD_START).spec:
-        raise DataValidationError("gradient buffer must hold the whole layout or the head's tail")
+    if cache is None:
+        raise DataValidationError("a backward needs a forward run with need_cache=True")
+    if out is not None and out.spec != p.spec:
+        raise DataValidationError("gradient buffer must hold the parameters' layout")
     emb, layers, (h, pooled) = cache
-    if whole and layers is None:
-        raise DataValidationError("a full backward needs a forward run with need_cache=True")
-    if whole and len(layers) != len(p.layers):
+    if len(layers) != len(p.layers):
         raise DataValidationError("this cache served a full backward already; run the forward again")
+    grads = p.zeros_like() if out is None else out
 
     grads["classifier_w"][...] = dlogits.T @ pooled
     grads["classifier_b"][...] = dlogits.sum(axis=0)
@@ -903,8 +893,6 @@ def backward_from_logits(
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
     grads["pooler_w"][...] = h[:, 0, :].T @ dpooled_pre
     grads["pooler_b"][...] = dpooled_pre.sum(axis=0)
-    if not whole:
-        return grads
     tokens, cls, tok, emb_keep, emb_xhat, emb_inv = emb
     scale = 1.0 / (1.0 - params.config.dropout_rate)
     dh = cls.pad(dpooled_pre @ p["pooler_w"].T)

@@ -33,6 +33,11 @@ FILLER_WORDS: tuple[str, ...] = (
     "insanlar", "herkes", "ülkede", "gündem", "sosyal", "medya",
 )
 
+DEFAULT_PER_CLASS = 100
+DEFAULT_LABELED_SEED = 101
+DEFAULT_DAYS = 30
+DEFAULT_PER_DAY = 500
+DEFAULT_CORPUS_SEED = 202
 DEFAULT_START_DATE = dt.date(2021, 7, 22)
 DEFAULT_BASE_SHARES = (0.30, 0.30, 0.15, 0.25)
 DEFAULT_SPIKE_DAYS = (20, 28)
@@ -62,8 +67,8 @@ def _check_span(start_date: dt.date, days: int, utc_offset_minutes: int) -> None
 
 
 def generate_labeled(
-    per_class: int = 100,
-    seed: int = 101,
+    per_class: int = DEFAULT_PER_CLASS,
+    seed: int = DEFAULT_LABELED_SEED,
     start_date: dt.date = DEFAULT_START_DATE,
     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES,
 ) -> list[Tweet]:
@@ -91,9 +96,9 @@ def generate_labeled(
 
 
 def generate_corpus(
-    days: int = 30,
-    per_day: int = 500,
-    seed: int = 202,
+    days: int = DEFAULT_DAYS,
+    per_day: int = DEFAULT_PER_DAY,
+    seed: int = DEFAULT_CORPUS_SEED,
     start_date: dt.date = DEFAULT_START_DATE,
     base_shares: Sequence[float] = DEFAULT_BASE_SHARES,
     spike_days: Sequence[int] = DEFAULT_SPIKE_DAYS,

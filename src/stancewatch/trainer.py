@@ -23,7 +23,6 @@ import numpy as np
 
 from .corpus import DatasetSplit, Tweet
 from .encoder import (
-    HEAD_START,
     EncoderConfig,
     ModelParams,
     TensorBuffer,
@@ -52,7 +51,6 @@ class TrainConfig:
     class_weights: tuple[float, float, float, float] | None = None
     init_seed: int = 0
     dropout_seed: int = 0
-    head_only: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -136,13 +134,10 @@ def _step(
 ) -> tuple[float, np.ndarray, TensorBuffer]:
     """collate -> forward with cache -> loss and dlogits -> backward, then
     check that loss and gradients are finite. Returns (loss, logits, grads).
-    The gradients overwrite ``grads`` if given, else a fresh whole buffer;
-    one of the head's tail stops the backward at the head
-    (``backward_from_logits``), so the forward keeps no layer's activations."""
-    need_cache = grads is None or grads.spec == params.tensors.spec
+    The gradients overwrite ``grads`` if given, else a fresh buffer."""
     ids, lengths = collate(batch, params.config)
     logits, cache = forward_with_cache(
-        params, ids, lengths, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=need_cache
+        params, ids, lengths, train_mode=train_mode, dropout_seed=dropout_seed, need_cache=True
     )
     loss, dlogits = _loss_and_dlogits(logits, labels, weights)
     grads = backward_from_logits(params, cache, dlogits, out=grads)
@@ -171,7 +166,7 @@ def gradients(
 
 class AdamState:
     """Adam's step count and two moments, in the layout of the gradient
-    buffer it is built for: a frozen tensor has no gradient and no moments."""
+    buffer it is built for, which is the parameters'."""
 
     def __init__(self, grads: TensorBuffer):
         self.t = 0
@@ -184,12 +179,10 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place. ``grads`` covers the whole
-    parameter layout or a tail of it (``TensorBuffer.tail``), and only that
-    tail moves, which keeps the encoder frozen in head-only training; the
-    moments hold ``grads``' layout. Any other layout is refused unwritten."""
-    k = len(params.tensors.spec) - len(grads.spec)
-    if k < 0 or grads.spec != params.tensors.spec[k:]:
+    """One bias-corrected Adam update of every parameter, in place. ``grads``
+    and the moments hold the parameters' layout; any other layout is
+    refused unwritten."""
+    if grads.spec != params.tensors.spec:
         raise DataValidationError("gradient names and shapes do not match the parameter layout")
     if state.m.spec != grads.spec or state.v.spec != grads.spec:
         raise DataValidationError("Adam moments do not match the gradient layout")
@@ -197,8 +190,7 @@ def adam_step(
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    g, m, v = grads.flat, state.m.flat, state.v.flat
-    theta = params.tensors.flat[params.tensors.flat.size - g.size :]
+    g, m, v, theta = grads.flat, state.m.flat, state.v.flat, params.tensors.flat
     # The whole-buffer update (m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     # theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps)), one block at a time with
     # the same operations in the same order, so every value rounds as before.
@@ -241,7 +233,7 @@ def train(
     """Fine-tune a freshly initialized model on the split's train half.
 
     Every step's backward writes into one gradient buffer, allocated once,
-    so a step never holds two; head-only training's covers the head alone."""
+    so a step never holds two."""
     tweets: Sequence[Tweet] = split.train.examples
     if not tweets:
         raise DataValidationError("train set is empty")
@@ -250,8 +242,7 @@ def train(
     n = len(encodings)
 
     params = init_params(model_config, train_config.init_seed, vocab.content_hash())
-    layout = params.tensors.tail(HEAD_START) if train_config.head_only else params.tensors
-    grads = layout.zeros_like()
+    grads = params.tensors.zeros_like()
     state = AdamState(grads)
 
     epoch_losses: list[float] = []

@@ -99,6 +99,13 @@ def batch_logits(params: ModelParams, batch, train_mode: bool = False, dropout_s
     return forward_with_cache(params, ids, lengths, train_mode, dropout_seed)[0]
 
 
+def tail_spec(params: ModelParams, first: str) -> list:
+    """The parameters' layout from tensor ``first`` on: a layout a gradient
+    buffer must not have."""
+    spec = params.tensors.spec
+    return spec[[name for name, _ in spec].index(first) :]
+
+
 def leading_ones(lengths, width: int) -> np.ndarray:
     """The float 0/1 attention mask of rows ``width`` wide holding ``lengths``
     real positions each, the form the oracles take."""

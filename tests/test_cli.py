@@ -1,5 +1,6 @@
 import fcntl
 import gzip
+import inspect
 import json
 import os
 import struct
@@ -108,6 +109,14 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "unknown config key" in result.output
+
+    def test_removed_flag_is_2(self, runner, tmp_path):
+        """--head-only is gone: training always updates every parameter."""
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", "--labeled", "x", "--head-only", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "no such option" in result.output.lower() and "--head-only" in result.output
+        assert not out.exists()
 
     def test_lock_contention_is_2(self, runner, workspace):
         out = workspace["out"]
@@ -455,42 +464,6 @@ class TestTrain:
         save_checkpoint(fresh, ref)
         assert ref.read_bytes() == (out / "model.ckpt").read_bytes()
 
-    def test_head_only_flag(self, runner, tmp_path):
-        labeled = tmp_path / "labeled.jsonl"
-        write_jsonl(generate_labeled(per_class=8, seed=5), labeled)
-        out = tmp_path / "out"
-        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
-        run_ok(runner, ["train", "--labeled", str(labeled), "--out", str(out),
-                        "--head-only", *FAST_TRAIN])
-        got = load_checkpoint(out / "model.ckpt")
-        vocab = Vocabulary.load(out / "vocab.txt")
-        fresh = init_params(got.config, 17, vocab.content_hash())  # default seed_init
-        fresh32 = {n: a.astype("float32") for n, a in fresh.tensors.items()}
-        for name, arr in got.tensors.items():
-            same = (arr.astype("float32") == fresh32[name]).all()
-            if name in ("pooler_w", "pooler_b", "classifier_w", "classifier_b"):
-                assert not same, name
-            else:
-                assert same, name
-
-
-    def test_head_only_from_config_file(self, runner, tmp_path):
-        """INI head_only = true with no --head-only flag still freezes the
-        encoder: the flag's absence must not override the file."""
-        labeled = tmp_path / "labeled.jsonl"
-        write_jsonl(generate_labeled(per_class=8, seed=5), labeled)
-        ini = tmp_path / "pipeline.ini"
-        ini.write_text("[train]\nhead_only = true\n", encoding="utf-8")
-        out = tmp_path / "out"
-        run_ok(runner, ["build-vocab", "--labeled", str(labeled), "--out", str(out), *FAST_TRAIN])
-        run_ok(runner, ["train", "--config", str(ini), "--labeled", str(labeled),
-                        "--out", str(out), *FAST_TRAIN])
-        got = load_checkpoint(out / "model.ckpt")
-        fresh = init_params(got.config, 17, Vocabulary.load(out / "vocab.txt").content_hash())
-        assert (got.tensors["tok_emb"] == fresh.tensors["tok_emb"].astype("float32")).all()
-        assert not (got.tensors["classifier_w"]
-                    == fresh.tensors["classifier_w"].astype("float32")).all()
-
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"),
         ("--set", "learning_rate=nan"), ("--set", "class_weights=1,nan,1,1"),
@@ -565,10 +538,13 @@ class TestTrain:
         assert result.stderr.count("\n") == 1
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("source, key", [("set", "beta1"), ("ini", "adam_eps")])
+    @pytest.mark.parametrize("source, key", [
+        ("set", "beta1"), ("ini", "adam_eps"), ("set", "head_only"), ("ini", "head_only"),
+    ])
     def test_constant_as_setting_is_3_in_one_line(self, runner, workspace, source, key):
-        """Adam's b1, b2 and eps are constants (test_config has every removed
-        key): setting one is an unknown key, with no checkpoint written."""
+        """Adam's b1, b2 and eps are constants, and training always updates
+        every parameter (test_config has every removed key): setting one is
+        an unknown key, with no checkpoint written."""
         out = workspace["out"]
         (out / "model.ckpt").unlink()
         if source == "set":
@@ -941,6 +917,21 @@ class TestGenSynthetic:
         result = run_ok(runner, ["gen-synthetic", "--help"])
         assert ("--spike-days TEXT 0-based day offsets that get the anti-share spike. "
                 "[default: 20,28]") in " ".join(result.output.split())
+
+    def test_option_defaults_are_the_library_defaults(self):
+        """Each generator option defaults to the default of the library
+        argument it feeds."""
+        option = {param.name: param.default for param in main.commands["gen-synthetic"].params}
+        labeled = inspect.signature(generate_labeled).parameters
+        corpus = inspect.signature(generate_corpus).parameters
+        for name, argument in [("per_class", labeled["per_class"]), ("labeled_seed", labeled["seed"]),
+                               ("days", corpus["days"]), ("per_day", corpus["per_day"]),
+                               ("corpus_seed", corpus["seed"]), ("spike_share", corpus["spike_anti_share"])]:
+            assert option[name] == argument.default, name
+        for argument in (labeled["start_date"], corpus["start_date"]):
+            assert option["start_date"] == argument.default.isoformat()
+        assert tuple(float(s) for s in option["base_shares"].split(",")) == corpus["base_shares"].default
+        assert tuple(int(s) for s in option["spike_days"].split(",")) == corpus["spike_days"].default
 
     def test_default_spikes_match_default_days(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -16,7 +16,7 @@ from stancewatch.config import (
 from stancewatch.errors import DataValidationError, InputPathError
 
 # Settings that became constants; the fuzz writes them too.
-REMOVED_KEYS = ["beta1", "beta2", "adam_eps", "d_ff", "n_classes", "layer_norm_eps"]
+REMOVED_KEYS = ["beta1", "beta2", "adam_eps", "d_ff", "n_classes", "layer_norm_eps", "head_only"]
 # INI text for the fuzz: section headers, known and removed keys with any
 # value (some spelled from INI's own syntax characters), and stray lines.
 INI_HEADER = st.one_of(
@@ -57,7 +57,7 @@ class TestLoadConfig:
     def test_ini_overlays(self, tmp_path):
         p = tmp_path / "run.ini"
         p.write_text(
-            "[train]\nlearning_rate = 1e-3\nepochs = 7\nhead_only = true\n"
+            "[train]\nlearning_rate = 1e-3\nepochs = 7\n"
             "[model]\nd_model = 32\n"
             "[timeline]\nsmoothing_window = 3\n",
             encoding="utf-8",
@@ -65,7 +65,6 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert cfg.learning_rate == 1e-3
         assert cfg.epochs == 7
-        assert cfg.head_only is True
         assert cfg.d_model == 32
         assert cfg.smoothing_window == 3
         assert cfg.batch_size == 16  # untouched default
@@ -101,10 +100,12 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("train", "beta1", "0.9"), ("train", "beta2", "0.999"), ("train", "adam_eps", "1e-8"),
         ("model", "d_ff", "512"), ("model", "n_classes", "4"), ("model", "layer_norm_eps", "1e-12"),
+        ("train", "head_only", "true"),
     ])
     def test_constant_is_not_a_key(self, tmp_path, section, key, value):
         """Adam's b1, b2 and eps, the feed-forward width, the class count and
-        LayerNorm's epsilon are constants, so an INI that sets one is refused."""
+        LayerNorm's epsilon are constants, and training always updates every
+        parameter, so an INI that sets one is refused."""
         p = tmp_path / "run.ini"
         p.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         with pytest.raises(DataValidationError, match=f"unknown config key \\[{section}\\] {key}"):
@@ -145,17 +146,12 @@ class TestParseKv:
     def test_typed_parsing(self):
         assert parse_kv("epochs", "9") == 9
         assert parse_kv("learning_rate", "2e-4") == 2e-4
-        assert parse_kv("head_only", "yes") is True
-        assert parse_kv("head_only", "off") is False
         assert parse_kv("out_dir", "results") == "results"
 
     def test_unknown_key(self):
-        with pytest.raises(DataValidationError, match="unknown config key"):
-            parse_kv("nope", "1")
-
-    def test_bad_bool(self):
-        with pytest.raises(DataValidationError):
-            parse_kv("head_only", "maybe")
+        for key in ("nope", "head_only"):
+            with pytest.raises(DataValidationError, match=f"unknown config key: {key}"):
+                parse_kv(key, "1")
 
 
 class TestOverrides:

@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 import encoder_reference
 import stancewatch.encoder as sw_encoder
-from conftest import HOSTILE_JSON, JSON_VALUES, batch_logits, leading_ones, padded, random_encodings
+from conftest import HOSTILE_JSON, JSON_VALUES, batch_logits, leading_ones, padded, random_encodings, tail_spec
 from scalar_reference import forward_scalar
 from stancewatch.encoder import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
-    HEAD_START,
     INIT_CLIP_SIGMAS,
     INIT_STD,
     LAYER_NORM_EPS,
@@ -195,27 +194,23 @@ class TestInit:
 
     def test_a_cache_serves_one_full_backward(self, tiny_config, tiny_params):
         """The full backward frees each layer's arrays as it goes, so a
-        second one on the same cache is refused, before it writes anything;
-        a head-only backward, which reads only the head's inputs, still runs."""
+        second one on the same cache is refused, before it writes anything."""
         config = replace(tiny_config, n_layers=2)
         params = init_params(config, seed=7)
         ids, lengths = collate(random_encodings(np.random.default_rng(4), 3, config), config)
         dlogits = np.random.default_rng(5).normal(size=(3, 4))
         _, cache = forward_with_cache(params, ids, lengths, True, 1, need_cache=True)
-        head = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
-        first = backward_from_logits(params, cache, dlogits)
+        backward_from_logits(params, cache, dlogits)
         assert cache[1] == []
         again = params.tensors.zeros_like()
         with pytest.raises(DataValidationError, match="served a full backward already"):
             backward_from_logits(params, cache, dlogits, out=again)
         assert not again.flat.any()
-        after = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
-        assert after.flat.tobytes() == head.flat.tobytes() == first.tail(HEAD_START).flat.tobytes()
 
     def test_layer_views_write_through_to_the_buffer(self, tiny_config):
         """Each layer's views are the named views themselves, for parameters,
         gradients and a ``zeros_like`` copy, so a write through one shows
-        in ``flat``; the head's tail has no layer."""
+        in ``flat``."""
         config = replace(tiny_config, n_layers=2)
         params = init_params(config, seed=7)
         ids, lengths = collate(random_encodings(np.random.default_rng(0), 2, config), config)
@@ -235,16 +230,6 @@ class TestInit:
             offsets = np.cumsum([0] + [arr.size for arr in buffer.values()])
             for i, start in enumerate(starts):
                 assert (buffer.flat[offsets[start]:offsets[start + 16]] == i + 2.0).all()
-        assert params.tensors.tail(HEAD_START).layers == []
-
-    def test_tail_is_a_slice_of_the_buffer(self, tiny_params):
-        tail = tiny_params.tensors.tail("pooler_w")
-        assert list(tail) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
-        assert np.shares_memory(tail.flat, tiny_params.tensors.flat)
-        k = tiny_params.tensors.flat.size - tail.flat.size
-        assert tail.flat.ctypes.data == tiny_params.tensors.flat[k:].ctypes.data
-        for name, arr in tail.items():
-            assert arr.ctypes.data == tiny_params.tensors[name].ctypes.data, name
 
 
 class TestBucketLen:
@@ -482,7 +467,7 @@ class TestClsOnlyLastLayer:
         params, ids, lengths = noisy_model_and_batch(width, n_layers, batch)
         cached, _ = forward_with_cache(params, ids, lengths, need_cache=True)
         cls_only, cache = forward_with_cache(params, ids, lengths)
-        assert cache[:2] == (None, None)
+        assert cache is None
         assert cls_only.tobytes() == cached.tobytes()
 
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -614,36 +599,33 @@ class TestPackedRows:
 
 
 class TestHeadOnlyCache:
-    """Without ``need_cache`` the cache holds only the head's inputs: enough
-    for a backward into a head-sized buffer, and refused by a full one."""
+    """A backward takes the cache of a forward run with ``need_cache`` and a
+    gradient buffer of the parameters' layout, and refuses anything else
+    before it writes."""
 
-    def test_head_only_backward_needs_no_layer_cache(self, tiny_config, tiny_params):
+    def test_inference_forward_keeps_no_cache(self, tiny_config, tiny_params):
         ids, lengths = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
         dlogits = np.random.default_rng(1).normal(size=(3, 4))
-        _, full_cache = forward_with_cache(tiny_params, ids, lengths, True, 2, need_cache=True)
-        _, head_cache = forward_with_cache(tiny_params, ids, lengths, True, 2)
-        assert head_cache[:2] == (None, None)
-        assert [a.shape for a in head_cache[2]] == [(3, 1, 8), (3, 8)]
-        head = tiny_params.tensors.tail(HEAD_START)
-        want = backward_from_logits(tiny_params, full_cache, dlogits, out=head.zeros_like())
-        got = backward_from_logits(tiny_params, head_cache, dlogits, out=head.zeros_like())
-        assert got.spec == head.spec
-        assert got.flat.tobytes() == want.flat.tobytes()
+        _, cache = forward_with_cache(tiny_params, ids, lengths, True, 2)
+        assert cache is None
+        out = tiny_params.tensors.zeros_like()
         with pytest.raises(DataValidationError, match="need_cache"):
-            backward_from_logits(tiny_params, head_cache, dlogits)
+            backward_from_logits(tiny_params, cache, dlogits, out=out)
+        assert not out.flat.any()
 
     @pytest.mark.parametrize("layout", [
-        lambda params: params.tensors.tail("classifier_w").spec,
-        lambda params: params.tensors.tail("layer0.wq").spec,
-        lambda params: params.tensors.tail("pos_emb").spec,
+        lambda params: tail_spec(params, "classifier_w"),
+        lambda params: tail_spec(params, "layer0.wq"),
+        lambda params: tail_spec(params, "pos_emb"),
         lambda params: params.tensors.spec[:-1],
         lambda params: tensor_shapes(replace(params.config, vocab_size=params.config.vocab_size + 1)),
-    ], ids=["classifier", "from-a-layer", "from-pos-emb", "truncated", "other-model"])
+        lambda params: tail_spec(params, "pooler_w"),
+    ], ids=["classifier", "from-a-layer", "from-pos-emb", "truncated", "other-model", "head"])
     def test_other_buffer_layouts_are_refused(self, tiny_config, tiny_params, layout):
         ids, lengths = collate(random_encodings(np.random.default_rng(9), 3, tiny_config), tiny_config)
         _, cache = forward_with_cache(tiny_params, ids, lengths, need_cache=True)
         out = TensorBuffer(layout(tiny_params))
-        with pytest.raises(DataValidationError, match="whole layout or the head's tail"):
+        with pytest.raises(DataValidationError, match="the parameters' layout"):
             backward_from_logits(tiny_params, cache, np.ones((3, 4)), out=out)
         assert not out.flat.any()
 
@@ -784,7 +766,7 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(params, p)
         # The buffer ends the file; overwrite the float32 of pooler_w[1, 2].
-        from_end = params.tensors.tail("pooler_w").flat.size - (tiny_config.d_model + 2)
+        from_end = sum(math.prod(shape) for _, shape in tail_spec(params, "pooler_w")) - (tiny_config.d_model + 2)
         blob = bytearray(p.read_bytes())
         at = len(blob) - 4 * from_end
         blob[at : at + 4] = struct.pack("<f", np.inf)

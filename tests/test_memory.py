@@ -12,7 +12,6 @@ import tracemalloc
 import numpy as np
 
 import stancewatch.timeline as sw_timeline
-import stancewatch.trainer as sw_trainer
 from stancewatch.encoder import (
     GELU_BLOCK,
     EncoderConfig,
@@ -84,34 +83,6 @@ def test_read_classified_holds_each_column_once(tmp_path, monkeypatch):
     (current, peak), = handed_over
     # Less than an int8 column: a byte a row.
     assert peak - current < rows, (current, peak)
-
-
-def test_head_only_training_holds_no_whole_gradient_buffer(monkeypatch):
-    """At every Adam step, head-only training holds the parameters, of the
-    whole layout, and gradients and Adam's two moments for the head alone; a
-    large vocabulary makes any other whole-layout buffer show. Whole-layout
-    moments held 3.01 buffers here."""
-    split = toy_split()
-    vocab = toy_vocab(split)
-    cfg = EncoderConfig(vocab_size=20_000, d_model=16, n_layers=1, n_heads=2, max_len=12)
-    buffer_bytes = 8 * sum(int(np.prod(shape)) for _, shape in tensor_shapes(cfg))
-    tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True)
-    train(split, vocab, cfg, tc)  # fills the vocabulary's memos
-    held = []
-    adam_step = sw_trainer.adam_step
-
-    def traced_adam_step(*args):
-        held.append(tracemalloc.get_traced_memory()[0])
-        adam_step(*args)
-
-    monkeypatch.setattr(sw_trainer, "adam_step", traced_adam_step)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        train(split, vocab, cfg, tc)
-    finally:
-        tracemalloc.stop()
-    assert max(held) - before < buffer_bytes + buffer_bytes // 2, (max(held) - before, buffer_bytes)
 
 
 def test_training_holds_one_gradient_buffer():

@@ -5,19 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import stancewatch.trainer as sw_trainer
-from conftest import TINY, random_encodings
+from conftest import TINY, random_encodings, tail_spec
 from stancewatch.corpus import Category, DatasetSplit, LabeledDataset, Tweet
-from stancewatch.encoder import (
-    HEAD_START,
-    EncoderConfig,
-    backward_from_logits,
-    collate,
-    forward_with_cache,
-    init_params,
-)
+from stancewatch.encoder import EncoderConfig, TensorBuffer, init_params
 from stancewatch.errors import DataValidationError, NumericalError
-from stancewatch.tokenizer import build_vocab, encode
+from stancewatch.tokenizer import build_vocab
 from stancewatch.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -112,8 +104,9 @@ class TestTrainConfig:
 
 
 def head_grads(params, value):
-    """A gradient set covering only classifier_b, filled with ``value``."""
-    grads = params.tensors.tail("classifier_b").zeros_like()
+    """A gradient buffer of the parameters' layout, zero except classifier_b,
+    which is filled with ``value``."""
+    grads = params.tensors.zeros_like()
     grads["classifier_b"][...] = value
     return grads
 
@@ -159,8 +152,8 @@ class TestAdam:
         assert abs(float(tiny_params.tensors["classifier_b"][0]) - theta) < 1e-12
 
     def test_absent_grads_leave_tensor_alone(self, tiny_params):
-        """Moments exist for the gradients' tail alone: the tensors before it
-        keep their bytes, and no moment is kept for them."""
+        """A zero gradient leaves its tensor's bytes unchanged: every tensor
+        before classifier_b keeps its bytes, and its moments stay zero."""
         cfg = TrainConfig(learning_rate=0.5)
         grads = head_grads(tiny_params, 1.0)
         state = AdamState(grads)
@@ -168,16 +161,15 @@ class TestAdam:
         adam_step(tiny_params, grads, state, cfg)
         k = before.size - 4
         assert tiny_params.tensors.flat[:k].tobytes() == before[:k].tobytes()
-        assert state.m.spec == state.v.spec == grads.spec == [("classifier_b", (4,))]
-        assert state.m.flat.all() and state.v.flat.all()
+        assert state.m.spec == state.v.spec == grads.spec == tiny_params.tensors.spec
+        assert not state.m.flat[:k].any() and not state.v.flat[:k].any()
+        assert state.m["classifier_b"].all() and state.v["classifier_b"].all()
         assert (tiny_params.tensors["classifier_b"] != before[k:]).all()
 
-    @pytest.mark.parametrize("moments", [
-        lambda params: params.tensors,
-        lambda params: params.tensors.tail("classifier_w"),
-    ], ids=["whole-layout", "one-tensor-more"])
-    def test_moments_of_another_layout_rejected(self, tiny_params, moments):
-        state = AdamState(moments(tiny_params))
+    @pytest.mark.parametrize("first", ["classifier_w", "classifier_b", "pooler_w"],
+                             ids=["one-tensor-more", "classifier-b", "head"])
+    def test_moments_of_another_layout_rejected(self, tiny_params, first):
+        state = AdamState(TensorBuffer(tail_spec(tiny_params, first)))
         grads = head_grads(tiny_params, 1.0)
         before = tiny_params.tensors.flat.copy()
         with pytest.raises(DataValidationError, match="moments"):
@@ -188,9 +180,12 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self, tiny_params):
         wider = init_params(replace(tiny_params.config, d_model=10), seed=0)
-        for grads in (wider.tensors.tail("classifier_w"), wider.tensors):
+        for spec in (tail_spec(wider, "classifier_w"), wider.tensors.spec, tail_spec(tiny_params, "pooler_w")):
+            grads = TensorBuffer(spec)
+            before = tiny_params.tensors.flat.copy()
             with pytest.raises(DataValidationError, match="shape"):
                 adam_step(tiny_params, grads, AdamState(grads), TrainConfig())
+            assert tiny_params.tensors.flat.tobytes() == before.tobytes()
 
 
 class TestGradients:
@@ -297,48 +292,6 @@ class TestTrain:
         tc = TrainConfig(learning_rate=1e308, epochs=1, batch_size=4)
         with pytest.raises(NumericalError, match=r"^non-finite loss at epoch 0 batch 1$"):
             train(self.split, self.vocab, self.model_cfg, tc)
-
-    def test_head_only_freezes_encoder(self):
-        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
-        trace = train(self.split, self.vocab, self.model_cfg, tc)
-        fresh = init_params(self.model_cfg, 3, self.vocab.content_hash())
-        # everything before the head's tail slice of the buffer is untouched
-        k = fresh.tensors.flat.size - fresh.tensors.tail(HEAD_START).flat.size
-        np.testing.assert_array_equal(trace.params.tensors.flat[:k], fresh.tensors.flat[:k])
-        head = trace.params.tensors.tail(HEAD_START)
-        assert list(head) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
-        for name, arr in head.items():
-            assert not np.array_equal(arr, fresh.tensors[name]), name
-
-    def test_head_only_backward_stops_at_the_head(self, monkeypatch):
-        """A head-sized buffer gets the full backward's head gradients byte
-        for byte, so a head-only run, whose forward keeps no layer's
-        activations, trains the same bytes as one that keeps them all, runs
-        the whole backward and keeps only the head's part."""
-        cfg = replace(self.model_cfg, n_layers=2)
-        params = init_params(cfg, seed=3)
-        encs = [encode(self.vocab, t.text, cfg.max_len) for t in self.split.train.examples[:6]]
-        ids, lengths = collate(encs, cfg)
-        _, cache = forward_with_cache(params, ids, lengths, True, 4, need_cache=True)
-        dlogits = np.random.default_rng(0).normal(size=(len(encs), 4))
-        full = backward_from_logits(params, cache, dlogits)
-        head = backward_from_logits(params, cache, dlogits, out=params.tensors.tail(HEAD_START).zeros_like())
-        assert list(head) == ["pooler_w", "pooler_b", "classifier_w", "classifier_b"]
-        assert head.flat.tobytes() == full.tail(HEAD_START).flat.tobytes()
-
-        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, head_only=True, init_seed=3)
-        early = train(self.split, self.vocab, cfg, tc)
-
-        def whole_then_head(p, c, d, out):
-            out.flat[:] = backward_from_logits(p, c, d).tail(HEAD_START).flat
-            return out
-
-        monkeypatch.setattr(sw_trainer, "forward_with_cache",
-                            lambda *args, **kw: forward_with_cache(*args, **{**kw, "need_cache": True}))
-        monkeypatch.setattr(sw_trainer, "backward_from_logits", whole_then_head)
-        whole = train(self.split, self.vocab, cfg, tc)
-        assert early.epoch_losses == whole.epoch_losses
-        assert early.params.tensors.flat.tobytes() == whole.params.tensors.flat.tobytes()
 
     def test_params_carry_vocab_hash_and_seed(self):
         tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, init_seed=9)
